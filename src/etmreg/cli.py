@@ -88,19 +88,16 @@ def cmd_simulate(args):
     else:
         reg = H.regulator_for(args.design, board, args.target,
                               args.period_us)
-    duration = int(round(args.duration_ms * board.freq_mhz * 1000))
-    sysc = M.SystemConfig(
-        cores=(M.CoreSpec(board.model, M.Synthetic(args.op), reg),),
-        shared_mem_bandwidth=board.cap_lines_per_cycle(),
-        duration_cycles=duration, seed=args.seed)
-    trace = M.run_system(sysc)
+    trace = M.run_system(H.point_system(board, reg, args.op,
+                                        args.duration_ms))
+    achieved = H.program_mbps(trace, args.op, board.freq_mhz)
     st = trace.stats[0]
     if args.json:
         out = {
             "board": args.board, "design": args.design,
             "target_mbps": args.target, "op": args.op,
             "duration_cycles": trace.duration_cycles,
-            "achieved_mbps": trace.achieved_mbps(0, board.freq_mhz),
+            "achieved_mbps": achieved,
             "completed_lines": st.completed_lines,
             "pmc_events": st.pmc_events,
             "throttled_cycles": st.throttled_cycles,
@@ -119,7 +116,7 @@ def cmd_simulate(args):
             trace.duration_cycles,
             trace.duration_cycles / board.freq_mhz / 1000, board.freq_mhz),
         "achieved %.1f MB/s (%d lines, %d monitored events)" % (
-            trace.achieved_mbps(0, board.freq_mhz), st.completed_lines,
+            achieved, st.completed_lines,
             st.pmc_events),
         "throttled %.1f%% of cycles, %d throttle entries, %d irqs" % (
             100 * st.throttled_cycles / trace.duration_cycles,
@@ -187,8 +184,7 @@ def cmd_validate(args):
 def cmd_calibrate(args):
     floor = H.calibrate_safe_floor(args.board, args.design, args.period_us,
                                    tol=args.tol,
-                                   duration_ms=args.duration_ms,
-                                   seed=args.seed)
+                                   duration_ms=args.duration_ms)
     print("%s on %s, %.1f us period: safe floor %.1f MB/s"
           % (args.design, args.board, args.period_us, floor))
     return 0
@@ -217,7 +213,6 @@ def _build_parser():
                             M.OP_MODIFY])
     p.add_argument("--period-us", type=float, default=5.0)
     p.add_argument("--duration-ms", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     p.add_argument("--out", default="", help="write to a file")
@@ -253,7 +248,6 @@ def _build_parser():
     p.add_argument("--period-us", type=float, default=5.0)
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--duration-ms", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_calibrate)
     return ap
 

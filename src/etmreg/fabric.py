@@ -51,8 +51,6 @@ COUNTER_ZERO = "counter_zero"
 SEQUENCER_STATE = "sequencer_state"
 ADDRESS_RANGE = "address_range"
 
-_PULSE_SOURCES = (EXTERNAL_INPUTS, COUNTER_ZERO, ADDRESS_RANGE)
-
 USER = "user"
 KERNEL = "kernel"
 
@@ -402,55 +400,6 @@ def reset_fabric(config: EtmConfig) -> FabricState:
         else:
             vals[c.index] = c.reload_value
     return FabricState(counter_values=tuple(vals))
-
-
-def comparator_pulses(config: EtmConfig, fetch_addr, exec_mode) -> frozenset:
-    """Pair indices pulsing for this fetch (empty when no fetch this cycle)."""
-    if fetch_addr is None:
-        return frozenset()
-    hit = set()
-    for c in config.comparators:
-        if (c.lo <= fetch_addr < c.hi
-                and ((exec_mode == USER and c.match_user)
-                     or (exec_mode == KERNEL and c.match_kernel))):
-            hit.add(c.pair_index)
-    return frozenset(hit)
-
-
-def evaluate_selector(config: EtmConfig, index: int, state: FabricState,
-                      inputs: CycleInputs,
-                      counter_fired=(False, False)) -> bool:
-    """Value of one selector slot: pulse sources (input taps, counter-zero,
-    comparators) read the current cycle, sequencer levels read the latched
-    state.  `counter_fired` carries this cycle's counter-zero signals."""
-    cmp_hits = comparator_pulses(config, inputs.instruction_fetch_addr, inputs.exec_mode)
-
-    def base(i):
-        s = config.selectors[i]
-        if s.source == CONST_TRUE:
-            val = True
-        elif s.source == CONST_FALSE:
-            val = False
-        elif s.source == EXTERNAL_INPUTS:
-            val = any(not inputs.active_signals.isdisjoint(config.inputs[t].monitored)
-                      for t in s.members)
-        elif s.source == COUNTER_ZERO:
-            val = any(counter_fired[c] for c in s.members)
-        elif s.source == SEQUENCER_STATE:
-            val = state.sequencer_state in s.members
-        elif s.source == ADDRESS_RANGE:
-            val = not cmp_hits.isdisjoint(s.members)
-        else:
-            raise ValueError("unknown selector source %r" % s.source)
-        return val != s.invert
-
-    v = base(index)
-    s = config.selectors[index]
-    if s.paired_with is not None:
-        other, op = s.paired_with
-        w = base(other)
-        v = (v and w) if op == "and" else (v or w)
-    return v
 
 
 def step_fabric(config: EtmConfig, state: FabricState, inputs: CycleInputs):

@@ -4,7 +4,7 @@ One sweep point = one board preset + one regulator design + one bandwidth
 target + one access type, simulated for a fixed stretch of time on a
 single regulated core running a saturating synthetic workload.  Points
 are independent and merged in sorted configuration order, so repeated
-runs of the same config and seed produce byte-identical outputs.
+runs of the same config produce byte-identical outputs.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,8 @@ from .regulators import RangeError
 __all__ = [
     "BoardPreset", "PRESETS", "ExperimentConfig", "ResultRow",
     "SweepResult", "NoConvergence", "bandwidth_to_budget",
-    "regulator_for", "run_point", "run_sweep", "calibrate_safe_floor",
+    "regulator_for", "point_system", "program_mbps", "run_point",
+    "run_sweep", "calibrate_safe_floor",
     "write_csv", "load_csv", "render_svg", "emit_outputs",
 ]
 
@@ -144,7 +145,6 @@ class ExperimentConfig:
     op_types: tuple = (M.OP_READ,)
     period_us: float = 5.0
     duration_ms: float = 10.0
-    seed: int = 0
     csv_path: str = ""
     svg_path: str = ""
 
@@ -223,25 +223,39 @@ class SweepResult:
 # running points
 # =========================================================================
 
-def run_point(board: BoardPreset, design, target_mbps, op_type,
-              period_us, duration_ms, seed=0) -> ResultRow:
-    """Simulate one sweep point and reduce it to a ResultRow."""
-    reg = regulator_for(design, board, target_mbps, period_us)
-    duration = int(round(duration_ms * board.freq_mhz * 1000))
-    sysc = M.SystemConfig(
+def point_system(board: BoardPreset, reg, op_type,
+                 duration_ms) -> M.SystemConfig:
+    """One sweep point as a system: a single core of `board` running a
+    saturating `op_type` stream under `reg` (a regulator config or None)."""
+    return M.SystemConfig(
         cores=(M.CoreSpec(board.model, M.Synthetic(op_type), reg),),
         shared_mem_bandwidth=board.cap_lines_per_cycle(),
-        duration_cycles=duration, seed=seed)
-    trace = M.run_system(sysc)
-    st = trace.stats[0]
+        duration_cycles=int(round(duration_ms * board.freq_mhz * 1000)))
 
+
+def _program_lines(stats: M.CoreStats, op_type):
     # a modify transaction moves two lines on the bus but advances the
     # program by one; achieved bandwidth is the program's view
-    app_lines = st.completed_lines
     if op_type == M.OP_MODIFY:
-        app_lines //= 2
-    seconds = duration / (board.freq_mhz * 1e6)
-    achieved = app_lines * CACHELINE / seconds / 1e6
+        return stats.completed_lines // 2
+    return stats.completed_lines
+
+
+def program_mbps(trace: M.SystemTrace, op_type, freq_mhz) -> float:
+    """Achieved MB/s of core 0 as its `op_type` program sees it."""
+    seconds = trace.duration_cycles / (freq_mhz * 1e6)
+    return (_program_lines(trace.stats[0], op_type) * CACHELINE
+            / seconds / 1e6)
+
+
+def run_point(board: BoardPreset, design, target_mbps, op_type,
+              period_us, duration_ms) -> ResultRow:
+    """Simulate one sweep point and reduce it to a ResultRow."""
+    reg = regulator_for(design, board, target_mbps, period_us)
+    trace = M.run_system(point_system(board, reg, op_type, duration_ms))
+    st = trace.stats[0]
+    duration = trace.duration_cycles
+    app_lines = _program_lines(st, op_type)
 
     overshoot = 0
     if design in R.ETM_DESIGNS:
@@ -252,7 +266,7 @@ def run_point(board: BoardPreset, design, target_mbps, op_type,
 
     return ResultRow(
         target_mbps=float(target_mbps),
-        achieved_mbps=achieved,
+        achieved_mbps=program_mbps(trace, op_type, board.freq_mhz),
         op_type=op_type,
         regulator=design,
         period_us=float(period_us),
@@ -277,7 +291,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     for design, op, target in points:
         try:
             rows.append(run_point(board, design, target, op,
-                                  cfg.period_us, cfg.duration_ms, cfg.seed))
+                                  cfg.period_us, cfg.duration_ms))
         except (RangeError, ValueError) as e:
             failures.append("design=%s op=%s target=%g: %s"
                             % (design, op, target, e))
@@ -290,7 +304,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 # =========================================================================
 
 def calibrate_safe_floor(board_name, design, period_us, tol=0.05,
-                         duration_ms=2.0, seed=0) -> float:
+                         duration_ms=2.0) -> float:
     """Smallest bandwidth target this board/design/period still enforces.
 
     Searches budgets for the first whose achieved/target ratio stays
@@ -302,7 +316,7 @@ def calibrate_safe_floor(board_name, design, period_us, tol=0.05,
     def ok(budget):
         target = budget_to_bandwidth(budget, period_us)
         row = run_point(board, design, target, M.OP_READ, period_us,
-                        duration_ms, seed)
+                        duration_ms)
         return row.achieved_mbps / target <= 1.0 + tol
 
     cap_budget = bandwidth_to_budget(board.mem_cap_mbps, period_us,

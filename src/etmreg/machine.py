@@ -23,14 +23,26 @@ between "throttle asserted" and "traffic actually stops" is the point of
 the model.  Timer-replenished regulators additionally run their handler at
 every period boundary, throttled or not.
 
+Each core's regulator is one runtime object, built once per run: none, the
+fabric, MemGuard or MemPol.  It observes every stepped cycle and returns
+the throttle level; its class attributes say how the core reacts to that
+level (the fabric and MemGuard raise an interrupt, MemGuard's handler
+sleeps instead of polling, MemPol halts issue from outside).
+
 Long pulse-free stretches (throttle stalls, idle phases, compute-bound
-spans) are fast-forwarded: a one-cycle probe confirms the attached fabric
-is only counting down linearly, and the run then jumps to the next deadline
-(counter crossing, in-flight completion, handler phase end, poll, period
-boundary, window edge, trace record).  `run_system(cfg, use_hops=False)`
-disables the jumps; both paths must produce identical results.
+spans) are skipped in one hop.  A single rule, `_quiet_span`, decides how
+far: every core must have empty queues and a workload that cannot issue,
+and the hop ends at the window edge or at the first deadline of any core
+(interrupt phase end, handler poll, idle end, trace record).  Each
+regulator then bounds the span with its own answer: MemGuard its next
+timer refill, MemPol its next poll, and the fabric the stretch in which
+its counters only count down, found by probing one pulse-free cycle.
+Each core then advances across the span.  `run_system(cfg,
+use_hops=False)` steps every cycle; both paths must produce identical
+results.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -207,7 +219,6 @@ class SystemConfig:
     cores: tuple
     shared_mem_bandwidth: float     # cachelines per cycle at the controller
     duration_cycles: int
-    seed: int = 0                   # recorded; current workloads are exact
     window_cycles: int = 0          # 0 -> one millisecond at core 0's clock
 
     def __post_init__(self):
@@ -263,51 +274,227 @@ class SystemTrace:
 
 
 # =========================================================================
-# per-core mutable state
+# regulator runtimes
 # =========================================================================
 
 # interrupt phases
 _IRQ_NONE = 0
 _IRQ_PENDING = 1
 _IRQ_ENTRY = 2
-_IRQ_WAIT = 3       # fabric: polling the level; timer-based: sleeping
+_IRQ_WAIT = 3       # the handler polls the level, or sleeps on it
 _IRQ_EXIT = 4
 
 _USER_FETCH_ADDR = 0x1000
 _KERNEL_FETCH_ADDR = 1 << 60
 
 
+class _Unregulated:
+    """Runtime of a core without a regulator, and the defaults the
+    regulator runtimes below override.
+
+    The class attributes say how the core reacts to the throttle level:
+    `irq_on_throttle` raises an interrupt on it, `sleeps` makes the handler
+    sleep until the level drops instead of polling it, and `halts` stops
+    the workload's issue from outside the core while the level is high.
+    """
+    __slots__ = ()
+    irq_on_throttle = False
+    sleeps = False
+    halts = False
+    periods = ()
+
+    def observe(self, st, cycle, pm, hits, kernel, wfi):
+        """Take one cycle of core `st`: its pulse mask `pm`, of which
+        `hits` are monitored events.  Returns the throttle level."""
+        return False
+
+    def quiet_span(self, st, cycle):
+        """Cycles from `cycle` that this regulator can skip in one hop if
+        core `st` emits no pulse: it neither acts nor changes a level in
+        them."""
+        return _BIG
+
+    def advance(self, span):
+        """Skip `span` quiet cycles, as allowed by `quiet_span`."""
+
+
+class _Fabric(_Unregulated):
+    """The trace-unit fabric; its throttle outputs raise an interrupt on
+    the core, whose handler polls the level."""
+    __slots__ = ("step", "idle_out", "throttle_mask", "chained", "cm_user",
+                 "cm_kernel", "state", "out", "d0", "d1", "period_pmc",
+                 "period_tap", "period_throttled", "periods")
+    irq_on_throttle = True
+
+    def __init__(self, cfg, st):
+        cf = F.compile_fabric(cfg)
+        self.step = cf.step
+        self.idle_out = cf.idle_out
+        self.throttle_mask = cf.throttle_mask
+        self.chained = any(c.chained for c in cfg.counters)
+        # the core fetches from one user and one kernel address
+        self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)
+        self.cm_kernel = cf.cmp_mask(_KERNEL_FETCH_ADDR, False)
+        self.state = cf.reset_tuple()
+        self.out = 0
+        self.d0 = self.d1 = 0           # counter slopes found by quiet_span
+        self.period_pmc = 0
+        self.period_tap = 0
+        self.period_throttled = False
+        self.periods = []
+        sigs = set()
+        for tap in cfg.inputs:
+            sigs |= tap.monitored
+        st.tap_mask = F._signal_mask(sigs)
+
+    def observe(self, st, cycle, pm, hits, kernel, wfi):
+        if hits:
+            self.period_pmc += hits
+            self.period_tap += 1
+        s = self.state
+        if wfi:
+            out = self.idle_out(s[2], s[3], s[4])
+        else:
+            # each tap masks the pulses itself, so pm goes in unmasked
+            cur = self.step(s[0], s[1], s[2], s[3], s[4], pm,
+                            self.cm_kernel if kernel else self.cm_user)
+            self.state = cur[:5]
+            out = cur[7]
+            if cur[6]:                  # period boundary: close the record
+                self.periods.append(PeriodRecord(
+                    self.period_pmc, self.period_tap, self.period_throttled))
+                self.period_pmc = 0
+                self.period_tap = 0
+                self.period_throttled = False
+        self.out = out
+        if out & self.throttle_mask:
+            self.period_throttled = True
+            return True
+        return False
+
+    def quiet_span(self, st, cycle):
+        """A one-cycle probe without pulses: the span is how long the
+        counters keep counting down by at most one a cycle without firing
+        and without any level changing.  A sleeping core freezes the
+        fabric, so nothing changes at all."""
+        kernel = st.irq_phase >= _IRQ_ENTRY
+        if not kernel and st.wfi_idle and st.idle_until > cycle:
+            self.d0 = self.d1 = 0
+            return _BIG
+        s = self.state
+        cur = self.step(s[0], s[1], s[2], s[3], s[4], 0,
+                        self.cm_kernel if kernel else self.cm_user)
+        if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
+                or cur[5] or cur[6] or cur[7] != self.out):
+            return 0
+        if self.chained:
+            a, b = s[0] | (s[1] << 16), 0
+            ca, cb = cur[0] | (cur[1] << 16), 0
+        else:
+            a, b = s[0], s[1]
+            ca, cb = cur[0], cur[1]
+        d0 = a - ca
+        d1 = b - cb
+        if d0 not in (0, 1) or d1 not in (0, 1):
+            return 0
+        self.d0 = d0
+        self.d1 = d1
+        # a counter counting down from ca fires ca cycles from now
+        return min(ca if d0 else _BIG, cb if d1 else _BIG)
+
+    def advance(self, span):
+        s = self.state
+        if self.chained:
+            v = (s[0] | (s[1] << 16)) - self.d0 * span
+            self.state = (v & 0xFFFF, v >> 16, s[2], s[3], s[4])
+        else:
+            self.state = (s[0] - self.d0 * span, s[1] - self.d1 * span,
+                          s[2], s[3], s[4])
+
+
+class _MemGuard(_Unregulated):
+    """MemGuard: a budget refilled by a periodic timer interrupt that runs
+    the handler every period; on exhaustion the handler sleeps until the
+    next refill instead of polling."""
+    __slots__ = ("cfg", "state")
+    irq_on_throttle = True
+    sleeps = True
+
+    def __init__(self, cfg, st):
+        self.cfg = cfg
+        self.state = REG.memguard_reset(cfg)
+        # the periodic replenishment timer loads the first budget at t=0
+        # and re-fires at every boundary after that
+        st.irq_phase = _IRQ_PENDING
+        st.irq_at = st.model.irq_latency_cycles
+
+    def observe(self, st, cycle, pm, hits, kernel, wfi):
+        s = self.state
+        if not hits and cycle < s.next_boundary:
+            return s.throttled          # nothing to charge or refill
+        self.state, throttled = REG.memguard_step(self.cfg, s, hits, cycle)
+        if self.state.next_boundary != s.next_boundary \
+                and st.irq_phase == _IRQ_NONE:
+            # replenishment timer interrupt: the handler runs every period
+            st.irq_phase = _IRQ_PENDING
+            st.irq_at = cycle + st.model.irq_latency_cycles
+        return throttled
+
+    def quiet_span(self, st, cycle):
+        return self.state.next_boundary - cycle
+
+
+class _MemPol(_Unregulated):
+    """MemPol: an external poller reads the core's event counter and halts
+    its issue from outside; no interrupt runs on the core."""
+    __slots__ = ("cfg", "state")
+    halts = True
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.state = REG.mempol_reset(cfg)
+
+    def observe(self, st, cycle, pm, hits, kernel, wfi):
+        s = self.state
+        if cycle < s.next_poll:
+            return s.halted
+        self.state, halted = REG.mempol_step(self.cfg, s, st.pmc_events,
+                                             cycle)
+        return halted
+
+    def quiet_span(self, st, cycle):
+        return self.state.next_poll - cycle
+
+
+# =========================================================================
+# per-core mutable state
+# =========================================================================
+
 class CoreState:
     """Mutable per-core simulation state: workload cursor, memory queues,
     interrupt machine, regulator runtime, statistics counters."""
 
     __slots__ = (
-        "model", "workload", "regulator",
+        "model", "workload", "reg",
         # memory queues: FIFOs of ready/enqueue cycles
         "reads", "wb",
         # workload cursor
-        "wl_kind", "op", "ipc", "ipc_acc", "phase", "lines_left",
-        "idle_until", "trace_recs", "trace_pos", "trace_next",
+        "op", "ipc", "ipc_acc", "phase", "lines_left", "idle_until",
+        "wfi_idle", "trace_recs", "trace_pos", "trace_next",
         # interrupt machine
         "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
-        # regulator runtime
-        "kind", "cf", "fstate", "out_mask", "throttle_mask",
-        "mg_state", "mp_state", "pmc_total",
         # pulse masks
         "refill_mask", "wbk_mask", "tap_mask",
         # stats
         "issued_lines", "completed_lines", "kernel_lines", "pmc_events",
         "tap_events", "throttled_cycles", "throttle_entries", "irq_count",
         "handler_cycles", "idle_cycles",
-        # period tracking
-        "period_pmc", "period_tap", "period_throttled", "periods",
     )
 
     def __init__(self, spec: CoreSpec):
         m = spec.model
         self.model = m
         self.workload = spec.workload
-        self.regulator = spec.regulator
         self.reads = []
         self.wb = []
         self.refill_mask = F._signal_mask(m.refill_signals)
@@ -317,6 +504,7 @@ class CoreState:
         self.ipc_acc = 0.0
         self.phase = 0
         self.idle_until = 0
+        self.wfi_idle = False
         self.trace_recs = ()
         self.trace_pos = 0
         self.trace_next = _BIG
@@ -324,7 +512,6 @@ class CoreState:
             if w.region_bytes % m.cacheline_bytes:
                 raise ValueError("region_bytes must be a multiple of the "
                                  "cacheline size")
-            self.wl_kind = "synthetic"
             self.op = w.op
             self.ipc = w.issue_ipc_limit
             self.lines_left = _BIG
@@ -333,16 +520,16 @@ class CoreState:
                 if nbytes % m.cacheline_bytes:
                     raise ValueError("burst bytes must be a multiple of "
                                      "the cacheline size")
-            self.wl_kind = "burst"
             self.ipc = 1.0
             op, nbytes, _idle = w.pattern[0]
             self.op = op
             self.lines_left = nbytes // m.cacheline_bytes
+            self.wfi_idle = w.wfi_idle
         elif isinstance(w, TraceReplay):
-            self.wl_kind = "trace"
+            # a replay core issues nothing: no issue rate, no end of lines
             self.op = OP_READ
             self.ipc = 0.0
-            self.lines_left = 0
+            self.lines_left = _BIG
             # pre-resolve records to (absolute cycle, mask, kernel),
             # merging same-cycle records
             t = 0
@@ -367,36 +554,16 @@ class CoreState:
         self.kernel_pending = 0
         self.prev_throttle = False
 
-        reg = spec.regulator
-        self.cf = None
-        self.fstate = None
-        self.out_mask = 0
-        self.throttle_mask = 0
-        self.mg_state = None
-        self.mp_state = None
-        self.pmc_total = 0
         self.tap_mask = self.refill_mask | self.wbk_mask
+        reg = spec.regulator
         if reg is None:
-            self.kind = "none"
+            self.reg = _Unregulated()
         elif isinstance(reg, F.EtmConfig):
-            self.kind = "etm"
-            self.cf = F.compile_fabric(reg)
-            self.fstate = self.cf.reset_tuple()
-            self.throttle_mask = self.cf.throttle_mask
-            sigs = set()
-            for tap in reg.inputs:
-                sigs |= tap.monitored
-            self.tap_mask = F._signal_mask(sigs)
+            self.reg = _Fabric(reg, self)
         elif isinstance(reg, REG.MemGuardConfig):
-            self.kind = "memguard"
-            self.mg_state = REG.memguard_reset(reg)
-            # the periodic replenishment timer loads the first budget at
-            # t=0 and re-fires at every boundary after that
-            self.irq_phase = _IRQ_PENDING
-            self.irq_at = m.irq_latency_cycles
+            self.reg = _MemGuard(reg, self)
         elif isinstance(reg, REG.MemPolConfig):
-            self.kind = "mempol"
-            self.mp_state = REG.mempol_reset(reg)
+            self.reg = _MemPol(reg)
         else:
             raise ValueError("unknown regulator %r" % (reg,))
 
@@ -410,18 +577,19 @@ class CoreState:
         self.irq_count = 0
         self.handler_cycles = 0
         self.idle_cycles = 0
-        self.period_pmc = 0
-        self.period_tap = 0
-        self.period_throttled = False
-        self.periods = []
 
     # -- memory controller interface --------------------------------------
 
-    def has_request(self, cycle):
+    def has_request(self, cycle, granted=0):
+        """True when more than `granted` requests are ready at `cycle`."""
         r = self.reads
+        w = self.wb
+        if granted:
+            # a later grant round of the same cycle: count the ready ones
+            # (both FIFOs are in ready order)
+            return bisect_right(r, cycle) + bisect_left(w, cycle) > granted
         if r and r[0] <= cycle:
             return True
-        w = self.wb
         return bool(w) and w[0] < cycle
 
     def serve_one(self, cycle):
@@ -437,7 +605,7 @@ class CoreState:
 
 
 # =========================================================================
-# one core-cycle (grant retirement, interrupt machinery, issue)
+# one core-cycle
 # =========================================================================
 
 def _advance_burst(st: CoreState, cycle):
@@ -464,11 +632,10 @@ def _advance_burst(st: CoreState, cycle):
 
 def _core_cycle(st: CoreState, cycle, grants):
     """Retire grants, run the interrupt machine against the previous
-    cycle's throttle level, issue new work.
-
-    Returns (pulse_mask, in_handler, wfi_idle).
-    """
+    cycle's throttle level, issue new work, and let the regulator observe
+    the cycle's pulses; updates st.prev_throttle and the statistics."""
     m = st.model
+    reg = st.reg
     pm = 0
     for _ in range(grants):
         pm |= st.serve_one(cycle)
@@ -477,7 +644,7 @@ def _core_cycle(st: CoreState, cycle, grants):
     phase = st.irq_phase
     req = st.prev_throttle
     if phase == _IRQ_NONE:
-        if req and (st.kind == "etm" or st.kind == "memguard"):
+        if req and reg.irq_on_throttle:
             st.irq_phase = _IRQ_PENDING
             st.irq_at = cycle + m.irq_latency_cycles
     elif phase == _IRQ_PENDING:
@@ -489,13 +656,13 @@ def _core_cycle(st: CoreState, cycle, grants):
     elif phase == _IRQ_ENTRY:
         if cycle >= st.irq_at:
             st.irq_phase = _IRQ_WAIT
-            if st.kind == "memguard":
+            if reg.sleeps:
                 st.irq_at = _BIG        # sleeps until the level drops
             else:
                 st.irq_at = cycle + m.handler_poll_cycles
     elif phase == _IRQ_WAIT:
-        if st.kind == "memguard":
-            if not req:                 # boundary replenished: wake & exit
+        if reg.sleeps:
+            if not req:                 # level dropped: wake & exit
                 st.irq_phase = _IRQ_EXIT
                 st.irq_at = cycle + m.handler_exit_cycles
         elif cycle >= st.irq_at:        # poll instant
@@ -521,27 +688,24 @@ def _core_cycle(st: CoreState, cycle, grants):
             pm |= st.refill_mask
 
     # ---- scripted pulse streams ----
-    if st.wl_kind == "trace":
-        kernel = in_handler
+    kernel = in_handler
+    if cycle == st.trace_next:
         recs = st.trace_recs
-        while st.trace_pos < len(recs) and cycle == st.trace_next:
-            _t, mask, kern = recs[st.trace_pos]
-            pm |= mask
-            kernel = kernel or kern
-            st.trace_pos += 1
-            st.trace_next = (recs[st.trace_pos][0]
-                             if st.trace_pos < len(recs) else _BIG)
-        return pm, kernel, False
+        _t, mask, kern = recs[st.trace_pos]
+        pm |= mask
+        kernel = kernel or kern
+        st.trace_pos += 1
+        st.trace_next = (recs[st.trace_pos][0]
+                         if st.trace_pos < len(recs) else _BIG)
 
     # ---- issue stage ----
-    halted = st.kind == "mempol" and req
     wfi = False
-    if not in_handler and not halted:
-        if st.wl_kind == "burst":
+    if not in_handler and not (req and reg.halts):
+        if st.lines_left == 0:
             _advance_burst(st, cycle)
         if st.idle_until > cycle:
             st.idle_cycles += 1
-            wfi = st.wl_kind == "burst" and st.workload.wfi_idle
+            wfi = st.wfi_idle
         elif st.lines_left > 0 and st.ipc > 0:
             st.ipc_acc += st.ipc
             # a structural stall must not bank whole issue slots: at most
@@ -576,166 +740,60 @@ def _core_cycle(st: CoreState, cycle, grants):
                 st.ipc_acc -= 1.0
                 n -= 1
 
-    return pm, in_handler, wfi
-
-
-# =========================================================================
-# regulator coupling
-# =========================================================================
-
-def _regulator_cycle(st: CoreState, cycle, pm, kernel, wfi):
-    """Feed one cycle to the attached regulator; updates st.prev_throttle
-    and the event/period statistics."""
-    if pm:
-        hits = (pm & st.tap_mask).bit_count()
-        if hits:
-            st.pmc_events += hits
-            st.pmc_total += hits
-            st.tap_events += 1
-            st.period_pmc += hits
-            st.period_tap += 1
-    kind = st.kind
-    if kind == "none":
-        return
-    if kind == "etm":
-        cf = st.cf
-        s = st.fstate
-        if wfi:
-            out = cf.idle_out(s[2], s[3], s[4])
-        else:
-            if cf._cmp_table:
-                addr = _KERNEL_FETCH_ADDR if kernel else _USER_FETCH_ADDR
-                cm = cf.cmp_mask(addr, not kernel)
-            else:
-                cm = 0
-            cur = cf.step(s[0], s[1], s[2], s[3], s[4],
-                          pm & st.tap_mask, cm)
-            st.fstate = cur[:5]
-            out = cur[7]
-            if cur[6]:                  # period boundary: close the record
-                st.periods.append(PeriodRecord(
-                    st.period_pmc, st.period_tap, st.period_throttled))
-                st.period_pmc = 0
-                st.period_tap = 0
-                st.period_throttled = False
-        st.out_mask = out
-        throttled = bool(out & st.throttle_mask)
-        if throttled:
-            st.period_throttled = True
-    elif kind == "memguard":
-        delta = (pm & st.tap_mask).bit_count() if pm else 0
-        boundary_was = st.mg_state.next_boundary
-        st.mg_state, throttled = REG.memguard_step(
-            st.regulator, st.mg_state, delta, cycle)
-        if st.mg_state.next_boundary != boundary_was \
-                and st.irq_phase == _IRQ_NONE:
-            # replenishment timer interrupt: the handler runs every period
-            st.irq_phase = _IRQ_PENDING
-            st.irq_at = cycle + st.model.irq_latency_cycles
-    else:                               # mempol (polled from outside)
-        if cycle >= st.mp_state.next_poll:
-            st.mp_state, throttled = REG.mempol_step(
-                st.regulator, st.mp_state, st.pmc_total, cycle)
-        else:
-            throttled = st.mp_state.halted
+    # ---- the regulator observes the cycle ----
+    hits = (pm & st.tap_mask).bit_count() if pm else 0
+    if hits:
+        st.pmc_events += hits
+        st.tap_events += 1
+    throttled = reg.observe(st, cycle, pm, hits, kernel, wfi)
     if throttled:
         st.throttled_cycles += 1
-        if not st.prev_throttle:
+        if not req:
             st.throttle_entries += 1
     st.prev_throttle = throttled
 
 
 # =========================================================================
-# quiet-stretch detection
+# quiet stretches
 # =========================================================================
 
-def _core_can_hop(st: CoreState, cycle):
-    """True when this core provably emits no pulses and changes no queue
-    until its next deadline."""
-    if st.reads or st.wb or st.kernel_pending:
-        return False
-    if st.irq_phase == _IRQ_NONE and st.prev_throttle \
-            and st.kind in ("etm", "memguard"):
-        return False                    # interrupt about to be raised
-    if st.irq_phase == _IRQ_WAIT and st.kind == "memguard" \
-            and not st.prev_throttle:
-        return False                    # handler about to wake up
-    if st.wl_kind == "trace":
-        return True
-    if st.irq_phase >= _IRQ_ENTRY:
-        return True                     # handler busy: no workload issues
-    if st.kind == "mempol" and st.prev_throttle:
-        return True
-    if st.wl_kind == "burst" and st.idle_until > cycle:
-        return True
-    if st.ipc == 0 or st.lines_left == 0:
-        return True
-    return False
-
-
-def _quiet_deadline(st: CoreState, cycle):
-    """First cycle at which something non-linear can happen for this core,
-    assuming no pulses arrive before it."""
-    d = _BIG
-    if st.reads:
-        d = st.reads[0]
-    if st.wb and st.wb[0] + 1 < d:
-        d = st.wb[0] + 1
-    if st.irq_phase != _IRQ_NONE and st.irq_at < d:
+def _quiet_span(cores, cycle, limit):
+    """How many cycles from `cycle`, at most `limit`, every core can skip
+    in one hop: no core emits a pulse, changes a queue or reaches a
+    deadline in them.  Below 2 the run steps the next cycle instead."""
+    span = limit
+    for st in cores:
+        if st.reads or st.wb or st.kernel_pending:
+            return 0                    # queued traffic moves every cycle
+        reg = st.reg
+        phase = st.irq_phase
+        req = st.prev_throttle
+        if phase == _IRQ_NONE:
+            if req and reg.irq_on_throttle:
+                return 0                # interrupt about to be raised
+        elif phase == _IRQ_WAIT and reg.sleeps and not req:
+            return 0                    # handler about to wake up
+        if not (phase >= _IRQ_ENTRY or (req and reg.halts)
+                or st.idle_until > cycle or st.ipc == 0):
+            # the workload issues, or a spent burst phase moves on
+            return 0
         d = st.irq_at
-    if st.wl_kind == "burst" and cycle < st.idle_until < d:
-        d = st.idle_until
-    if st.wl_kind == "trace" and st.trace_next < d:
-        d = st.trace_next
-    if st.kind == "memguard" and st.mg_state.next_boundary < d:
-        d = st.mg_state.next_boundary
-    if st.kind == "mempol" and st.mp_state.next_poll < d:
-        d = st.mp_state.next_poll
-    return d
-
-
-def _probe_fabric(st: CoreState, cycle):
-    """Step the fabric one quiet cycle without committing.
-
-    Returns None when the fabric is not advancing linearly; otherwise
-    ("frozen",) for an architecturally idle core, or
-    ("roll", state5, d0, d1, chained, bound) where bound is the number of
-    additional quiet cycles the linear pattern stays valid for.
-    """
-    cf = st.cf
-    s = st.fstate
-    kernel = st.irq_phase >= _IRQ_ENTRY
-    if (not kernel and st.wl_kind == "burst" and st.workload.wfi_idle
-            and st.idle_until > cycle):
-        return ("frozen",)              # asleep: the fabric holds still
-    if cf._cmp_table:
-        addr = _KERNEL_FETCH_ADDR if kernel else _USER_FETCH_ADDR
-        cm = cf.cmp_mask(addr, not kernel)
-    else:
-        cm = 0
-    cur = cf.step(s[0], s[1], s[2], s[3], s[4], 0, cm)
-    if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
-            or cur[5] or cur[6] or cur[7] != st.out_mask):
-        return None
-    chained = any(c.chained for c in cf.config.counters)
-    if chained:
-        d0 = (s[0] | (s[1] << 16)) - (cur[0] | (cur[1] << 16))
-        d1 = 0
-    else:
-        d0 = s[0] - cur[0]
-        d1 = s[1] - cur[1]
-    if d0 not in (0, 1) or d1 not in (0, 1):
-        return None
-    bound = _BIG
-    if chained:
-        if d0:
-            bound = (cur[0] | (cur[1] << 16)) - 1
-    else:
-        if d0:
-            bound = cur[0] - 1
-        if d1 and cur[1] - 1 < bound:
-            bound = cur[1] - 1
-    return ("roll", cur[:5], d0, d1, chained, bound)
+        if st.trace_next < d:
+            d = st.trace_next
+        if cycle < st.idle_until < d:
+            d = st.idle_until
+        if d - cycle < span:
+            span = d - cycle
+            if span < 2:
+                return 0
+    # only now ask the regulators, as the fabric's answer costs a step
+    for st in cores:
+        q = st.reg.quiet_span(st, cycle)
+        if q < span:
+            span = q
+            if span < 2:
+                return 0
+    return span
 
 
 # =========================================================================
@@ -786,7 +844,8 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                     ci = rr + k
                     if ci >= n:
                         ci -= n
-                    if avail > 0 and cores[ci].has_request(cycle):
+                    if avail > 0 and cores[ci].has_request(cycle,
+                                                           grants[ci]):
                         grants[ci] += 1
                         avail -= 1
                         served += 1
@@ -802,66 +861,33 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
 
         # ---- 2+3. cores and their regulators ----
         for i in range(n):
-            st = cores[i]
             g = grants[i]
             if g:
                 grants[i] = 0
                 win_lines[i] += g
-            pm, kernel, wfi = _core_cycle(st, cycle, g)
-            _regulator_cycle(st, cycle, pm, kernel, wfi)
+            _core_cycle(cores[i], cycle, g)
 
         cycle += 1
 
         # ---- 4. hop across provably quiet stretches ----
         if not use_hops or cycle >= duration:
             continue
-        deadline = win_end if win_end < duration else duration
-        ok = True
-        for st in cores:
-            if not _core_can_hop(st, cycle):
-                ok = False
-                break
-            d = _quiet_deadline(st, cycle)
-            if d < deadline:
-                deadline = d
-        if not ok or deadline - cycle < 2:
+        span = _quiet_span(cores, cycle,
+                           (win_end if win_end < duration else duration)
+                           - cycle)
+        if span < 2:
             continue
-        span = deadline - cycle
-        probes = []
         for st in cores:
-            if st.kind != "etm":
-                probes.append(None)
-                continue
-            p = _probe_fabric(st, cycle)
-            if p is None:
-                ok = False
-                break
-            probes.append(p)
-            if p[0] == "roll" and p[5] + 1 < span:
-                span = p[5] + 1         # probe cycle + linear stretch
-        if not ok or span < 2:
-            continue
-        extra = span - 1                # linear cycles beyond the probe
-        for i in range(n):
-            st = cores[i]
-            p = probes[i]
-            if p is not None and p[0] == "roll":
-                _tag, s5, d0, d1, chained, _bound = p
-                if chained:
-                    v = (s5[0] | (s5[1] << 16)) - d0 * extra
-                    st.fstate = (v & 0xFFFF, v >> 16, s5[2], s5[3], s5[4])
-                else:
-                    st.fstate = (s5[0] - d0 * extra, s5[1] - d1 * extra,
-                                 s5[2], s5[3], s5[4])
             if st.prev_throttle:
                 st.throttled_cycles += span
             if st.irq_phase >= _IRQ_ENTRY:
                 st.handler_cycles += span
-            elif not (st.kind == "mempol" and st.prev_throttle) \
-                    and st.wl_kind == "burst" and st.idle_until > cycle:
+            elif st.idle_until > cycle \
+                    and not (st.prev_throttle and st.reg.halts):
                 st.idle_cycles += span
+            st.reg.advance(span)
         cycle += span
-        acc = acc + span * bw_fp
+        acc += span * bw_fp
         if acc > cap_fp:
             acc = cap_fp
 
@@ -887,30 +913,5 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                        windows=tuple(tuple(w) for w in windows),
                        window_events=tuple(tuple(w) for w in wevents),
                        stats=stats,
-                       periods=tuple(tuple(st.periods) for st in cores),
+                       periods=tuple(tuple(st.reg.periods) for st in cores),
                        total_granted=total_granted)
-
-
-# =========================================================================
-# public one-cycle API
-# =========================================================================
-
-def step_core(state: CoreState, cfg: CoreModelConfig, grants: int,
-              throttle_request: bool, cycle: int):
-    """Advance one core by one cycle outside run_system.
-
-    The throttle level is sampled the way run_system samples it: it feeds
-    this cycle's interrupt machinery onward.  Returns
-    (state, CycleInputs, completed_delta).
-    """
-    before = state.completed_lines
-    state.prev_throttle = throttle_request
-    pm, kernel, wfi = _core_cycle(state, cycle, grants)
-    sigs = frozenset(s for s in range(pm.bit_length()) if pm >> s & 1)
-    ci = F.CycleInputs(
-        active_signals=sigs,
-        instruction_fetch_addr=None if wfi else (
-            _KERNEL_FETCH_ADDR if kernel else _USER_FETCH_ADDR),
-        exec_mode=F.KERNEL if kernel else F.USER,
-        core_idle=wfi)
-    return state, ci, state.completed_lines - before

@@ -158,7 +158,7 @@ def test_04_ideal_platform_accuracy():
         sysc = M.SystemConfig(
             cores=(M.CoreSpec(ideal.model, M.Synthetic(M.OP_READ), reg),),
             shared_mem_bandwidth=ideal.cap_lines_per_cycle(),
-            duration_cycles=1_800_000, seed=3)   # 30 whole periods
+            duration_cycles=1_800_000)   # 30 whole periods
         ach = M.run_system(sysc).achieved_mbps(0, ideal.freq_mhz)
         err = abs(ach - tgt)
         worst = max(worst, err)
@@ -337,7 +337,7 @@ def test_10_interrupt_economy_and_bursts():
         reg = H.regulator_for(d, b, 350.0, period_us)
         sysc = M.SystemConfig(cores=(M.CoreSpec(b.model, wl, reg),),
                               shared_mem_bandwidth=b.cap_lines_per_cycle(),
-                              duration_cycles=dur, seed=0)
+                              duration_cycles=dur)
         irqs[d] = M.run_system(sysc).stats[0].irq_count
     quiet_ok = (irqs[R.MEMGUARD] >= 100
                 and all(irqs[d] == 0 for d in R.ETM_DESIGNS))
@@ -348,7 +348,7 @@ def test_10_interrupt_economy_and_bursts():
     mp = H.regulator_for(R.MEMPOL, b, 100.0, 6.25)
     sysc = M.SystemConfig(cores=(M.CoreSpec(b.model, wl, mp),),
                           shared_mem_bandwidth=peak,
-                          duration_cycles=600000, seed=0,
+                          duration_cycles=600000,
                           window_cycles=poll)
     tr = M.run_system(sysc)
     episode = []
@@ -362,7 +362,7 @@ def test_10_interrupt_economy_and_bursts():
     pr = H.regulator_for(R.PR, b, 100.0, 5.0)
     sysc = M.SystemConfig(cores=(M.CoreSpec(b.model, wl, pr),),
                           shared_mem_bandwidth=peak,
-                          duration_cycles=600000, seed=0,
+                          duration_cycles=600000,
                           window_cycles=poll)
     tr = M.run_system(sysc)
     budget = H.bandwidth_to_budget(100.0, 5.0)
@@ -414,7 +414,7 @@ def test_11_compile_lift_round_trip():
             sysc = M.SystemConfig(
                 cores=(M.CoreSpec(b.model, M.Synthetic(M.OP_READ), cfg),),
                 shared_mem_bandwidth=b.cap_lines_per_cycle(),
-                duration_cycles=240000, seed=5)
+                duration_cycles=240000)
             traces.append(M.run_system(sysc))
         ta, tb_ = traces
         if not (ta.windows == tb_.windows and ta.stats == tb_.stats
@@ -437,7 +437,7 @@ def test_12_sweep_reproducibility(tmp_path):
     cfg = H.ExperimentConfig(board="zcu102", designs=(R.PR, R.TB22),
                              targets_mbps=(250.0, 500.0),
                              op_types=(M.OP_READ,), period_us=5.0,
-                             duration_ms=0.3, seed=9)
+                             duration_ms=0.3)
     res1 = H.run_sweep(cfg)
     res2 = H.run_sweep(cfg)
     p1 = tmp_path / "a.csv"

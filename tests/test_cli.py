@@ -138,6 +138,18 @@ def test_simulate_json(capsys):
     assert data["irq_count"] > 0
 
 
+def test_simulate_modify_matches_run_point(capsys):
+    # a modify moves two bus lines per program line; both report the
+    # program's view
+    rc = C.main(["simulate", "--board", "zcu102", "--design", "pr",
+                 "--target", "350", "--op", "modify", "--period-us", "5",
+                 "--duration-ms", "0.2", "--json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    row = H.run_point(H.preset("zcu102"), "pr", 350.0, "modify", 5.0, 0.2)
+    assert data["achieved_mbps"] == row.achieved_mbps
+
+
 def test_simulate_text_summary(capsys):
     rc = C.main(["simulate", "--board", "zcu102", "--design", "none",
                  "--op", "write", "--duration-ms", "0.2"])

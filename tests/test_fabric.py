@@ -11,6 +11,7 @@ import pytest
 
 import etmreg.fabric as F
 from reference_fabric import (
+    eval_slot,
     random_config,
     random_config_small,
     reference_step,
@@ -36,6 +37,22 @@ def run(config, inputs_seq):
         st, out = F.step_fabric(config, st, ci)
         traj.append((st, out))
     return traj
+
+
+def cmp_hits(config, fetch_addr, exec_mode):
+    """Comparator pairs pulsing for this fetch (none without a fetch)."""
+    cm = F.compile_fabric(config).cmp_mask(fetch_addr, exec_mode == F.USER)
+    return frozenset(p for p in range(F.NUM_COMPARATOR_PAIRS) if cm >> p & 1)
+
+
+def slot(config, index, signals=(), seq=0, fetch_addr=None,
+         exec_mode=F.USER):
+    """Value of one selector slot, from the reference interpreter, with
+    no counter firing this cycle."""
+    return eval_slot(config.selectors, config.inputs, index,
+                     frozenset(signals),
+                     cmp_hits(config, fetch_addr, exec_mode),
+                     False, False, seq)
 
 
 def counting_config(reload_value, self_reload=True, reload_event=None,
@@ -297,17 +314,14 @@ def test_output_levels_follow_new_state():
 
 def test_hardwired_slot_values():
     cfg = F.EtmConfig()
-    st = F.reset_fabric(cfg)
-    assert F.evaluate_selector(cfg, F.TRUE_SEL, st, F.CycleInputs()) is True
-    assert F.evaluate_selector(cfg, F.FALSE_SEL, st, F.CycleInputs()) is False
+    assert slot(cfg, F.TRUE_SEL) is True
+    assert slot(cfg, F.FALSE_SEL) is False
 
 
 def test_tap_ors_its_signals():
     cfg = event_counting_config(5, signals=(21, 22))
-    st = F.reset_fabric(cfg)
     for sig, want in ((21, True), (22, True), (7, False)):
-        ci = F.CycleInputs(active_signals=frozenset({sig}))
-        assert F.evaluate_selector(cfg, 2, st, ci) is want
+        assert slot(cfg, 2, signals={sig}) is want
 
 
 def test_selector_invert_and_pairing():
@@ -323,16 +337,13 @@ def test_selector_invert_and_pairing():
     cfg = F.EtmConfig(
         inputs=(F.ExternalInputSelector(frozenset({21})),),
         selectors=sels)
-    st0 = F.FabricState()                      # sequencer at 0
-    st2 = F.FabricState(sequencer_state=2)
-    ev = F.CycleInputs(active_signals=frozenset({21}))
-    no = F.CycleInputs()
-    assert F.evaluate_selector(cfg, 3, st0, no) is False   # inverted "in {0}"
-    assert F.evaluate_selector(cfg, 3, st2, no) is True
-    assert F.evaluate_selector(cfg, 4, st2, ev) is True    # pulse and not-state0
-    assert F.evaluate_selector(cfg, 4, st0, ev) is False
-    assert F.evaluate_selector(cfg, 5, st0, no) is False   # or: both low
-    assert F.evaluate_selector(cfg, 5, st2, no) is True
+    ev = {21}
+    assert slot(cfg, 3, seq=0) is False         # inverted "in {0}"
+    assert slot(cfg, 3, seq=2) is True
+    assert slot(cfg, 4, ev, seq=2) is True      # pulse and not-state0
+    assert slot(cfg, 4, ev, seq=0) is False
+    assert slot(cfg, 5, seq=0) is False         # or: both low
+    assert slot(cfg, 5, seq=2) is True
 
 
 def test_comparator_range_and_mode():
@@ -343,19 +354,16 @@ def test_comparator_range_and_mode():
                                                     match_user=True,
                                                     match_kernel=False),),
     )
-    st = F.reset_fabric(cfg)
 
     def hit(addr, mode):
-        ci = F.CycleInputs(instruction_fetch_addr=addr, exec_mode=mode)
-        return F.evaluate_selector(cfg, 2, st, ci)
+        return slot(cfg, 2, fetch_addr=addr, exec_mode=mode)
 
     assert hit(0x1000, F.USER) is True
     assert hit(0x1FFF, F.USER) is True
     assert hit(0x2000, F.USER) is False        # exclusive upper bound
     assert hit(0x0FFF, F.USER) is False
     assert hit(0x1800, F.KERNEL) is False      # mode filter
-    ci = F.CycleInputs()                       # no fetch this cycle
-    assert F.evaluate_selector(cfg, 2, st, ci) is False
+    assert hit(None, F.USER) is False          # no fetch this cycle
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +544,7 @@ def test_public_step_matches_reference_with_comparators():
             mode = F.USER if j % 2 else F.KERNEL
             ci = F.CycleInputs(active_signals=ps, instruction_fetch_addr=addr,
                                exec_mode=mode, core_idle=idle)
-            hits = F.comparator_pulses(cfg, addr, mode)
+            hits = cmp_hits(cfg, addr, mode)
             st, out = F.step_fabric(cfg, st, ci)
             ref = reference_step(cfg, ref, ps, hits, idle)
             assert st.counter_values == ref[:2]

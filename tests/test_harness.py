@@ -126,7 +126,7 @@ def test_result_row_invariants():
 def small_cfg(**kw):
     base = dict(board="zcu102", designs=(R.PR,),
                 targets_mbps=(200, 400), op_types=("read",),
-                period_us=5.0, duration_ms=0.5, seed=0)
+                period_us=5.0, duration_ms=0.5)
     base.update(kw)
     return H.ExperimentConfig(**base)
 

@@ -1,5 +1,7 @@
 """Tests for the cycle-stepped core/memory machine and its fast path."""
 
+import random
+
 import pytest
 
 import etmreg.machine as M
@@ -232,8 +234,17 @@ def _diff_scenarios():
         "memguard_quiet": (M.Synthetic(op="read", issue_ipc_limit=0.0), mg),
         "memguard_busy": (M.Synthetic(op="read"), mg),
         "mempol_burst": (big, mp),
+        # the write phase ends with a one-cycle idle; the read phase that
+        # follows must start on time, not after a hop to the window edge
+        "burst_next_phase": (M.Burst(((M.OP_WRITE, 64, 1),
+                                      (M.OP_READ, 448, 3000))), None),
     }
     out = {k: one_core(w, r, dur=120_000) for k, (w, r) in single.items()}
+    # at 1 line/cycle the controller banks two grants while a single read
+    # slot has one request ready
+    out["over_grant"] = one_core(M.Synthetic(op="read"),
+                                 model=dict(ZCU, read_outstanding=1),
+                                 dur=120_000, cap=1.0)
     out["two_core"] = M.SystemConfig(
         cores=(M.CoreSpec(model=zcu, workload=M.Synthetic(op="read"),
                           regulator=pr),
@@ -250,6 +261,70 @@ def test_hop_fast_path_is_exact(name):
     sc = _DIFF[name]
     assert M.run_system(sc, use_hops=True) == M.run_system(sc,
                                                            use_hops=False)
+
+
+def _random_workload(rng):
+    ops = (M.OP_READ, M.OP_PREFETCH, M.OP_WRITE, M.OP_MODIFY)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return M.Synthetic(rng.choice(ops), issue_ipc_limit=rng.choice(
+            (0.0, 0.02, 0.3, 1.0, 1.5, 2.0)))
+    if kind == 1:
+        pattern = [(rng.choice(ops),
+                    64 * rng.choice((0, 1, 2, rng.randint(0, 200))),
+                    rng.choice((0, 1, rng.randint(0, 5000))))
+                   for _ in range(rng.randint(1, 3))]
+        if not any(nbytes or idle for _, nbytes, idle in pattern):
+            pattern[0] = (pattern[0][0], 64, 0)
+        return M.Burst(tuple(pattern), wfi_idle=rng.random() < 0.5)
+    return M.TraceReplay(tuple(
+        (rng.choice((0, 1, 2, rng.randint(0, 600))),
+         frozenset(rng.sample((7, 21, 22), rng.randint(1, 2))),
+         rng.choice(("user", "user", "kernel")))
+        for _ in range(rng.randint(0, 200))))
+
+
+def _random_regulator(rng):
+    design = rng.choice(R.ALL_DESIGNS + (None,))
+    budget = rng.randint(1, 60)
+    if design is None:
+        return None
+    if design == R.MEMGUARD:
+        return R.MemGuardConfig(budget, rng.randint(300, 20_000))
+    if design == R.MEMPOL:
+        return R.MemPolConfig(budget, rng.randint(50, 2000))
+    return R.build_config(R.RegulatorSpec(design, budget,
+                                          rng.randint(300, 8000)))
+
+
+def _random_system(rng):
+    cores = []
+    for _ in range(rng.randint(1, 3)):
+        model = M.CoreModelConfig(
+            irq_latency_cycles=rng.choice((0, 1, 5, 81, 300)),
+            read_outstanding=rng.randint(1, 10),
+            write_buffer_depth=rng.randint(1, 24),
+            mem_latency_cycles=rng.choice((0, 1, 3, 40, 120)),
+            handler_entry_cycles=rng.choice((0, 1, 30)),
+            handler_poll_cycles=rng.choice((1, 2, 20)),
+            handler_exit_cycles=rng.choice((0, 1, 20)),
+            handler_kernel_events=rng.randint(0, 3))
+        cores.append(M.CoreSpec(model, _random_workload(rng),
+                                _random_regulator(rng)))
+    rate = rng.choice((0.01, 0.05, 0.2, 0.5, 1.0, 2.0,
+                       rng.uniform(0.005, 2.0)))
+    return M.SystemConfig(cores=tuple(cores), shared_mem_bandwidth=rate,
+                          duration_cycles=rng.randint(5000, 40_000))
+
+
+def test_random_systems_hop_exactly():
+    # every valid system must hop to exactly the per-cycle result, and
+    # none may raise
+    rng = random.Random(1)
+    for case in range(100):
+        sc = _random_system(rng)
+        assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
+            "case %d: %r" % (case, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +488,6 @@ def test_user_gated_design_ignores_kernel_traffic():
     assert tu.stats[0].throttled_cycles > 0
     assert tk.stats[0].throttled_cycles == 0
     assert tk.stats[0].pmc_events == 6           # the tap still sees them
-
-
-# ---------------------------------------------------------------------------
-# single-cycle public API
-# ---------------------------------------------------------------------------
-
-def test_step_core_single_cycle_api():
-    model = M.CoreModelConfig(**ZCU)
-    st = M.CoreState(M.CoreSpec(model=model, workload=M.Synthetic(op="read")))
-    done = 0
-    refill_cycles = 0
-    for cyc in range(200):
-        g = 1 if st.has_request(cyc) else 0
-        st, ci, delta = M.step_core(st, model, g, False, cyc)
-        done += delta
-        assert ci.exec_mode == "user"
-        assert not ci.core_idle
-        if 21 in ci.active_signals:
-            refill_cycles += 1
-    assert done == st.completed_lines > 0
-    assert st.issued_lines >= st.completed_lines
-    assert refill_cycles > 0
 
 
 def test_achieved_mbps_arithmetic():
