@@ -73,7 +73,7 @@ def spec_from_dict(data: dict) -> R.RegulatorSpec:
             raise ValueError("need freq_mhz or board to convert period_us")
         budget = H.bandwidth_to_budget(data["target_mbps"],
                                        data["period_us"])
-        period = round(data["period_us"] * freq)
+        period = H.us_to_cycles(data["period_us"], freq)
     return R.RegulatorSpec(design, budget, period, **kw)
 
 
@@ -116,14 +116,17 @@ def cmd_simulate(args):
             trace.duration_cycles,
             trace.duration_cycles / board.freq_mhz / 1000, board.freq_mhz),
         "achieved %.1f MB/s (%d lines, %d monitored events)" % (
-            achieved, st.completed_lines,
-            st.pmc_events),
+            achieved, H.program_lines(st, args.op), st.pmc_events),
         "throttled %.1f%% of cycles, %d throttle entries, %d irqs" % (
             100 * st.throttled_cycles / trace.duration_cycles,
             st.throttle_entries, st.irq_count),
     ]
-    mb = [w * H.CACHELINE * board.freq_mhz / trace.window_cycles
-          for w in trace.windows[0]]
+    # bus lines per window over that window's own length: the last
+    # window of a run ends early when the run does
+    w = trace.window_cycles
+    mb = [lines * M.CACHELINE * board.freq_mhz
+          / min(w, trace.duration_cycles - k * w)
+          for k, lines in enumerate(trace.windows[0])]
     lines.append("per-window MB/s: " + " ".join("%.0f" % v for v in mb))
     _write_out("\n".join(lines) + "\n", args.out)
     return 0

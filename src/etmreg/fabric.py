@@ -430,7 +430,8 @@ class _ExprGen:
     they read: counter inputs see the previous cycle ('z0p','z1p', latched
     'seq'); triggers and transitions see this cycle ('pz0','pz1' before
     trigger reloads apply, latched 'seq'); outputs see final signals and the
-    new state ('nz0','nz1', 'ns').
+    new state ('nz0','nz1', 'ns'); idle outputs see no pulses and only the
+    persisting counter-zero levels.
     """
 
     def __init__(self, config):
@@ -480,38 +481,6 @@ class _ExprGen:
         if ev.invert_b:
             b = "(not %s)" % b
         return "(%s %s %s)" % (a, ev.op, b)
-
-    def idle_slot(self, i):
-        """Slot value during an idle cycle: pulses low, levels persist."""
-        s = self.config.selectors[i]
-
-        def base(j):
-            sj = self.config.selectors[j]
-            if sj.source == CONST_TRUE:
-                e = "True"
-            elif sj.source in (CONST_FALSE, EXTERNAL_INPUTS, ADDRESS_RANGE):
-                e = "False"
-            elif sj.source == COUNTER_ZERO:
-                terms = []
-                for c in sorted(sj.members):
-                    cfg = self.config.counter(c)
-                    if cfg is not None and not cfg.self_reload:
-                        terms.append("z%dp" % c)   # level persists
-                e = "(" + " or ".join(terms) + ")" if terms else "False"
-            elif sj.source == SEQUENCER_STATE:
-                mask = sum(1 << st for st in sj.members)
-                e = "(((%d >> seq) & 1) != 0)" % mask
-            else:
-                raise ValueError(sj.source)
-            if sj.invert:
-                e = "(not %s)" % e
-            return e
-
-        e = base(i)
-        if s.paired_with is not None:
-            other, op = s.paired_with
-            e = "(%s %s %s)" % (e, op, base(other))
-        return e
 
 
 _PREV = {0: "z0p", 1: "z1p"}
@@ -623,12 +592,21 @@ def _generate_step(config: EtmConfig):
 
 
 def _generate_idle_out(config: EtmConfig):
-    """Output mask during idle cycles: frozen levels, pulses low."""
+    """Output mask during idle cycles: no signal or comparator pulses, and
+    of the counter-zero signals only the levels of trigger-reloaded
+    counters persist."""
     g = _ExprGen(config)
-    L = ["def _idle_out(seq, z0p, z1p):"]
+    zvars = {}
+    for c in (0, 1):
+        cfg = config.counter(c)
+        zvars[c] = _PREV[c] if cfg is not None and not cfg.self_reload \
+            else "False"
+    L = ["def _idle_out(seq, z0p, z1p):", "    p = cm = 0"]
     out_terms = []
     for o in config.outputs:
-        out_terms.append("(%d if %s else 0)" % (1 << o.output_index, g.idle_slot(o.selector)))
+        out_terms.append("(%d if %s else 0)" % (1 << o.output_index,
+                                                g.slot(o.selector, zvars,
+                                                       "seq")))
     L.append("    return %s" % (" | ".join(out_terms) if out_terms else "0"))
     ns = {}
     exec(compile("\n".join(L), "<fabric-idle>", "exec"), ns)

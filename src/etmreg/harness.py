@@ -9,20 +9,18 @@ runs of the same config produce byte-identical outputs.
 
 from dataclasses import dataclass
 
+from . import fabric as F
 from . import machine as M
 from . import regulators as R
-from .accounting import model_for
 from .regulators import RangeError
 
 __all__ = [
     "BoardPreset", "PRESETS", "ExperimentConfig", "ResultRow",
-    "SweepResult", "NoConvergence", "bandwidth_to_budget",
-    "regulator_for", "point_system", "program_mbps", "run_point",
-    "run_sweep", "calibrate_safe_floor",
+    "SweepResult", "NoConvergence", "us_to_cycles", "bandwidth_to_budget",
+    "regulator_for", "point_system", "program_lines", "program_mbps",
+    "run_point", "run_sweep", "calibrate_safe_floor",
     "write_csv", "load_csv", "render_svg", "emit_outputs",
 ]
-
-CACHELINE = 64
 
 
 class NoConvergence(RuntimeError):
@@ -45,10 +43,10 @@ class BoardPreset:
         return self.model.freq_mhz
 
     def cap_lines_per_cycle(self):
-        return self.mem_cap_mbps / (CACHELINE * self.freq_mhz)
+        return self.mem_cap_mbps / (M.CACHELINE * self.freq_mhz)
 
     def period_cycles(self, period_us):
-        return round(period_us * self.freq_mhz)
+        return us_to_cycles(period_us, self.freq_mhz)
 
 
 def _preset(name, cap, **kw):
@@ -91,45 +89,42 @@ def preset(name) -> BoardPreset:
 # budgets
 # =========================================================================
 
-def bandwidth_to_budget(target_mbps, period_us, cacheline_bytes=CACHELINE,
-                        etm=True) -> int:
+def us_to_cycles(us, freq_mhz) -> int:
+    """Cycles in `us` microseconds at `freq_mhz`, to the nearest cycle."""
+    return round(us * freq_mhz)
+
+
+def bandwidth_to_budget(target_mbps, period_us) -> int:
     """Events per period allowing `target_mbps`; rounds to the nearest
-    whole cacheline, minimum one."""
-    if target_mbps <= 0 or period_us <= 0 or cacheline_bytes <= 0:
-        raise RangeError("target, period, and cacheline must be positive")
-    exact = target_mbps * 1e6 * period_us * 1e-6 / cacheline_bytes
-    budget = max(1, int(exact + 0.5))   # half rounds up, never to even
-    if etm and budget > 0xFFFF:
-        raise RangeError("budget %d events exceeds the 16-bit counter"
-                         % budget)
-    return budget
+    whole cacheline, minimum one.  The trace unit's 16-bit limit is
+    checked where a fabric config is built."""
+    if target_mbps <= 0 or period_us <= 0:
+        raise RangeError("target and period must be positive")
+    exact = target_mbps * 1e6 * period_us * 1e-6 / M.CACHELINE
+    return max(1, int(exact + 0.5))     # half rounds up, never to even
 
 
-def budget_to_bandwidth(budget_events, period_us,
-                        cacheline_bytes=CACHELINE) -> float:
-    return budget_events * cacheline_bytes / period_us  # B/us == MB/s
+def budget_to_bandwidth(budget_events, period_us) -> float:
+    return budget_events * M.CACHELINE / period_us  # B/us == MB/s
 
 
 def regulator_for(design, board: BoardPreset, target_mbps, period_us):
     """Build the regulator runtime config for one sweep point."""
     pc = board.period_cycles(period_us)
     if design in R.ETM_DESIGNS:
-        budget = bandwidth_to_budget(target_mbps, period_us)
-        model = model_for(board.model.core_type)
-        spec = R.RegulatorSpec(design, budget, pc,
-                               core_type=board.model.core_type,
-                               model_variant=model.variant)
-        return R.build_config(spec, signals=sorted(model.signals))
+        return R.build_config(R.RegulatorSpec(
+            design, bandwidth_to_budget(target_mbps, period_us), pc,
+            core_type=board.model.core_type))
     if design == R.MEMGUARD:
-        budget = bandwidth_to_budget(target_mbps, period_us, etm=False)
-        return R.MemGuardConfig(budget_events=budget, period_cycles=pc)
+        return R.MemGuardConfig(
+            budget_events=bandwidth_to_budget(target_mbps, period_us),
+            period_cycles=pc)
     if design == R.MEMPOL:
         # the polling regulator budgets over a sliding window of polls
-        window = R.MemPolConfig(1, 1).window_size
-        budget = bandwidth_to_budget(
-            target_mbps, period_us * window, etm=False)
-        return R.MemPolConfig(budget_events=budget, poll_cycles=pc,
-                              window_size=window)
+        return R.MemPolConfig(
+            budget_events=bandwidth_to_budget(
+                target_mbps, period_us * R.MEMPOL_WINDOW),
+            poll_cycles=pc)
     raise RangeError("unknown regulator design %r" % (design,))
 
 
@@ -161,12 +156,12 @@ class ExperimentConfig:
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
         if any(d in R.ETM_DESIGNS for d in self.designs) \
-                and b.period_cycles(self.period_us) > 0xFFFF:
+                and b.period_cycles(self.period_us) > F.COUNTER_MAX:
             raise ValueError(
                 "period %.1f us is %d cycles at %d MHz, over the 16-bit "
                 "counter; max is %.1f us"
                 % (self.period_us, b.period_cycles(self.period_us),
-                   b.freq_mhz, 10 * 0xFFFF // b.freq_mhz / 10))
+                   b.freq_mhz, R.max_period(b.freq_mhz)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -230,12 +225,12 @@ def point_system(board: BoardPreset, reg, op_type,
     return M.SystemConfig(
         cores=(M.CoreSpec(board.model, M.Synthetic(op_type), reg),),
         shared_mem_bandwidth=board.cap_lines_per_cycle(),
-        duration_cycles=int(round(duration_ms * board.freq_mhz * 1000)))
+        duration_cycles=us_to_cycles(duration_ms * 1000, board.freq_mhz))
 
 
-def _program_lines(stats: M.CoreStats, op_type):
-    # a modify transaction moves two lines on the bus but advances the
-    # program by one; achieved bandwidth is the program's view
+def program_lines(stats: M.CoreStats, op_type):
+    """Lines the `op_type` program moved: a modify transaction moves two
+    lines on the bus but advances the program by one."""
     if op_type == M.OP_MODIFY:
         return stats.completed_lines // 2
     return stats.completed_lines
@@ -244,7 +239,7 @@ def _program_lines(stats: M.CoreStats, op_type):
 def program_mbps(trace: M.SystemTrace, op_type, freq_mhz) -> float:
     """Achieved MB/s of core 0 as its `op_type` program sees it."""
     seconds = trace.duration_cycles / (freq_mhz * 1e6)
-    return (_program_lines(trace.stats[0], op_type) * CACHELINE
+    return (program_lines(trace.stats[0], op_type) * M.CACHELINE
             / seconds / 1e6)
 
 
@@ -255,7 +250,7 @@ def run_point(board: BoardPreset, design, target_mbps, op_type,
     trace = M.run_system(point_system(board, reg, op_type, duration_ms))
     st = trace.stats[0]
     duration = trace.duration_cycles
-    app_lines = _program_lines(st, op_type)
+    app_lines = program_lines(st, op_type)
 
     overshoot = 0
     if design in R.ETM_DESIGNS:
@@ -319,9 +314,7 @@ def calibrate_safe_floor(board_name, design, period_us, tol=0.05,
                         duration_ms)
         return row.achieved_mbps / target <= 1.0 + tol
 
-    cap_budget = bandwidth_to_budget(board.mem_cap_mbps, period_us,
-                                     etm=design in R.ETM_DESIGNS)
-    lo, hi = 1, cap_budget
+    lo, hi = 1, bandwidth_to_budget(board.mem_cap_mbps, period_us)
     if ok(lo):
         hi = lo
     elif not ok(hi):

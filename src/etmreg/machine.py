@@ -60,6 +60,8 @@ OP_WRITE = "write"
 OP_MODIFY = "modify"
 _OPS = (OP_READ, OP_PREFETCH, OP_WRITE, OP_MODIFY)
 
+CACHELINE = 64                  # bytes moved per memory transaction
+
 _BIG = 1 << 62
 _FP = 32                        # fixed-point fraction bits for bandwidth
 _FP_ONE = 1 << _FP
@@ -78,7 +80,6 @@ class CoreModelConfig:
     handler_poll_cycles: int = 20
     handler_exit_cycles: int = 20
     handler_kernel_events: int = 2
-    cacheline_bytes: int = 64
     refill_signals: frozenset = frozenset({21})
     wb_signals: frozenset = frozenset({22})
 
@@ -92,8 +93,6 @@ class CoreModelConfig:
             raise ValueError("need at least one read slot and buffer entry")
         if self.handler_poll_cycles < 1:
             raise ValueError("handler_poll_cycles must be >= 1")
-        if self.cacheline_bytes < 1:
-            raise ValueError("cacheline_bytes must be >= 1")
         for name in ("irq_latency_cycles", "mem_latency_cycles",
                      "handler_entry_cycles", "handler_exit_cycles",
                      "handler_kernel_events"):
@@ -103,9 +102,8 @@ class CoreModelConfig:
 
 @dataclass(frozen=True)
 class Synthetic:
-    """Endless stream of one access type over a region."""
+    """Endless stream of one access type."""
     op: str
-    region_bytes: int = 1 << 20
     issue_ipc_limit: float = 1.0
 
     def __post_init__(self):
@@ -113,8 +111,6 @@ class Synthetic:
             raise ValueError("unknown op %r" % (self.op,))
         if self.issue_ipc_limit < 0:
             raise ValueError("issue_ipc_limit must be >= 0")
-        if self.region_bytes <= 0:
-            raise ValueError("region_bytes must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,6 +135,9 @@ class Burst:
                 raise ValueError("unknown op %r" % (op,))
             if nbytes < 0 or idle < 0:
                 raise ValueError("negative burst phase")
+            if nbytes % CACHELINE:
+                raise ValueError("burst bytes must be a multiple of the "
+                                 "%d-byte cacheline" % CACHELINE)
             busy = busy or nbytes > 0 or idle > 0
         if not busy:
             raise ValueError("burst pattern is all zero")
@@ -153,6 +152,10 @@ class TraceReplay:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        for i, rec in enumerate(self.records):
+            if rec[0] < 0:
+                raise ValueError("record %d %r has a negative cycle delta"
+                                 % (i, rec))
 
 
 class ParseError(ValueError):
@@ -267,10 +270,10 @@ class SystemTrace:
     periods: tuple              # per core: tuple of PeriodRecord (fabric only)
     total_granted: int
 
-    def achieved_mbps(self, core_index, freq_mhz, cacheline_bytes=64):
+    def achieved_mbps(self, core_index, freq_mhz):
         lines = self.stats[core_index].completed_lines
         seconds = self.duration_cycles / (freq_mhz * 1e6)
-        return lines * cacheline_bytes / seconds / 1e6
+        return lines * CACHELINE / seconds / 1e6
 
 
 # =========================================================================
@@ -509,21 +512,14 @@ class CoreState:
         self.trace_pos = 0
         self.trace_next = _BIG
         if isinstance(w, Synthetic):
-            if w.region_bytes % m.cacheline_bytes:
-                raise ValueError("region_bytes must be a multiple of the "
-                                 "cacheline size")
             self.op = w.op
             self.ipc = w.issue_ipc_limit
             self.lines_left = _BIG
         elif isinstance(w, Burst):
-            for op, nbytes, idle in w.pattern:
-                if nbytes % m.cacheline_bytes:
-                    raise ValueError("burst bytes must be a multiple of "
-                                     "the cacheline size")
             self.ipc = 1.0
             op, nbytes, _idle = w.pattern[0]
             self.op = op
-            self.lines_left = nbytes // m.cacheline_bytes
+            self.lines_left = nbytes // CACHELINE
             self.wfi_idle = w.wfi_idle
         elif isinstance(w, TraceReplay):
             # a replay core issues nothing: no issue rate, no end of lines
@@ -623,7 +619,7 @@ def _advance_burst(st: CoreState, cycle):
         st.phase = (st.phase + 1) % len(w.pattern)
         op, nbytes, _idle = w.pattern[st.phase]
         st.op = op
-        st.lines_left = nbytes // st.model.cacheline_bytes
+        st.lines_left = nbytes // CACHELINE
         st.idle_until = 0
         hops += 1
         if hops > len(w.pattern):

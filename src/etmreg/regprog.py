@@ -18,14 +18,12 @@ program, which is the level the simulator can verify.  Field widths are
 still enforced so emitted values would fit their hardware homes.
 """
 
-import math
 import re
 from dataclasses import dataclass
 
 from . import fabric as F
 from . import regulators as R
-from .accounting import model_for
-from .regulators import RangeError
+from .regulators import RangeError, max_period
 
 __all__ = [
     "RegisterWrite", "RegisterProgram", "MalformedProgram",
@@ -367,8 +365,7 @@ def compile(spec: R.RegulatorSpec, core_model=None,
     estimated from the core model's in-flight capacity — the program
     carries a warning diagnostic; regulation that tight overshoots.
     """
-    model = model_for(spec.core_type, spec.model_variant)
-    config = R.build_config(spec, signals=sorted(model.signals))
+    config = R.build_config(spec)
 
     warnings = []
     floor = safe_floor_events
@@ -559,18 +556,6 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
                        sequencer=F.SequencerConfig(tuple(seq_f),
                                                    tuple(seq_b), seq_reset),
                        comparators=tuple(comparators), outputs=outputs)
-
-
-# =========================================================================
-# counter-width gate
-# =========================================================================
-
-def max_period(freq_mhz) -> float:
-    """Longest replenishment period the 16-bit cycle counter can hold at
-    this clock, in microseconds, rounded down to 0.1 µs."""
-    if freq_mhz <= 0:
-        raise ValueError("frequency must be positive")
-    return math.floor(10 * F.COUNTER_MAX / freq_mhz) / 10
 
 
 # =========================================================================

@@ -17,9 +17,11 @@ Software baselines (plain step functions, no fabric):
   MEMPOL   external polling regulator with a sliding window
 """
 
+import math
 from dataclasses import dataclass
 
 from . import fabric as F
+from .accounting import model_for
 
 
 # =========================================================================
@@ -48,8 +50,11 @@ _THROTTLE_STATES = {
     TB13: frozenset({1, 2, 3}),
 }
 
-# default PMU signal pair: L2 refills + L2 write-backs of a Cortex-A53
-DEFAULT_SIGNALS = (21, 22)
+# first kernel address: PR_USER counts fetches below it as user mode
+USER_KERNEL_SPLIT = 1 << 47
+
+# polls in MemPol's sliding regulation window
+MEMPOL_WINDOW = 8
 
 
 class RangeError(ValueError):
@@ -81,7 +86,19 @@ def _check_ranges(spec: RegulatorSpec):
                          % spec.period_cycles)
 
 
-def _event_tap(signals):
+def max_period(freq_mhz) -> float:
+    """Longest replenishment period the 16-bit cycle counter can hold at
+    this clock, in microseconds, rounded down to 0.1 µs."""
+    if freq_mhz <= 0:
+        raise ValueError("frequency must be positive")
+    return math.floor(10 * F.COUNTER_MAX / freq_mhz) / 10
+
+
+def _event_tap(spec: RegulatorSpec, signals):
+    """The event input: `signals` if given, else the PMU events that the
+    accounting model of the spec's core type and variant monitors."""
+    if signals is None:
+        signals = model_for(spec.core_type, spec.model_variant).signals
     sigs = frozenset(signals)
     if not (1 <= len(sigs) <= 4):
         raise RangeError("need 1..4 PMU signals on the event tap, got %d"
@@ -108,7 +125,7 @@ def _event_tap(signals):
 # wraps (the counter has no floor), which is the documented small-budget
 # failure mode.
 
-def build_pr_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS) -> F.EtmConfig:
+def build_pr_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
     if spec.design not in (PR, PR_STOP):
         raise RangeError("build_pr_config handles PR designs, not %r"
                          % (spec.design,))
@@ -125,7 +142,7 @@ def build_pr_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS) -> F.EtmConfig
     else:
         budget_input = F.EventSpec(2)
     cfg = F.EtmConfig(
-        inputs=_event_tap(signals),
+        inputs=_event_tap(spec, signals),
         selectors=sels,
         counters=(
             F.CounterConfig(0, spec.budget_events, budget_input,
@@ -158,7 +175,7 @@ def build_pr_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS) -> F.EtmConfig
 # budget counter, so unused headroom accumulates across periods up to the
 # bucket depth.
 
-def build_tb_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS) -> F.EtmConfig:
+def build_tb_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
     if spec.design not in (TB31, TB22, TB13):
         raise RangeError("build_tb_config handles TB designs, not %r"
                          % (spec.design,))
@@ -178,7 +195,7 @@ def build_tb_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS) -> F.EtmConfig
         F.ExternalOutputConfig(i + 1, 3 + st)
         for i, st in enumerate(sorted(spec.throttle_states)))
     cfg = F.EtmConfig(
-        inputs=_event_tap(signals),
+        inputs=_event_tap(spec, signals),
         selectors=tuple(sels),
         counters=(
             F.CounterConfig(0, spec.budget_events, F.EventSpec(2),
@@ -210,15 +227,11 @@ def build_tb_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS) -> F.EtmConfig
 # replenish while over budget resets (2 or 3) -> 0 and the next user-space
 # fetch moves 0 -> 1.
 
-def build_pr_user_config(spec: RegulatorSpec,
-                         user_kernel_split_addr: int = 1 << 47,
-                         signals=DEFAULT_SIGNALS) -> F.EtmConfig:
+def build_pr_user_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
     if spec.design != PR_USER:
         raise RangeError("build_pr_user_config handles PR_USER, not %r"
                          % (spec.design,))
     _check_ranges(spec)
-    if user_kernel_split_addr <= 0:
-        raise RangeError("user/kernel split address must be positive")
     sels = F.HARDWIRED + (
         F.ResourceSelectorConfig(F.EXTERNAL_INPUTS, frozenset({0})),
         F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({0})),
@@ -231,7 +244,7 @@ def build_pr_user_config(spec: RegulatorSpec,
                                  paired_with=(8, "and")),
     )
     cfg = F.EtmConfig(
-        inputs=_event_tap(signals),
+        inputs=_event_tap(spec, signals),
         selectors=sels,
         counters=(
             F.CounterConfig(0, spec.budget_events, F.EventSpec(2, 7, "and"),
@@ -246,7 +259,7 @@ def build_pr_user_config(spec: RegulatorSpec,
             backward=(6, F.FALSE_SEL, 5),  # kernel/none; never; user fetch
             reset=9),
         comparators=(F.AddressRangeComparatorConfig(
-            0, 0, user_kernel_split_addr, match_user=True,
+            0, 0, USER_KERNEL_SPLIT, match_user=True,
             match_kernel=False),),
         outputs=(F.ExternalOutputConfig(1, 8),),
     )
@@ -254,15 +267,15 @@ def build_pr_user_config(spec: RegulatorSpec,
     return cfg
 
 
-def build_config(spec: RegulatorSpec, signals=DEFAULT_SIGNALS,
-                 user_kernel_split_addr: int = 1 << 47) -> F.EtmConfig:
-    """Dispatch to the design's builder."""
+def build_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
+    """Dispatch to the design's builder.  The event tap monitors the PMU
+    events of the spec's core model unless `signals` overrides them."""
     if spec.design in (PR, PR_STOP):
         return build_pr_config(spec, signals)
     if spec.design in (TB31, TB22, TB13):
         return build_tb_config(spec, signals)
     if spec.design == PR_USER:
-        return build_pr_user_config(spec, user_kernel_split_addr, signals)
+        return build_pr_user_config(spec, signals)
     raise RangeError("no fabric config for design %r" % (spec.design,))
 
 
@@ -281,7 +294,6 @@ class MemGuardState:
     remaining: int
     next_boundary: int
     throttled: bool = False
-    irq_count: int = 0          # replenishment timer + exhaustion interrupts
 
 
 def memguard_reset(cfg: MemGuardConfig) -> MemGuardState:
@@ -301,20 +313,17 @@ def memguard_step(cfg: MemGuardConfig, st: MemGuardState, pmc_delta: int,
     remaining = st.remaining
     boundary = st.next_boundary
     throttled = st.throttled
-    irqs = st.irq_count
     while cycle >= boundary:            # timer interrupt: replenish
         remaining = cfg.budget_events
         throttled = False
-        irqs += 1
         boundary += cfg.period_cycles
     if not throttled and pmc_delta:
         remaining -= pmc_delta
         if remaining <= 0:              # overflow interrupt: throttle
             remaining = 0
             throttled = True
-            irqs += 1
     new = MemGuardState(remaining=remaining, next_boundary=boundary,
-                        throttled=throttled, irq_count=irqs)
+                        throttled=throttled)
     return new, throttled
 
 
@@ -326,7 +335,7 @@ def memguard_step(cfg: MemGuardConfig, st: MemGuardState, pmc_delta: int,
 class MemPolConfig:
     budget_events: int          # per regulation window (window_size polls)
     poll_cycles: int            # cycles between polls
-    window_size: int = 8
+    window_size: int = MEMPOL_WINDOW
 
 
 @dataclass(frozen=True)

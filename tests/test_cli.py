@@ -105,6 +105,23 @@ def test_validate_spec_prints_resource_counts(tmp_path, capsys):
     assert "counters 2/%d" % F.NUM_COUNTERS in out
 
 
+@pytest.mark.parametrize("board", sorted(H.PRESETS))
+def test_validate_spec_checks_the_compiled_fabric(tmp_path, capsys, board):
+    # the spec's core model picks the monitored events for both commands
+    spec_path = write_yaml(tmp_path / "spec.yaml",
+                           {"design": "pr", "target_mbps": 350,
+                            "period_us": 5, "board": board})
+    prog_path = tmp_path / "prog.txt"
+    assert C.main(["compile", spec_path, "--out", str(prog_path)]) == 0
+    capsys.readouterr()
+    assert C.main(["validate", spec_path]) == 0
+    from_spec = capsys.readouterr().out.splitlines()[1]
+    assert C.main(["validate", "--program", str(prog_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == from_spec
+    if board == "rk3588-a76":
+        assert "inputs 3/%d" % F.NUM_INPUTS in from_spec
+
+
 def test_validate_program_file(tmp_path, capsys):
     spec_path = write_yaml(tmp_path / "spec.yaml",
                            {"design": "tb31", "budget_events": 70,
@@ -159,6 +176,23 @@ def test_simulate_text_summary(capsys):
     assert "achieved" in out
     assert "per-window MB/s:" in out
     assert "0 irqs" in out
+
+
+def test_simulate_text_matches_json(capsys):
+    # a 0.2 ms run fills a fifth of the 1 ms window: the window's MB/s is
+    # over its own length, and the line count is the program's view, as
+    # achieved is
+    argv = ["simulate", "--board", "zcu102", "--design", "pr",
+            "--target", "350", "--op", "modify", "--duration-ms", "0.2"]
+    assert C.main(argv) == 0
+    out = capsys.readouterr().out
+    assert C.main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    (bus_lines,) = data["windows_lines"]
+    bus_mbps = bus_lines * 64 * 1200 / data["duration_cycles"]
+    assert "per-window MB/s: %.0f\n" % bus_mbps in out
+    assert "achieved %.1f MB/s (%d lines," % (
+        data["achieved_mbps"], data["completed_lines"] // 2) in out
 
 
 def test_simulate_unknown_board_is_parse_error():
@@ -230,13 +264,14 @@ def test_unknown_design_in_spec_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_unrealizable_model_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["compile", "validate"])
+def test_unrealizable_model_exits_1(tmp_path, capsys, command):
     spec_path = write_yaml(tmp_path / "spec.yaml",
                            {"design": "pr", "budget_events": 27,
                             "period_cycles": 6000,
                             "core_type": "cortex-a78",
                             "model_variant": "moderate1"})
-    assert C.main(["compile", spec_path]) == 1
+    assert C.main([command, spec_path]) == 1
     assert "six ETM PMU inputs" in capsys.readouterr().err
 
 

@@ -19,9 +19,12 @@ def test_bandwidth_to_budget_examples():
 
 
 def test_budget_counter_range():
-    with pytest.raises(RangeError):
-        H.bandwidth_to_budget(10000, 500)             # 78125 events
-    assert H.bandwidth_to_budget(10000, 500, etm=False) == 78125
+    b = H.preset("zcu102")
+    # the 16-bit limit belongs to the fabric, not to the conversion
+    assert H.bandwidth_to_budget(10000, 500) == 78125
+    with pytest.raises(RangeError, match="budget 78125 exceeds 16-bit"):
+        H.regulator_for(R.PR, b, 100000, 50)
+    assert H.regulator_for(R.MEMGUARD, b, 10000, 500).budget_events == 78125
     with pytest.raises(RangeError):
         H.bandwidth_to_budget(-1, 5)
     with pytest.raises(RangeError):
@@ -60,8 +63,9 @@ def test_regulator_for_each_kind():
                                   period_cycles=1_200_000)
     mp = H.regulator_for(R.MEMPOL, b, 350, 6.25)
     assert mp.poll_cycles == 7500
+    assert mp.window_size == R.MEMPOL_WINDOW
     assert mp.budget_events == H.bandwidth_to_budget(
-        350, 6.25 * mp.window_size, etm=False)
+        350, 6.25 * mp.window_size)
     with pytest.raises(RangeError):
         H.regulator_for("sorcery", b, 350, 5)
 

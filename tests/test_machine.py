@@ -113,8 +113,6 @@ def test_workload_validation():
         M.Synthetic(op="paint")
     with pytest.raises(ValueError, match="issue_ipc_limit"):
         M.Synthetic(op="read", issue_ipc_limit=-1)
-    with pytest.raises(ValueError, match="region_bytes"):
-        M.Synthetic(op="read", region_bytes=0)
     with pytest.raises(ValueError, match="empty"):
         M.Burst(pattern=())
     with pytest.raises(ValueError, match="all zero"):
@@ -154,10 +152,9 @@ def test_unknown_workload_and_regulator_rejected():
                               dur=10))
 
 
-def test_region_must_match_cacheline():
-    with pytest.raises(ValueError, match="multiple"):
-        M.run_system(one_core(M.Synthetic(op="read", region_bytes=100),
-                              dur=10))
+def test_burst_bytes_must_match_cacheline():
+    with pytest.raises(ValueError, match="multiple of the 64-byte"):
+        M.Burst(((M.OP_READ, 100, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +467,15 @@ def test_trace_replay_drives_the_regulator():
     assert len(per) == 3
     assert per[0].pmc_events == 6 and per[0].throttled
     assert per[1].pmc_events == 0 and not per[1].throttled
+
+
+def test_trace_replay_rejects_a_negative_delta():
+    # a step back in time used to leave every later record unreplayed:
+    # pmc_events read 1 of 3
+    refill = frozenset({21})
+    recs = [(5, refill, "user"), (-3, refill, "user"), (10, refill, "user")]
+    with pytest.raises(ValueError, match=r"record 1 \(-3, .*negative"):
+        M.TraceReplay(records=recs)
 
 
 def test_user_gated_design_ignores_kernel_traffic():
