@@ -244,19 +244,23 @@ def _base_op(op):
     return op.split("_", 1)[0]
 
 
-def _op_pulses(model, op):
-    """(expected pulses per line, signals active for this op)."""
+def _term_weights(model, op):
+    """Idealized pulses per line of each model term for this op."""
     col = _OP_COLUMN.get(_base_op(op))
     if col is None:
         raise ValueError("unknown mem op %r" % (op,))
-    total = Fraction(0)
+    return [t.coefficient * _EVENT_OP_WEIGHTS[t.event][col]
+            for t in model.terms]
+
+
+def _op_pulses(model, op):
+    """(expected pulses per line, signals active for this op)."""
+    weights = _term_weights(model, op)
     active = set()
-    for t in model.terms:
-        w = _EVENT_OP_WEIGHTS[t.event][col]
+    for t, w in zip(model.terms, weights):
         if w:
-            total += t.coefficient * w
             active |= t.signals
-    return total, frozenset(active)
+    return sum(weights, Fraction(0)), frozenset(active)
 
 
 def expected_ratios(model, workload_mix, collision_prob=0.0):
@@ -301,10 +305,6 @@ class OpSignalProfile:
     @property
     def pulses_per_line(self) -> float:
         return sum(self.term_pulses)
-
-    @property
-    def base_op(self) -> str:
-        return _base_op(self.mem_op)
 
 
 @lru_cache(maxsize=1)
@@ -356,17 +356,9 @@ def emit_profile(core_type, variant, mem_op, board=None) -> OpSignalProfile:
                                      "pass board= explicitly" % (core_type,))
     pmu, etm = calibration_entry(board, model.core_type, mem_op,
                                  variant=model.variant)
-    if board == "ideal":
-        col = _OP_COLUMN.get(_base_op(mem_op))
-        if col is None:
-            raise UnknownCombination("unknown mem op %r" % (mem_op,))
     # split the calibrated total over terms by their idealized weights
-    ideal, _ = _op_pulses(model, mem_op)
-    weights = []
-    for t in model.terms:
-        w = t.coefficient * _EVENT_OP_WEIGHTS[t.event][
-            _OP_COLUMN[_base_op(mem_op)]]
-        weights.append(w)
+    weights = _term_weights(model, mem_op)
+    ideal = sum(weights, Fraction(0))
     if ideal > 0:
         split = tuple(pmu * float(w / ideal) for w in weights)
     else:

@@ -42,6 +42,8 @@ NUM_COMPARATOR_PAIRS = 4
 NUM_OUTPUTS = 4
 COUNTER_MAX = 0xFFFF
 CHAINED_MAX = 0xFFFFFFFF
+# external outputs 1..3 are routed to the throttle interrupt
+THROTTLE_MASK = 0b1110
 
 # selector source kinds
 CONST_TRUE = "const_true"
@@ -404,12 +406,7 @@ def reset_fabric(config: EtmConfig) -> FabricState:
 
 def step_fabric(config: EtmConfig, state: FabricState, inputs: CycleInputs):
     """Advance one cycle.  Returns (new FabricState, FabricOutputs)."""
-    try:                        # compiled form memoized on the config
-        cf = config._compiled
-    except AttributeError:
-        cf = compile_fabric(config)
-        object.__setattr__(config, "_compiled", cf)
-    return cf.step_state(state, inputs)
+    return compile_fabric(config).step_state(state, inputs)
 
 
 # =========================================================================
@@ -500,59 +497,44 @@ def _generate_step(config: EtmConfig):
     emit = L.append
     emit("def _step(cv0, cv1, seq, z0p, z1p, p, cm):")
 
-    chained = any(c.chained for c in config.counters)
     c0 = config.counter(0)
     c1 = config.counter(1)
+    # a chained pair is one 32-bit counter 0 between pack and split
+    chained = c0 is not None and c0.chained
+    if chained:
+        emit("    cv0 = cv0 | (cv1 << 16)")
 
     # --- counters: decrement phase (inputs see previous-cycle zero signals)
-    if chained:
-        emit("    v = cv0 | (cv1 << 16)")
-        emit("    in0 = %s" % g.event(c0.input, _PREV, "seq"))
-        emit("    f0 = in0 and v == 1")
-        if c0.self_reload:
-            emit("    nv = %d if f0 else (v - 1 if (in0 and v > 0) else v)" % c0.reload_value)
-            emit("    pz0 = f0")
+    for c, nm in ((c0, 0), (c1, 1)):
+        if c is None:
+            emit("    f%d = False" % nm)
+            emit("    pz%d = False" % nm)
+            emit("    nv%d = cv%d" % (nm, nm))
+            continue
+        emit("    in%d = %s" % (nm, g.event(c.input, _PREV, "seq")))
+        emit("    f%d = in%d and cv%d == 1" % (nm, nm, nm))
+        if c.self_reload:
+            emit("    nv%d = %d if f%d else (cv%d - 1 if (in%d and cv%d > 0) else cv%d)"
+                 % (nm, c.reload_value, nm, nm, nm, nm, nm))
+            emit("    pz%d = f%d" % (nm, nm))
         else:
-            emit("    nv = v - 1 if (in0 and v > 0) else v")
-            emit("    pz0 = nv == 0")
-        emit("    f1 = False")
-        emit("    pz1 = False")
-    else:
-        for c, nm in ((c0, 0), (c1, 1)):
-            if c is None:
-                emit("    f%d = False" % nm)
-                emit("    pz%d = False" % nm)
-                emit("    nv%d = cv%d" % (nm, nm))
-                continue
-            emit("    in%d = %s" % (nm, g.event(c.input, _PREV, "seq")))
-            emit("    f%d = in%d and cv%d == 1" % (nm, nm, nm))
-            if c.self_reload:
-                emit("    nv%d = %d if f%d else (cv%d - 1 if (in%d and cv%d > 0) else cv%d)"
-                     % (nm, c.reload_value, nm, nm, nm, nm, nm))
-                emit("    pz%d = f%d" % (nm, nm))
-            else:
-                emit("    nv%d = cv%d - 1 if (in%d and cv%d > 0) else cv%d"
-                     % (nm, nm, nm, nm, nm))
-                emit("    pz%d = nv%d == 0" % (nm, nm))
+            emit("    nv%d = cv%d - 1 if (in%d and cv%d > 0) else cv%d"
+                 % (nm, nm, nm, nm, nm))
+            emit("    pz%d = nv%d == 0" % (nm, nm))
 
     # --- reload triggers (see this cycle's pre-trigger zero signals)
+    for c, nm in ((c0, 0), (c1, 1)):
+        if c is None:
+            emit("    nz%d = False" % nm)
+            continue
+        if c.reload_event is not None:
+            emit("    if %s:" % g.event(c.reload_event, _PROV, "seq"))
+            emit("        nv%d = %d" % (nm, c.reload_value))
+        emit("    nz%d = %s" % (nm, ("pz%d" % nm) if c.self_reload else ("(nv%d == 0)" % nm)))
     if chained:
-        if c0.reload_event is not None:
-            emit("    if %s:" % g.event(c0.reload_event, _PROV, "seq"))
-            emit("        nv = %d" % c0.reload_value)
-        emit("    nz0 = %s" % ("pz0" if c0.self_reload else "(nv == 0)"))
-        emit("    nz1 = False")
-        emit("    ncv0 = nv & 0xFFFF")
-        emit("    ncv1 = (nv >> 16) & 0xFFFF")
+        emit("    ncv0 = nv0 & 0xFFFF")
+        emit("    ncv1 = nv0 >> 16")
     else:
-        for c, nm in ((c0, 0), (c1, 1)):
-            if c is None:
-                emit("    nz%d = False" % nm)
-                continue
-            if c.reload_event is not None:
-                emit("    if %s:" % g.event(c.reload_event, _PROV, "seq"))
-                emit("        nv%d = %d" % (nm, c.reload_value))
-            emit("    nz%d = %s" % (nm, ("pz%d" % nm) if c.self_reload else ("(nv%d == 0)" % nm)))
         emit("    ncv0 = nv0")
         emit("    ncv1 = nv1")
 
@@ -617,16 +599,13 @@ class CompiledFabric:
     """Config compiled to a fast step function plus helpers for callers that
     keep the state unpacked as plain ints."""
 
-    __slots__ = ("config", "step", "idle_out", "source", "throttle_mask",
-                 "_cmp_table")
+    __slots__ = ("config", "step", "idle_out", "source", "_cmp_table")
 
     def __init__(self, config: EtmConfig):
         validate_config(config)
         self.config = config
         self.step, self.source = _generate_step(config)
         self.idle_out = _generate_idle_out(config)
-        # outputs 1..3 are routed to the interrupt trigger
-        self.throttle_mask = 0b1110
         self._cmp_table = tuple(
             (c.pair_index, c.lo, c.hi, c.match_user, c.match_kernel)
             for c in config.comparators)

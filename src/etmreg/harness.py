@@ -396,7 +396,7 @@ def _nice(v):
     return ("%.6g" % v)
 
 
-def render_svg(rows, title="achieved vs. target bandwidth") -> str:
+def render_svg(rows) -> str:
     """Line chart of achieved vs. target, one series per (regulator,
     op_type), with the identity diagonal for reference."""
     if not rows:
@@ -425,7 +425,7 @@ def render_svg(rows, title="achieved vs. target bandwidth") -> str:
     out.append('<rect width="%d" height="%d" fill="white"/>'
                % (_SVG_W, _SVG_H))
     out.append('<text x="%d" y="24" font-size="15" text-anchor="middle">'
-               '%s</text>' % (_SVG_W // 2, title))
+               'achieved vs. target bandwidth</text>' % (_SVG_W // 2))
     # axes
     out.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                % (px(lo), py(lo), px(hi), py(lo)))

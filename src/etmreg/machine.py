@@ -333,7 +333,7 @@ class _Fabric(_Unregulated):
         cf = F.compile_fabric(cfg)
         self.step = cf.step
         self.idle_out = cf.idle_out
-        self.throttle_mask = cf.throttle_mask
+        self.throttle_mask = F.THROTTLE_MASK
         self.chained = any(c.chained for c in cfg.counters)
         # the core fetches from one user and one kernel address
         self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)

@@ -29,7 +29,7 @@ __all__ = [
     "RegisterWrite", "RegisterProgram", "MalformedProgram",
     "ResourceBudgetExceeded", "RangeError", "PHASES", "UNLOCK_KEY",
     "compile", "program_for_config", "lift", "max_period",
-    "emit_text", "parse_text", "program_to_dict", "program_from_dict",
+    "emit_text", "parse_text",
 ]
 
 PHASES = ("Unlock", "DisableAll", "ProgramCTI", "ProgramETM",
@@ -197,20 +197,13 @@ def check_write(w: RegisterWrite):
 # compile: EtmConfig -> program
 # =========================================================================
 
-def _mask(members):
-    out = 0
-    for m in members:
-        out |= 1 << m
-    return out
-
-
 def _unmask(mask):
     return frozenset(i for i in range(16) if mask & (1 << i))
 
 
 def _selector_fields(sel: F.ResourceSelectorConfig):
     fields = [("group", _GROUP_OF_SOURCE[sel.source]),
-              ("select", _mask(sel.members))]
+              ("select", F._signal_mask(sel.members))]
     if sel.invert:
         fields.append(("invert", 1))
     if sel.paired_with is not None:
@@ -233,6 +226,14 @@ def _event_fields(prefix, ev: F.EventSpec):
 
 
 _DISABLED_COUNTER = F.CounterConfig(0, 0, F.EventSpec(F.FALSE_SEL))
+
+
+def _routed(outputs):
+    """Sorted indices of the (index, selector) outputs that raise the
+    throttle interrupt: those in F.THROTTLE_MASK, unless wired to FALSE,
+    which can never assert."""
+    return sorted(k for k, sel in outputs
+                  if F.THROTTLE_MASK >> k & 1 and sel != F.FALSE_SEL)
 
 
 def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
@@ -264,9 +265,7 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
     emit("CTI", "CTIGATE", [("en", 0)], "disconnect cross-trigger channels")
 
     phase = "ProgramCTI"
-    routed = sorted(o.output_index for o in config.outputs
-                    if o.output_index != 0)
-    for k in routed:
+    for k in _routed((o.output_index, o.selector) for o in config.outputs):
         emit("CTI", "CTIINEN%d" % k, [("chan", 0), ("en", 1)],
              "trace-unit output %d raises the throttle interrupt" % k)
     emit("CTI", "CTIGATE", [("en", 1)], "reconnect the gated channels")
@@ -290,13 +289,17 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
             emit("ETM", "TRCRSCTLR%d" % n, [("group", "FALSE"),
                                             ("select", 0)], "unused")
 
+    # a chained counter 0 keeps its high half in counter 1's value registers
+    values = F.reset_fabric(config).counter_values
+    chained = any(c.chained for c in config.counters)
     for n in range(F.NUM_COUNTERS):
         c = config.counter(n) or _DISABLED_COUNTER
         used = c is not _DISABLED_COUNTER
-        emit("ETM", "TRCCNTRLDVR%d" % n, [("value", c.reload_value)],
-             "reload value" if used else "unused")
-        emit("ETM", "TRCCNTVR%d" % n, [("value", c.reload_value)],
-             "start full" if used else "unused")
+        high = "high half of chained counter 0" if n == 1 and chained else ""
+        emit("ETM", "TRCCNTRLDVR%d" % n, [("value", values[n])],
+             high or ("reload value" if used else "unused"))
+        emit("ETM", "TRCCNTVR%d" % n, [("value", values[n])],
+             high or ("start full" if used else "unused"))
         fields = _event_fields("in", c.input)
         fields.append(("self_reload", int(c.self_reload)))
         if c.reload_event is not None:
@@ -503,6 +506,13 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
     while len(selectors) > 2 and selectors[-1] == plain_false:
         selectors.pop()
 
+    if cnt.get(0, {}).get("chained") and 1 in cnt:
+        # join the high half that counter 1's value registers hold
+        low, high = cnt[0], cnt[1]
+        for key in ("reload", "start"):
+            if key in high:
+                low[key] = low.get(key, 0) | high.pop(key) << 16
+
     counters = []
     for n in sorted(cnt):
         d = cnt[n]
@@ -540,16 +550,16 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
     outputs = tuple(F.ExternalOutputConfig(k, outs[k])
                     for k in sorted(outs) if outs[k] != F.FALSE_SEL)
 
-    routed = {k for k in outs if outs[k] != F.FALSE_SEL and k != 0}
+    routed = _routed(outs.items())
     inen = set()
     for w in prog.phase("ProgramCTI"):
         base, idx = _split_register(w.register)
         if base == "CTIINEN" and w.get("en") == 1:
             inen.add(idx)
-    if inen != routed:
+    if sorted(inen) != routed:
         raise MalformedProgram(
             "cross-trigger routing %s does not match the configured "
-            "outputs %s" % (sorted(inen), sorted(routed)))
+            "outputs %s" % (sorted(inen), routed))
 
     return F.EtmConfig(inputs=inputs, selectors=tuple(selectors),
                        counters=tuple(counters),
@@ -559,7 +569,7 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
 
 
 # =========================================================================
-# text and dict forms
+# text form
 # =========================================================================
 
 def _fmt_value(name, value):
@@ -624,29 +634,3 @@ def parse_text(text: str) -> RegisterProgram:
         writes.append(RegisterWrite(device, register, tuple(fields),
                                     comment.strip(), phase))
     return RegisterProgram(tuple(writes), tuple(warnings))
-
-
-def program_to_dict(prog: RegisterProgram) -> dict:
-    """JSON-ready mirror of the text schema."""
-    phases = []
-    for name in PHASES:
-        ws = prog.phase(name)
-        if not ws:
-            continue
-        phases.append({"name": name, "writes": [
-            {"device": w.device, "register": w.register,
-             "fields": [[n, v] for n, v in w.fields],
-             "comment": w.comment} for w in ws]})
-    return {"phases": phases, "warnings": list(prog.warnings)}
-
-
-def program_from_dict(data: dict) -> RegisterProgram:
-    writes = []
-    for ph in data.get("phases", ()):
-        for w in ph.get("writes", ()):
-            writes.append(RegisterWrite(
-                w["device"], w["register"],
-                tuple((n, v) for n, v in w["fields"]),
-                w.get("comment", ""), ph["name"]))
-    return RegisterProgram(tuple(writes),
-                           tuple(data.get("warnings", ())))

@@ -10,6 +10,7 @@ import etmreg.regprog as P
 import etmreg.regulators as R
 from etmreg.accounting import NotEtmRealizable
 from etmreg.machine import CoreModelConfig
+from reference_fabric import random_config, random_config_small, stream_palette
 
 
 def spec_for(design, budget=27, period=6000, **kw):
@@ -77,11 +78,73 @@ def test_text_parser_rejects_junk():
         P.parse_text("ETM TRCPRGCTLR en\n")
 
 
-def test_dict_round_trip():
-    prog = P.compile(spec_for(R.TB13), core_model=CoreModelConfig())
-    data = P.program_to_dict(prog)
-    assert [p["name"] for p in data["phases"]] == list(P.PHASES)
-    assert P.program_from_dict(data) == prog
+def text_round_trip(prog):
+    return P.lift(P.parse_text(P.emit_text(prog)))
+
+
+def trajectory(config, stream):
+    """Raw step results of the compiled fabric over palette cycles."""
+    cf = F.compile_fabric(config)
+    s = cf.reset_tuple()
+    out = []
+    for _pulses, _hits, idle, pm, cm in stream:
+        if idle:
+            out.append(cf.idle_out(s[2], s[3], s[4]))
+        else:
+            r = cf.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
+            s = r[:5]
+            out.append(r)
+    return out
+
+
+def test_random_configs_program_and_lift():
+    # every valid fabric, chained counters and FALSE-wired outputs
+    # included, programs, lifts back to the same writes and steps alike
+    rng = random.Random(2024)
+    for i in range(1000):
+        gen = random_config if i % 2 else random_config_small
+        cfg = gen(rng)
+        prog = P.program_for_config(cfg)
+        lifted = text_round_trip(prog)
+        assert P.program_for_config(lifted).writes == prog.writes, cfg
+        palette = stream_palette(rng, cfg)
+        stream = [rng.choice(palette) for _ in range(40)]
+        assert trajectory(lifted, stream) == trajectory(cfg, stream), cfg
+
+
+def chained_config(reload_value):
+    return F.EtmConfig(
+        inputs=(F.ExternalInputSelector({21}),),
+        selectors=F.HARDWIRED + (
+            F.ResourceSelectorConfig(F.EXTERNAL_INPUTS, {0}),
+            F.ResourceSelectorConfig(F.COUNTER_ZERO, {0})),
+        counters=(F.CounterConfig(0, reload_value, F.EventSpec(2),
+                                  chained=True),),
+        outputs=(F.ExternalOutputConfig(1, 3),))
+
+
+def test_chained_counter_splits_over_both_value_registers():
+    cfg = chained_config(70000)                 # 1 << 16 | 4464
+    prog = P.program_for_config(cfg)
+    values = {w.register: w.get("value") for w in prog.writes
+              if w.register.startswith(("TRCCNTRLDVR", "TRCCNTVR"))}
+    assert values == {"TRCCNTRLDVR0": 4464, "TRCCNTVR0": 4464,
+                      "TRCCNTRLDVR1": 1, "TRCCNTVR1": 1}
+    ctl1 = next(w for w in prog.writes if w.register == "TRCCNTCTLR1")
+    assert ctl1.get("in_a") == F.FALSE_SEL and ctl1.get("chain") is None
+    assert text_round_trip(prog) == cfg
+
+
+def test_false_wired_output_lifts_and_re_emits():
+    cfg = dataclasses.replace(
+        chained_config(5),
+        outputs=(F.ExternalOutputConfig(1, 3),
+                 F.ExternalOutputConfig(2, F.FALSE_SEL)))
+    prog = P.program_for_config(cfg)
+    inen = [w.register for w in prog.writes
+            if w.register.startswith("CTIINEN")]
+    assert inen == ["CTIINEN1"]         # FALSE can never raise the interrupt
+    assert P.program_for_config(text_round_trip(prog)).writes == prog.writes
 
 
 # =========================================================================
