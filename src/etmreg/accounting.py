@@ -24,13 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 __all__ = [
     "UnknownVariant", "NotEtmRealizable", "UnknownCombination",
     "ModelTerm", "BandwidthModel", "Ratios", "OpSignalProfile",
-    "model_for", "expected_ratios", "emit_profile", "simulate_ratios",
-    "calibration_table",
+    "model_for", "expected_ratios", "emit_profile", "calibration_table",
 ]
 
 
@@ -240,6 +237,12 @@ class Ratios:
     etm: float      # OR-ed input view, after same-cycle collapse
 
 
+def _or_view(pmu, collision_prob):
+    """Counts per line on the OR-ed input: each pulse shares its cycle
+    with probability collision_prob, and every such pair counts once."""
+    return pmu * (1.0 - collision_prob / 2.0)
+
+
 def _base_op(op):
     return op.split("_", 1)[0]
 
@@ -281,10 +284,7 @@ def expected_ratios(model, workload_mix, collision_prob=0.0):
     for op in workload_mix:
         pulses, active = _op_pulses(model, op)
         pmu = float(pulses)
-        if len(active) >= 2:
-            etm = pmu * (1.0 - collision_prob / 2.0)
-        else:
-            etm = pmu
+        etm = _or_view(pmu, collision_prob) if len(active) >= 2 else pmu
         out[op] = Ratios(pmu=pmu, etm=etm)
     return out
 
@@ -305,6 +305,12 @@ class OpSignalProfile:
     @property
     def pulses_per_line(self) -> float:
         return sum(self.term_pulses)
+
+    @property
+    def ratios(self) -> Ratios:
+        """Counts per line in the adder view and the OR-ed input view."""
+        ppl = self.pulses_per_line
+        return Ratios(pmu=ppl, etm=_or_view(ppl, self.collision_prob))
 
 
 @lru_cache(maxsize=1)
@@ -370,30 +376,3 @@ def emit_profile(core_type, variant, mem_op, board=None) -> OpSignalProfile:
     return OpSignalProfile(core_type=model.core_type, variant=model.variant,
                            mem_op=mem_op, term_pulses=split,
                            collision_prob=p)
-
-
-# =========================================================================
-# Monte-Carlo over pulse streams
-# =========================================================================
-
-def simulate_ratios(profile, n_lines=1_000_000, seed=0):
-    """Simulate a pulse stream of n_lines transactions and count it both
-    ways.  Returns Ratios(adder view, OR view).
-
-    Per line the profile's expected rate r yields floor(r) pulses plus
-    one more with probability frac(r); each pulse then lands in a shared
-    cycle with probability collision_prob, and every such pair of pulses
-    is visible as a single OR-ed count.
-    """
-    if n_lines <= 0:
-        raise ValueError("n_lines must be positive")
-    rng = np.random.default_rng(seed)
-    r = profile.pulses_per_line
-    base = int(r)
-    frac = r - base
-    total = n_lines * base
-    if frac > 0:
-        total += int(rng.binomial(n_lines, frac))
-    p = profile.collision_prob
-    collapsed = int(rng.binomial(total, p)) // 2 if p > 0 else 0
-    return Ratios(pmu=total / n_lines, etm=(total - collapsed) / n_lines)

@@ -45,6 +45,12 @@ def _write_out(text, path):
 # regulator spec files
 # =========================================================================
 
+def _required(data, key):
+    if key not in data:
+        raise ValueError("missing spec key: %s" % key)
+    return data[key]
+
+
 def spec_from_dict(data: dict) -> R.RegulatorSpec:
     """Accepts either budget_events/period_cycles directly or
     target_mbps/period_us (+ freq_mhz or board) to derive them."""
@@ -54,7 +60,10 @@ def spec_from_dict(data: dict) -> R.RegulatorSpec:
     bad = set(data) - known
     if bad:
         raise ValueError("unknown spec keys: %s" % ", ".join(sorted(bad)))
-    design = data["design"]
+    for key in ("design", "core_type", "model_variant", "board"):
+        if key in data:
+            H.config_value(key, data[key], "text")
+    design = _required(data, "design")
     kw = {}
     board = None
     if "board" in data:
@@ -65,15 +74,20 @@ def spec_from_dict(data: dict) -> R.RegulatorSpec:
     if "model_variant" in data:
         kw["model_variant"] = data["model_variant"]
     if "budget_events" in data:
-        budget = data["budget_events"]
-        period = data["period_cycles"]
+        budget = H.config_value("budget_events", data["budget_events"],
+                                "an integer")
+        period = H.config_value("period_cycles",
+                                _required(data, "period_cycles"),
+                                "an integer")
     else:
         freq = data.get("freq_mhz", board.freq_mhz if board else None)
         if freq is None:
             raise ValueError("need freq_mhz or board to convert period_us")
-        budget = H.bandwidth_to_budget(data["target_mbps"],
-                                       data["period_us"])
-        period = H.us_to_cycles(data["period_us"], freq)
+        freq = H.config_value("freq_mhz", freq)
+        target = H.config_value("target_mbps", _required(data, "target_mbps"))
+        period_us = H.config_value("period_us", _required(data, "period_us"))
+        budget = H.bandwidth_to_budget(target, period_us)
+        period = H.us_to_cycles(period_us, freq)
     return R.RegulatorSpec(design, budget, period, **kw)
 
 

@@ -132,6 +132,17 @@ def regulator_for(design, board: BoardPreset, target_mbps, period_us):
 # experiment config and result rows
 # =========================================================================
 
+_CONFIG_TYPES = {"a number": (int, float), "an integer": int, "text": str}
+
+
+def config_value(key, value, kind="a number"):
+    """`value` of config key `key` if it is of `kind`, one of "a number",
+    "an integer" or "text"; else a ValueError that names the key."""
+    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+        raise ValueError("%s must be %s, got %r" % (key, kind, value))
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     board: str = "zcu102"
@@ -144,10 +155,16 @@ class ExperimentConfig:
     svg_path: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "designs", tuple(self.designs))
-        object.__setattr__(self, "targets_mbps",
-                           tuple(float(t) for t in self.targets_mbps))
-        object.__setattr__(self, "op_types", tuple(self.op_types))
+        for key in ("designs", "targets_mbps", "op_types"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError("%s must be a list, got %r" % (key, value))
+            object.__setattr__(self, key, tuple(value))
+        object.__setattr__(self, "targets_mbps", tuple(
+            float(config_value("targets_mbps", t))
+            for t in self.targets_mbps))
+        config_value("period_us", self.period_us)
+        config_value("duration_ms", self.duration_ms)
         b = preset(self.board)
         if not self.targets_mbps:
             raise ValueError("no sweep targets")

@@ -75,13 +75,20 @@ class RegulatorSpec:
         return _THROTTLE_STATES[self.design]
 
 
+def _check_positive(what, value, unit):
+    if value < 1:
+        raise RangeError("%s %s %ss is below 1 %s" % (what, value, unit, unit))
+
+
 def _check_ranges(spec: RegulatorSpec):
     if spec.design not in ETM_DESIGNS:
         raise RangeError("design %r is not a trace-unit design" % (spec.design,))
-    if not (1 <= spec.budget_events <= F.COUNTER_MAX):
+    _check_positive("budget", spec.budget_events, "event")
+    if spec.budget_events > F.COUNTER_MAX:
         raise RangeError("budget %d exceeds 16-bit counter range"
                          % spec.budget_events)
-    if not (1 <= spec.period_cycles <= F.COUNTER_MAX):
+    _check_positive("period", spec.period_cycles, "cycle")
+    if spec.period_cycles > F.COUNTER_MAX:
         raise RangeError("period %d cycles exceeds 16-bit counter range"
                          % spec.period_cycles)
 
@@ -288,6 +295,9 @@ class MemGuardConfig:
     budget_events: int
     period_cycles: int          # any size; not bound to a 16-bit counter
 
+    def __post_init__(self):
+        _check_positive("period", self.period_cycles, "cycle")
+
 
 @dataclass(frozen=True)
 class MemGuardState:
@@ -336,6 +346,9 @@ class MemPolConfig:
     budget_events: int          # per regulation window (window_size polls)
     poll_cycles: int            # cycles between polls
     window_size: int = MEMPOL_WINDOW
+
+    def __post_init__(self):
+        _check_positive("poll period", self.poll_cycles, "cycle")
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,31 @@ def test_unrealizable_model_exits_1(tmp_path, capsys, command):
     assert "six ETM PMU inputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,data,message", [
+    ("sweep", {"targets_mbps": 350}, "targets_mbps must be a list"),
+    ("sweep", {"duration_ms": "abc"}, "duration_ms must be a number"),
+    ("sweep", {"designs": "pr"}, "designs must be a list"),
+    ("sweep", {"op_types": "read"}, "op_types must be a list"),
+    ("validate", {"design": "pr", "budget_events": "abc",
+                  "period_cycles": 6000}, "budget_events must be an integer"),
+    ("validate", {"budget_events": 27, "period_cycles": 6000},
+     "missing spec key: design"),
+    ("validate", {"design": "pr", "budget_events": 27,
+                  "period_cycles": 6000, "core_type": 5},
+     "core_type must be text"),
+], ids=["targets-scalar", "duration-text", "designs-string",
+        "op-types-string", "budget-text", "no-design", "core-type-number"])
+def test_malformed_yaml_names_the_key(tmp_path, capsys, command, data,
+                                      message):
+    if command == "sweep":
+        path = sweep_cfg(tmp_path, **data)
+    else:
+        path = write_yaml(tmp_path / "spec.yaml", data)
+    assert C.main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_missing_file_exits_1(capsys):
     assert C.main(["compile", "/no/such/spec.yaml"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -70,6 +70,14 @@ def test_regulator_for_each_kind():
         H.regulator_for("sorcery", b, 350, 5)
 
 
+@pytest.mark.parametrize("design", R.ALL_DESIGNS)
+def test_regulator_for_rejects_a_zero_cycle_period(design):
+    # 0.0001 us rounds to 0 cycles at 1200 MHz
+    b = H.preset("zcu102")
+    with pytest.raises(RangeError, match="0 cycles is below 1 cycle"):
+        H.regulator_for(design, b, 350, 0.0001)
+
+
 def test_regulator_taps_follow_the_core_model():
     cfg = H.regulator_for(R.PR, H.preset("rk3588-a76"), 350, 5)
     assert cfg.inputs[0].monitored == frozenset({73, 74, 157})

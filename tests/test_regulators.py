@@ -80,6 +80,13 @@ def test_budget_and_period_ranges():
     R.build_pr_config(spec(R.PR, budget=65535, period=65535))
 
 
+def test_fabric_period_below_one_cycle_is_named():
+    with pytest.raises(R.RangeError, match="period 0 cycles is below 1 cycle"):
+        R.build_pr_config(spec(R.PR, period=0))
+    with pytest.raises(R.RangeError, match="budget 0 events is below 1"):
+        R.build_tb_config(spec(R.TB13, budget=0))
+
+
 def test_build_config_dispatch():
     assert R.build_config(spec(R.PR)) == R.build_pr_config(spec(R.PR))
     assert R.build_config(spec(R.TB22)) == R.build_tb_config(spec(R.TB22))
@@ -282,6 +289,14 @@ def test_memguard_interrupts_every_period_even_when_quiet():
         st, throttled = R.memguard_step(cfg, st, 0, cycle)
         assert not throttled
     assert st.next_boundary == 11000    # ten timer refills, all quiet
+
+
+def test_baseline_period_below_one_cycle_is_rejected():
+    # a zero period would never let the step functions pass a boundary
+    with pytest.raises(R.RangeError, match="below 1 cycle"):
+        R.MemGuardConfig(27, 0)
+    with pytest.raises(R.RangeError, match="below 1 cycle"):
+        R.MemPolConfig(50, 0)
 
 
 def test_memguard_throttles_until_boundary():
