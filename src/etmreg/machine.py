@@ -29,21 +29,28 @@ the throttle level; its class attributes say how the core reacts to that
 level (the fabric and MemGuard raise an interrupt, MemGuard's handler
 sleeps instead of polling, MemPol halts issue from outside).
 
-Long pulse-free stretches (throttle stalls, idle phases, compute-bound
-spans) are skipped in one hop.  A single rule, `_quiet_span`, decides how
-far: every core must have empty queues and a workload that cannot issue,
-and the hop ends at the window edge or at the first deadline of any core
-(interrupt phase end, handler poll, idle end, trace record).  Each
-regulator then bounds the span with its own answer: MemGuard its next
-timer refill, MemPol its next poll, and the fabric the stretch in which
-its counters only count down, found by probing one pulse-free cycle.
-Each core then advances across the span.  `run_system(cfg,
+Only event cycles are stepped.  The inert stretches between them
+(throttle stalls, idle phases, compute-bound spans, a saturating core
+waiting on the bus) are skipped in one hop.  A single rule,
+`_quiet_span`, decides how far: the hop ends at the window edge or at the
+first deadline that any component states.  The controller's is its next
+possible grant: the earliest ready queue head, once the accumulator holds
+a whole line.  A core's are its interrupt phase end, trace record and
+idle end, and the first issue of a workload whose issue credit is still
+building up.  A core whose queue is full cannot issue before a grant, and
+a handler poll that finds the throttle level held only reschedules
+itself, so neither is a deadline.  Each regulator then bounds the span
+with its own answer: MemGuard its next timer refill, MemPol its next
+poll, and the fabric the stretch in which its counters only count down,
+found by probing one pulse-free cycle.  Each core then advances across
+the span, its issue credit and poll instant included.  `run_system(cfg,
 use_hops=False)` steps every cycle; both paths must produce identical
 results.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 from . import fabric as F
@@ -109,8 +116,9 @@ class Synthetic:
     def __post_init__(self):
         if self.op not in _OPS:
             raise ValueError("unknown op %r" % (self.op,))
-        if self.issue_ipc_limit < 0:
-            raise ValueError("issue_ipc_limit must be >= 0")
+        if not (isfinite(self.issue_ipc_limit) and self.issue_ipc_limit >= 0):
+            raise ValueError("issue_ipc_limit must be a finite number >= 0, "
+                             "got %r" % (self.issue_ipc_limit,))
 
 
 @dataclass(frozen=True)
@@ -230,8 +238,13 @@ class SystemConfig:
             raise ValueError("need at least one core")
         if self.duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
-        if self.shared_mem_bandwidth <= 0:
-            raise ValueError("shared_mem_bandwidth must be positive")
+        if not (isfinite(self.shared_mem_bandwidth)
+                and self.shared_mem_bandwidth > 0):
+            raise ValueError("shared_mem_bandwidth must be a positive finite "
+                             "number, got %r" % (self.shared_mem_bandwidth,))
+        if self.window_cycles < 0:
+            raise ValueError("window_cycles must be >= 0 (0 is one "
+                             "millisecond), got %r" % (self.window_cycles,))
 
 
 # =========================================================================
@@ -753,14 +766,42 @@ def _core_cycle(st: CoreState, cycle, grants):
 # quiet stretches
 # =========================================================================
 
-def _quiet_span(cores, cycle, limit):
+def _queue_full(st: CoreState):
+    """True when the queue that core `st`'s workload op fills is full, so
+    its issue stage stalls."""
+    m = st.model
+    if st.op == OP_WRITE:
+        return len(st.wb) >= m.write_buffer_depth
+    if st.op == OP_MODIFY and len(st.wb) >= m.write_buffer_depth:
+        return True
+    return len(st.reads) >= m.read_outstanding
+
+
+def _issues(st: CoreState, cycle):
+    """True when core `st`'s workload runs its issue stage at `cycle`
+    with lines to issue: not in the handler, not halted, not idle."""
+    return (st.irq_phase < _IRQ_ENTRY
+            and not (st.prev_throttle and st.reg.halts)
+            and st.idle_until <= cycle and st.lines_left > 0 and st.ipc > 0)
+
+
+def _quiet_span(cores, cycle, limit, acc, bw_fp):
     """How many cycles from `cycle`, at most `limit`, every core can skip
     in one hop: no core emits a pulse, changes a queue or reaches a
-    deadline in them.  Below 2 the run steps the next cycle instead."""
+    deadline in them.  Below 2 the run steps the next cycle instead.
+
+    `acc` is the controller's 32.32 accumulator at the start of `cycle`
+    and `bw_fp` its gain per cycle.  The deadlines are: the controller's
+    next possible grant (a ready queue head and a whole line in `acc`);
+    each core's interrupt phase end, trace record and idle end; the first
+    issue of a workload whose issue credit is still building up; and each
+    regulator's own `quiet_span`.  A core whose queue is full cannot issue
+    until a grant frees the queue, and a handler poll that sees the
+    throttle level held only reschedules itself: the hop advances both
+    without a deadline."""
     span = limit
+    ready = _BIG
     for st in cores:
-        if st.reads or st.wb or st.kernel_pending:
-            return 0                    # queued traffic moves every cycle
         reg = st.reg
         phase = st.irq_phase
         req = st.prev_throttle
@@ -769,17 +810,40 @@ def _quiet_span(cores, cycle, limit):
                 return 0                # interrupt about to be raised
         elif phase == _IRQ_WAIT and reg.sleeps and not req:
             return 0                    # handler about to wake up
-        if not (phase >= _IRQ_ENTRY or (req and reg.halts)
-                or st.idle_until > cycle or st.ipc == 0):
-            # the workload issues, or a spent burst phase moves on
-            return 0
-        d = st.irq_at
+        d = st.irq_at if phase != _IRQ_WAIT or not req else _BIG
         if st.trace_next < d:
             d = st.trace_next
-        if cycle < st.idle_until < d:
-            d = st.idle_until
+        if phase >= _IRQ_ENTRY:
+            if (st.kernel_pending
+                    and len(st.reads) < st.model.read_outstanding):
+                return 0                # the handler issues a kernel line
+        elif not (req and reg.halts):
+            if st.idle_until > cycle:
+                if st.idle_until < d:
+                    d = st.idle_until
+            elif st.lines_left == 0:
+                return 0                # a spent burst phase moves on
+            elif st.ipc > 0 and st.ipc_acc >= 1.0 and not _queue_full(st):
+                return 0                # the workload issues
         if d - cycle < span:
             span = d - cycle
+            if span < 2:
+                return 0
+        r = st.reads
+        if r and r[0] < ready:
+            ready = r[0]
+        w = st.wb                       # a write-back is ready a cycle on
+        if w and w[0] + 1 < ready:
+            ready = w[0] + 1
+    if ready < cycle + span:
+        # cycles until the accumulator holds a whole line
+        need = _FP_ONE - bw_fp - acc
+        if need > 0:
+            g = cycle - (-need // bw_fp)
+            if ready < g:
+                ready = g
+        if ready - cycle < span:
+            span = ready - cycle
             if span < 2:
                 return 0
     # only now ask the regulators, as the fabric's answer costs a step
@@ -789,6 +853,19 @@ def _quiet_span(cores, cycle, limit):
             span = q
             if span < 2:
                 return 0
+    # last, the credit build-up, whose count costs one addition a cycle
+    for st in cores:
+        if (st.ipc_acc < 1.0 and _issues(st, cycle)
+                and not _queue_full(st)):
+            a = st.ipc_acc
+            ipc = st.ipc
+            for j in range(span):
+                a += ipc
+                if a >= 1.0:
+                    if j < 2:
+                        return 0
+                    span = j
+                    break
     return span
 
 
@@ -870,19 +947,36 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             continue
         span = _quiet_span(cores, cycle,
                            (win_end if win_end < duration else duration)
-                           - cycle)
+                           - cycle, acc, bw_fp)
         if span < 2:
             continue
+        end = cycle + span
         for st in cores:
             if st.prev_throttle:
                 st.throttled_cycles += span
             if st.irq_phase >= _IRQ_ENTRY:
                 st.handler_cycles += span
+                if st.irq_at < end:
+                    # held-level polls: on to the first one at or after end
+                    p = st.model.handler_poll_cycles
+                    st.irq_at += -(-(end - st.irq_at) // p) * p
             elif st.idle_until > cycle \
                     and not (st.prev_throttle and st.reg.halts):
                 st.idle_cycles += span
+            elif _issues(st, cycle):
+                # the issue credit builds up as in each stepped cycle; only
+                # a core stalled on a full queue reaches its clamp
+                ipc = st.ipc
+                lim = ipc if ipc > 1.0 else 1.0
+                a = st.ipc_acc
+                for _ in range(span):
+                    a += ipc
+                    if a >= lim:
+                        a = lim
+                        break
+                st.ipc_acc = a
             st.reg.advance(span)
-        cycle += span
+        cycle = end
         acc += span * bw_fp
         if acc > cap_fp:
             acc = cap_fp

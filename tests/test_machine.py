@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import etmreg.harness as H
 import etmreg.machine as M
 import etmreg.regulators as R
 
@@ -119,6 +120,29 @@ def test_workload_validation():
         M.Burst(pattern=((M.OP_READ, 0, 0),))
     with pytest.raises(ValueError, match="negative"):
         M.Burst(pattern=((M.OP_READ, -64, 0),))
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_non_finite_issue_rate_is_named(rate):
+    # inf overflowed inside run_system; nan silently issued nothing
+    with pytest.raises(ValueError, match="issue_ipc_limit"):
+        M.Synthetic(op="read", issue_ipc_limit=rate)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("shared_mem_bandwidth", float("inf")),
+    ("shared_mem_bandwidth", float("nan")),
+    ("window_cycles", -5),
+])
+def test_bad_system_rate_or_window_is_named(field, value):
+    # inf and nan failed inside run_system with OverflowError or "cannot
+    # convert float NaN to integer"; a negative window became 1 ms
+    core = M.CoreSpec(model=M.CoreModelConfig(**ZCU),
+                      workload=M.Synthetic(op="read"))
+    kw = dict(cores=(core,), shared_mem_bandwidth=0.1, duration_cycles=100)
+    kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        M.SystemConfig(**kw)
 
 
 def test_model_validation():
@@ -247,17 +271,71 @@ def _diff_scenarios():
                           regulator=pr),
                M.CoreSpec(model=zcu, workload=M.Synthetic(op="modify"))),
         shared_mem_bandwidth=CAP_1000, duration_cycles=120_000)
+    # one read slot, zero latency and a handler that polls every cycle
+    out["ideal_pr_read"] = one_core(M.Synthetic(op="read"),
+                                    mkreg(R.PR, 350.0)[0], model=IDEAL,
+                                    dur=120_000)
+    # issue credit that builds up over many cycles before each issue
+    out["ipc_0.02_pr"] = one_core(M.Synthetic(op="read", issue_ipc_limit=0.02),
+                                  mkreg(R.PR, 350.0)[0], dur=120_000)
+    out["ipc_0.3_tb13"] = one_core(M.Synthetic(op="modify",
+                                               issue_ipc_limit=0.3),
+                                   tb, dur=120_000)
+    # the handler's kernel lines wait behind a full single read slot
+    out["kernel_vs_full_reads"] = one_core(
+        M.Synthetic(op="read"), pr_stop,
+        model=dict(ZCU, read_outstanding=1, handler_kernel_events=3),
+        dur=120_000)
+    # several grant rounds in one cycle across saturating cores
+    out["three_core_2.0"] = M.SystemConfig(
+        cores=tuple(M.CoreSpec(model=zcu, workload=M.Synthetic(op=op),
+                               regulator=reg)
+                    for op, reg in ((M.OP_READ, pr), (M.OP_WRITE, None),
+                                    (M.OP_MODIFY, mp))),
+        shared_mem_bandwidth=2.0, duration_cycles=60_000)
+    # MemPol halts a write core whose buffer is full
+    out["mempol_full_write"] = one_core(M.Synthetic(op="write"), mp,
+                                        dur=120_000)
     return out
 
 
 _DIFF = _diff_scenarios()
 
 
+def _core_state(st, grants):
+    """Everything a core carries from one cycle to the next."""
+    return (grants, st.ipc_acc, st.irq_phase, st.irq_at, tuple(st.reads),
+            tuple(st.wb), st.kernel_pending, st.op, st.phase, st.lines_left,
+            st.idle_until, st.trace_pos, st.prev_throttle, st.issued_lines,
+            st.completed_lines, st.pmc_events, st.throttled_cycles,
+            st.handler_cycles, st.idle_cycles, getattr(st.reg, "state", None))
+
+
+def _run_recording(monkeypatch, sc, use_hops, cycles=None):
+    """Run `sc`; return its trace and, per stepped cycle (all of them, or
+    those in `cycles`), each core's state on entry and its grants."""
+    seen = {}
+    core_cycle = M._core_cycle
+
+    def recording(st, cycle, grants):
+        if cycles is None or cycle in cycles:
+            seen.setdefault(cycle, []).append(_core_state(st, grants))
+        core_cycle(st, cycle, grants)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "_core_cycle", recording)
+        return M.run_system(sc, use_hops=use_hops), seen
+
+
 @pytest.mark.parametrize("name", sorted(_DIFF))
-def test_hop_fast_path_is_exact(name):
+def test_hop_fast_path_is_exact(monkeypatch, name):
+    # the results match, and every cycle the hop run steps starts from the
+    # state and grants the per-cycle run has there
     sc = _DIFF[name]
-    assert M.run_system(sc, use_hops=True) == M.run_system(sc,
-                                                           use_hops=False)
+    hopped, at_steps = _run_recording(monkeypatch, sc, True)
+    stepped, states = _run_recording(monkeypatch, sc, False, set(at_steps))
+    assert hopped == stepped
+    assert at_steps == states
 
 
 def _random_workload(rng):
@@ -310,8 +388,10 @@ def _random_system(rng):
                                 _random_regulator(rng)))
     rate = rng.choice((0.01, 0.05, 0.2, 0.5, 1.0, 2.0,
                        rng.uniform(0.005, 2.0)))
+    # now and then a longer run, so busy queues hop many times
+    longest = rng.choice((40_000,) * 7 + (120_000,))
     return M.SystemConfig(cores=tuple(cores), shared_mem_bandwidth=rate,
-                          duration_cycles=rng.randint(5000, 40_000))
+                          duration_cycles=rng.randint(5000, longest))
 
 
 def test_random_systems_hop_exactly():
@@ -322,6 +402,34 @@ def test_random_systems_hop_exactly():
         sc = _random_system(rng)
         assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
             "case %d: %r" % (case, sc)
+
+
+# cycles each 0.1 ms single-core scenario stepped while the hop rule still
+# refused any queued traffic: (board, design, target MB/s, op) -> cycles
+_STEPPED_BEFORE = {
+    ("zcu102", None, 0.0, M.OP_READ): 120_000,
+    ("zcu102", R.PR, 350.0, M.OP_READ): 44_986,
+    ("zcu102", R.PR, 350.0, M.OP_WRITE): 45_746,
+    ("zcu102", R.PR, 950.0, M.OP_READ): 113_580,
+    ("zcu102", R.TB13, 1000.0, M.OP_READ): 120_000,
+    ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 45_588,
+    ("zcu102", R.MEMPOL, 350.0, M.OP_READ): 49_128,
+    ("ideal", R.PR, 350.0, M.OP_READ): 120_000,
+}
+
+
+@pytest.mark.parametrize("board,design,target,op", sorted(
+    _STEPPED_BEFORE, key=str))
+def test_saturating_runs_step_a_tenth_of_their_cycles(monkeypatch, board,
+                                                      design, target, op):
+    # the count of stepped cycles repeats exactly, so it guards the hop
+    # rule's reach against host noise
+    b = H.preset(board)
+    reg = None if design is None else H.regulator_for(design, b, target, 5.0)
+    sc = H.point_system(b, reg, op, 0.1)
+    _, stepped = _run_recording(monkeypatch, sc, True)
+    assert sc.duration_cycles == 120_000
+    assert len(stepped) * 10 <= _STEPPED_BEFORE[board, design, target, op]
 
 
 # ---------------------------------------------------------------------------
