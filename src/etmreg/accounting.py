@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from .fabric import NUM_INPUTS
+
 __all__ = [
     "UnknownVariant", "NotEtmRealizable", "UnknownCombination",
     "ModelTerm", "BandwidthModel", "Ratios", "OpSignalProfile",
@@ -142,8 +144,6 @@ _DEFAULT_BOARD = {
     "cortex-a78": "orin",
 }
 
-MAX_FABRIC_INPUTS = 4
-
 _COUNT_WORDS = {5: "five", 6: "six", 7: "seven", 8: "eight", 9: "nine",
                 10: "ten", 11: "eleven", 12: "twelve"}
 
@@ -177,10 +177,10 @@ class BandwidthModel:
     def rejection_reason(self):
         """Why this model cannot be counted on the trace unit, or None."""
         n = len(self.signals)
-        if n > MAX_FABRIC_INPUTS:
+        if n > NUM_INPUTS:
             word = _COUNT_WORDS.get(n, str(n))
             return ("requires monitoring of %s ETM PMU inputs, but only "
-                    "%d are available" % (word, MAX_FABRIC_INPUTS))
+                    "%d are available" % (word, NUM_INPUTS))
         coeffs = {t.coefficient for t in self.terms}
         if len(coeffs) > 1:
             if any(c.denominator != 1 for c in coeffs):

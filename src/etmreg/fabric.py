@@ -306,8 +306,9 @@ def validate_config(config: EtmConfig) -> ResourceReport:
         v.append("InputBudget: %d input taps, limit %d" % (len(config.inputs), NUM_INPUTS))
     all_signals = set()
     for i, tap in enumerate(config.inputs):
-        if len(tap.monitored) > 4:
-            v.append("InputBudget: tap %d monitors %d signals, limit 4" % (i, len(tap.monitored)))
+        if len(tap.monitored) > NUM_INPUTS:
+            v.append("InputBudget: tap %d monitors %d signals, limit %d"
+                     % (i, len(tap.monitored), NUM_INPUTS))
         if not tap.monitored:
             v.append("InputBudget: tap %d monitors nothing" % i)
         all_signals |= tap.monitored

@@ -7,7 +7,7 @@ are independent and merged in sorted configuration order, so repeated
 runs of the same config produce byte-identical outputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import fabric as F
 from . import machine as M
@@ -189,15 +189,6 @@ class ExperimentConfig:
         return cls(**data)
 
 
-# CSV columns, in order; bool False in the pair marks an int column
-_ROW_FIELDS = (
-    ("target_mbps", float), ("achieved_mbps", float), ("op_type", str),
-    ("regulator", str), ("period_us", float), ("throttle_fraction", float),
-    ("irqs_per_ms", float), ("max_window_overshoot_events", int),
-    ("accounted_vs_actual_ratio", float),
-)
-
-
 @dataclass(frozen=True)
 class ResultRow:
     target_mbps: float
@@ -223,6 +214,11 @@ class ResultRow:
 
     def key(self):
         return (self.regulator, self.op_type, self.target_mbps)
+
+
+# CSV columns, in order: each is a ResultRow field and the type that
+# parses its cells
+_ROW_FIELDS = tuple((f.name, f.type) for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -384,19 +380,22 @@ def load_csv(path):
     """Inverse of write_csv: reproduces the ResultRow list exactly."""
     with open(path) as f:
         lines = f.read().splitlines()
-    header = lines[0].split(",")
-    expect = [name for name, _ in _ROW_FIELDS]
-    if header != expect:
+    header = lines[0].split(",") if lines else []
+    if header != [name for name, _ in _ROW_FIELDS]:
         raise ValueError("unexpected CSV columns %s" % (header,))
-    types = dict(_ROW_FIELDS)
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
-        rows.append(ResultRow(**{name: types[name](cell)
-                                 for (name, _), cell
-                                 in zip(_ROW_FIELDS, cells)}))
+        if len(cells) != len(_ROW_FIELDS):
+            raise ValueError("line %d: %d cells, expected %d"
+                             % (lineno, len(cells), len(_ROW_FIELDS)))
+        try:
+            rows.append(ResultRow(**{name: typ(cell) for (name, typ), cell
+                                     in zip(_ROW_FIELDS, cells)}))
+        except ValueError as e:
+            raise ValueError("line %d: %s" % (lineno, e)) from None
     return rows
 
 

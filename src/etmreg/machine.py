@@ -35,22 +35,25 @@ waiting on the bus) are skipped in one hop.  A single rule,
 `_quiet_span`, decides how far: the hop ends at the window edge or at the
 first deadline that any component states.  The controller's is its next
 possible grant: the earliest ready queue head, once the accumulator holds
-a whole line.  A core's are its interrupt phase end, trace record and
-idle end, and the first issue of a workload whose issue credit is still
-building up.  A core whose queue is full cannot issue before a grant, and
-a handler poll that finds the throttle level held only reschedules
-itself, so neither is a deadline.  Each regulator then bounds the span
-with its own answer: MemGuard its next timer refill, MemPol its next
-poll, and the fabric the stretch in which its counters only count down,
-found by probing one pulse-free cycle.  Each core then advances across
-the span, its issue credit and poll instant included.  `run_system(cfg,
-use_hops=False)` steps every cycle; both paths must produce identical
-results.
+a whole line.  Both queues hold the cycle each request becomes ready: a
+read's after the memory latency, a write-back's the cycle after it is
+buffered.  A core's deadlines are its interrupt phase end, trace record
+and idle end, and the first issue of a workload whose issue credit is
+still building up.  A core whose queue is full cannot issue before a
+grant, and a handler poll that finds the throttle level held only
+reschedules itself, so neither is a deadline.  Each regulator then bounds
+the span with its own answer: MemGuard its next timer refill, MemPol its
+next poll, and the fabric the stretch in which its counters only count
+down, found by probing one pulse-free cycle.  Each core then advances
+across the span, its issue credit and poll instant included.
+`run_system(cfg, use_hops=False)` steps every cycle; both paths must
+produce identical results.
 """
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, fields
 from math import isfinite
+from operator import attrgetter
 from typing import Optional
 
 from . import fabric as F
@@ -65,7 +68,7 @@ OP_READ = "read"
 OP_PREFETCH = "prefetch"
 OP_WRITE = "write"
 OP_MODIFY = "modify"
-_OPS = (OP_READ, OP_PREFETCH, OP_WRITE, OP_MODIFY)
+OPS = (OP_READ, OP_PREFETCH, OP_WRITE, OP_MODIFY)
 
 CACHELINE = 64                  # bytes moved per memory transaction
 
@@ -114,7 +117,7 @@ class Synthetic:
     issue_ipc_limit: float = 1.0
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if self.op not in OPS:
             raise ValueError("unknown op %r" % (self.op,))
         if not (isfinite(self.issue_ipc_limit) and self.issue_ipc_limit >= 0):
             raise ValueError("issue_ipc_limit must be a finite number >= 0, "
@@ -139,7 +142,7 @@ class Burst:
             raise ValueError("burst pattern is empty")
         busy = False
         for op, nbytes, idle in self.pattern:
-            if op not in _OPS:
+            if op not in OPS:
                 raise ValueError("unknown op %r" % (op,))
             if nbytes < 0 or idle < 0:
                 raise ValueError("negative burst phase")
@@ -159,61 +162,20 @@ class TraceReplay:
     records: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        for i, rec in enumerate(self.records):
+        records = tuple(self.records)
+        object.__setattr__(self, "records", records)
+        for i, rec in enumerate(records):
             if rec[0] < 0:
                 raise ValueError("record %d %r has a negative cycle delta"
                                  % (i, rec))
-
-
-class ParseError(ValueError):
-    def __init__(self, message, line):
-        super().__init__("line %d: %s" % (line, message))
-        self.line = line
-
-
-# symbolic signal names accepted in trace files
-TRACE_SIGNALS = {"REFILL": 21, "WB": 22}
-
-
-def load_trace(path, signal_names=None) -> TraceReplay:
-    """Parse `cycle_delta,SIGNAL[|SIGNAL...][,user|kernel]` lines."""
-    names = dict(TRACE_SIGNALS if signal_names is None else signal_names)
-    records = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (2, 3):
-                raise ParseError("expected 2 or 3 fields, got %d"
-                                 % len(parts), lineno)
-            try:
-                delta = int(parts[0])
-            except ValueError:
-                raise ParseError("bad cycle delta %r" % parts[0], lineno)
-            if delta < 0:
-                raise ParseError("negative cycle delta", lineno)
-            sigs = set()
-            if parts[1]:
-                for tok in parts[1].split("|"):
-                    tok = tok.strip()
-                    if tok.isdigit():
-                        sigs.add(int(tok))
-                    elif tok in names:
-                        sigs.add(names[tok])
-                    else:
-                        raise ParseError("unknown signal %r" % tok, lineno)
-            if not sigs:
-                raise ParseError("record has no signals", lineno)
-            mode = F.USER
-            if len(parts) == 3:
-                if parts[2] not in (F.USER, F.KERNEL):
-                    raise ParseError("bad mode %r" % parts[2], lineno)
-                mode = parts[2]
-            records.append((delta, frozenset(sigs), mode))
-    return TraceReplay(records=tuple(records))
+            if rec[2] != F.USER and rec[2] != F.KERNEL:
+                raise ValueError("record %d %r has mode %r, not %r or %r"
+                                 % (i, rec, rec[2], F.USER, F.KERNEL))
+        if min(frozenset().union(*(rec[1] for rec in records)),
+               default=0) < 0:
+            i, rec = next((i, rec) for i, rec in enumerate(records)
+                          if min(rec[1], default=0) < 0)
+            raise ValueError("record %d %r has a negative signal" % (i, rec))
 
 
 @dataclass(frozen=True)
@@ -253,6 +215,8 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class CoreStats:
+    """Per-core statistics counters; `CoreState` keeps each one, by the
+    same name, as a running count."""
     issued_lines: int
     completed_lines: int
     kernel_lines: int           # handler-caused traffic, part of the above
@@ -263,6 +227,10 @@ class CoreStats:
     irq_count: int
     handler_cycles: int
     idle_cycles: int
+
+
+_STATS = tuple(f.name for f in fields(CoreStats))
+_stats_of = attrgetter(*_STATS)
 
 
 @dataclass(frozen=True)
@@ -492,7 +460,7 @@ class CoreState:
 
     __slots__ = (
         "model", "workload", "reg",
-        # memory queues: FIFOs of ready/enqueue cycles
+        # memory queues: FIFOs of the cycles their requests become ready
         "reads", "wb",
         # workload cursor
         "op", "ipc", "ipc_acc", "phase", "lines_left", "idle_until",
@@ -501,11 +469,7 @@ class CoreState:
         "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
         # pulse masks
         "refill_mask", "wbk_mask", "tap_mask",
-        # stats
-        "issued_lines", "completed_lines", "kernel_lines", "pmc_events",
-        "tap_events", "throttled_cycles", "throttle_entries", "irq_count",
-        "handler_cycles", "idle_cycles",
-    )
+    ) + _STATS
 
     def __init__(self, spec: CoreSpec):
         m = spec.model
@@ -576,16 +540,8 @@ class CoreState:
         else:
             raise ValueError("unknown regulator %r" % (reg,))
 
-        self.issued_lines = 0
-        self.completed_lines = 0
-        self.kernel_lines = 0
-        self.pmc_events = 0
-        self.tap_events = 0
-        self.throttled_cycles = 0
-        self.throttle_entries = 0
-        self.irq_count = 0
-        self.handler_cycles = 0
-        self.idle_cycles = 0
+        for name in _STATS:
+            setattr(self, name, 0)
 
     # -- memory controller interface --------------------------------------
 
@@ -596,10 +552,10 @@ class CoreState:
         if granted:
             # a later grant round of the same cycle: count the ready ones
             # (both FIFOs are in ready order)
-            return bisect_right(r, cycle) + bisect_left(w, cycle) > granted
+            return bisect_right(r, cycle) + bisect_right(w, cycle) > granted
         if r and r[0] <= cycle:
             return True
-        return bool(w) and w[0] < cycle
+        return bool(w) and w[0] <= cycle
 
     def serve_one(self, cycle):
         """Retire one granted line; returns the pulse mask it emits now."""
@@ -731,13 +687,13 @@ def _core_cycle(st: CoreState, cycle, grants):
                 if op == OP_WRITE:
                     if len(wbq) >= m.write_buffer_depth:
                         break
-                    wbq.append(cycle)
+                    wbq.append(cycle + 1)   # ready once it is buffered
                 elif op == OP_MODIFY:
                     if (len(reads) >= m.read_outstanding
                             or len(wbq) >= m.write_buffer_depth):
                         break
                     reads.append(cycle + m.mem_latency_cycles)
-                    wbq.append(cycle)
+                    wbq.append(cycle + 1)
                     pm |= st.refill_mask
                 else:                   # read / prefetch
                     if len(reads) >= m.read_outstanding:
@@ -832,9 +788,9 @@ def _quiet_span(cores, cycle, limit, acc, bw_fp):
         r = st.reads
         if r and r[0] < ready:
             ready = r[0]
-        w = st.wb                       # a write-back is ready a cycle on
-        if w and w[0] + 1 < ready:
-            ready = w[0] + 1
+        w = st.wb
+        if w and w[0] < ready:
+            ready = w[0]
     if ready < cycle + span:
         # cycles until the accumulator holds a whole line
         need = _FP_ONE - bw_fp - acc
@@ -986,18 +942,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         windows[i].append(win_lines[i])
         wevents[i].append(cores[i].pmc_events - ev_snap[i])
 
-    stats = tuple(
-        CoreStats(issued_lines=st.issued_lines,
-                  completed_lines=st.completed_lines,
-                  kernel_lines=st.kernel_lines,
-                  pmc_events=st.pmc_events,
-                  tap_events=st.tap_events,
-                  throttled_cycles=st.throttled_cycles,
-                  throttle_entries=st.throttle_entries,
-                  irq_count=st.irq_count,
-                  handler_cycles=st.handler_cycles,
-                  idle_cycles=st.idle_cycles)
-        for st in cores)
+    stats = tuple(CoreStats(*_stats_of(st)) for st in cores)
     return SystemTrace(duration_cycles=duration,
                        window_cycles=window,
                        windows=tuple(tuple(w) for w in windows),

@@ -107,9 +107,9 @@ def _event_tap(spec: RegulatorSpec, signals):
     if signals is None:
         signals = model_for(spec.core_type, spec.model_variant).signals
     sigs = frozenset(signals)
-    if not (1 <= len(sigs) <= 4):
-        raise RangeError("need 1..4 PMU signals on the event tap, got %d"
-                         % len(sigs))
+    if not (1 <= len(sigs) <= F.NUM_INPUTS):
+        raise RangeError("need 1..%d PMU signals on the event tap, got %d"
+                         % (F.NUM_INPUTS, len(sigs)))
     return (F.ExternalInputSelector(sigs),)
 
 
@@ -141,7 +141,7 @@ def build_pr_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
         F.ResourceSelectorConfig(F.EXTERNAL_INPUTS, frozenset({0})),
         F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({0})),
         F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({1})),
-        F.ResourceSelectorConfig(F.SEQUENCER_STATE, frozenset({3})),
+        F.ResourceSelectorConfig(F.SEQUENCER_STATE, spec.throttle_states),
     )
     if spec.design == PR_STOP:
         # accounting stops while throttled: events only count in state 0
@@ -246,7 +246,7 @@ def build_pr_user_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
         F.ResourceSelectorConfig(F.ADDRESS_RANGE, frozenset({0})),
         F.ResourceSelectorConfig(F.ADDRESS_RANGE, frozenset({0}), invert=True),
         F.ResourceSelectorConfig(F.SEQUENCER_STATE, frozenset({1, 2})),
-        F.ResourceSelectorConfig(F.SEQUENCER_STATE, frozenset({2, 3})),
+        F.ResourceSelectorConfig(F.SEQUENCER_STATE, spec.throttle_states),
         F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({1}),
                                  paired_with=(8, "and")),
     )

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import etmreg.accounting as A
+import etmreg.fabric as F
 
 
 # =========================================================================
@@ -43,7 +44,7 @@ def test_a57_aliases_a72_events_on_different_inputs():
 ])
 def test_realizable_models_signal_counts(core, variant, nsignals, scale):
     m = A.model_for(core, variant)
-    assert len(m.signals) == nsignals <= A.MAX_FABRIC_INPUTS
+    assert len(m.signals) == nsignals <= F.NUM_INPUTS
     assert m.budget_scale == scale
 
 

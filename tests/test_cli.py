@@ -225,8 +225,10 @@ def test_sweep_csv_override_and_stdout(tmp_path, capsys):
     cfg = sweep_cfg(tmp_path)
     assert C.main(["sweep", cfg]) == 0
     out = capsys.readouterr().out
-    header = ",".join(name for name, _ in H._ROW_FIELDS)
-    assert out.splitlines()[0] == header
+    assert out.splitlines()[0] == (
+        "target_mbps,achieved_mbps,op_type,regulator,period_us,"
+        "throttle_fraction,irqs_per_ms,max_window_overshoot_events,"
+        "accounted_vs_actual_ratio")
     assert len(out.splitlines()) == 2
 
 

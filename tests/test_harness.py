@@ -239,6 +239,23 @@ def test_csv_shape(tmp_path):
         H.load_csv(path)
 
 
+@pytest.mark.parametrize("body,msg", [
+    ("100.0,98.5,read,pr,5.0,0.25,200.0,3,1.0,7", "line 3: 10 cells"),
+    ("100.0,98.5,read,pr,5.0,0.25,200.0,3", "line 3: 8 cells"),
+    ("100.0,abc,read,pr,5.0,0.25,200.0,3,1.0", "line 3: could not convert"),
+    (None, "unexpected CSV columns"),
+], ids=["extra cell", "short row", "bad cell", "empty file"])
+def test_load_csv_rejects_malformed_files(tmp_path, body, msg):
+    path = tmp_path / "bad.csv"
+    text = ""
+    if body is not None:
+        H.write_csv(ROWS[:1], path)
+        text = path.read_text() + body + "\n"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=msg):
+        H.load_csv(path)
+
+
 def test_outputs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     sa, sb = tmp_path / "a.svg", tmp_path / "b.svg"

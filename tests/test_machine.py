@@ -61,51 +61,6 @@ def prstop_write_350():
 
 
 # ---------------------------------------------------------------------------
-# trace file parsing
-# ---------------------------------------------------------------------------
-
-def test_load_trace_parses_records(tmp_path):
-    f = tmp_path / "t.csv"
-    f.write_text(
-        "# leading comment\n"
-        "0,REFILL\n"
-        "3,REFILL|WB   # same-cycle pulses\n"
-        "\n"
-        "2,22,kernel\n"
-        "1,REFILL|21,user\n")
-    tr = M.load_trace(f)
-    assert tr.records == (
-        (0, frozenset({21}), "user"),
-        (3, frozenset({21, 22}), "user"),
-        (2, frozenset({22}), "kernel"),
-        (1, frozenset({21}), "user"),
-    )
-
-
-@pytest.mark.parametrize("line,msg", [
-    ("5", "expected 2 or 3 fields"),
-    ("x,REFILL", "bad cycle delta"),
-    ("-1,REFILL", "negative cycle delta"),
-    ("1,BOGUS", "unknown signal"),
-    ("1,", "no signals"),
-    ("1,REFILL,hyp", "bad mode"),
-])
-def test_load_trace_rejects(tmp_path, line, msg):
-    f = tmp_path / "bad.csv"
-    f.write_text("0,WB\n%s\n" % line)
-    with pytest.raises(M.ParseError, match=msg) as ei:
-        M.load_trace(f)
-    assert ei.value.line == 2
-
-
-def test_load_trace_custom_signal_names(tmp_path):
-    f = tmp_path / "t.csv"
-    f.write_text("4,L2D_REFILL\n")
-    tr = M.load_trace(f, signal_names={"L2D_REFILL": 33})
-    assert tr.records == ((4, frozenset({33}), "user"),)
-
-
-# ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
 
@@ -583,6 +538,19 @@ def test_trace_replay_rejects_a_negative_delta():
     refill = frozenset({21})
     recs = [(5, refill, "user"), (-3, refill, "user"), (10, refill, "user")]
     with pytest.raises(ValueError, match=r"record 1 \(-3, .*negative"):
+        M.TraceReplay(records=recs)
+
+
+@pytest.mark.parametrize("rec,msg", [
+    # a misspelt mode used to replay silently as user mode
+    ((1, frozenset({21}), "Kernel"), "has mode 'Kernel'"),
+    ((1, frozenset({21}), "hyp"), "has mode 'hyp'"),
+    # a negative signal used to fail in run_system: "negative shift count"
+    ((2, frozenset({22, -1}), "user"), "has a negative signal"),
+], ids=["Kernel", "hyp", "negative signal"])
+def test_trace_replay_rejects_a_bad_record(rec, msg):
+    recs = [(1, frozenset({21}), "kernel"), rec]
+    with pytest.raises(ValueError, match=r"record 1 \(.*\) " + msg):
         M.TraceReplay(records=recs)
 
 

@@ -69,6 +69,18 @@ def test_throttle_state_sets():
     assert states == [1, 2, 3]
 
 
+@pytest.mark.parametrize("design", R.ETM_DESIGNS)
+def test_throttle_outputs_read_the_throttle_states(design):
+    s = spec(design)
+    cfg = R.build_config(s)
+    routed = [cfg.selectors[o.selector] for o in cfg.outputs
+              if F.THROTTLE_MASK >> o.output_index & 1]
+    assert routed
+    assert all(sel.source == F.SEQUENCER_STATE for sel in routed)
+    assert frozenset().union(*(sel.members for sel in routed)) \
+        == s.throttle_states
+
+
 def test_budget_and_period_ranges():
     with pytest.raises(R.RangeError, match="exceeds 16-bit counter"):
         R.build_pr_config(spec(R.PR, budget=70000))
