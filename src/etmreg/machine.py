@@ -29,25 +29,34 @@ the throttle level; its class attributes say how the core reacts to that
 level (the fabric and MemGuard raise an interrupt, MemGuard's handler
 sleeps instead of polling, MemPol halts issue from outside).
 
-Only event cycles are stepped.  The inert stretches between them
-(throttle stalls, idle phases, compute-bound spans, a saturating core
-waiting on the bus) are skipped in one hop.  A single rule,
-`_quiet_span`, decides how far: the hop ends at the window edge or at the
-first deadline that any component states.  The controller's is its next
-possible grant: the earliest ready queue head, once the accumulator holds
-a whole line.  Both queues hold the cycle each request becomes ready: a
-read's after the memory latency, a write-back's the cycle after it is
-buffered.  A core's deadlines are its interrupt phase end, trace record
-and idle end, and the first issue of a workload whose issue credit is
-still building up.  A core whose queue is full cannot issue before a
-grant, and a handler poll that finds the throttle level held only
-reschedules itself, so neither is a deadline.  Each regulator then bounds
-the span with its own answer: MemGuard its next timer refill, MemPol its
-next poll, and the fabric the stretch in which its counters only count
-down, found by probing one pulse-free cycle.  Each core then advances
-across the span, its issue credit and poll instant included.
-`run_system(cfg, use_hops=False)` steps every cycle; both paths must
-produce identical results.
+Each core keeps its own time, and a cycle steps only the cores that act
+in it: a core is stepped at its own event cycles and whenever the
+controller grants it a line.  The inert stretches between (throttle
+stalls, idle phases, compute-bound spans, a saturating core waiting on
+the bus) are skipped per core.  One rule, `_core_span`, says how far: to
+the first deadline the core or its regulator states.  A core's deadlines
+are its interrupt phase end, trace record and idle end, and the first
+issue of a workload whose issue credit is still building up.  A core
+whose queue is full cannot issue before a grant, and a handler poll that
+finds the throttle level held only reschedules itself, so neither is a
+deadline.  The regulator then bounds the span with its own answer:
+MemGuard its next timer refill, MemPol its next poll, and the fabric the
+stretch in which its counters only count down, found by probing one
+pulse-free cycle.  Before a lagging core steps, `_catch_up` advances it
+across the cycles it skipped, its issue credit and poll instant
+included, and at the end every core is caught up to the duration.
+
+The controller is the only thing that couples cores, and it reads only
+their queue heads, which change only at a cycle that core steps.  So the
+loop runs the controller at every cycle it visits and jumps to the
+earliest of: a core's next step, the controller's next possible grant
+(the earliest ready queue head, once the accumulator holds a whole
+line), the window edge and the duration.  Both queues hold the cycle each
+request becomes ready: a read's after the memory latency, a write-back's
+the cycle after it is buffered.  A window edge needs no core step, as a
+core's event count moves only at its stepped cycles.
+`run_system(cfg, use_hops=False)` steps every core at every cycle in the
+same loop; both must produce identical results.
 """
 
 from bisect import bisect_right
@@ -192,7 +201,7 @@ class SystemConfig:
     cores: tuple
     shared_mem_bandwidth: float     # cachelines per cycle at the controller
     duration_cycles: int
-    window_cycles: int = 0          # 0 -> one millisecond at core 0's clock
+    window_cycles: int = 0          # 0 -> one millisecond of core clock
 
     def __post_init__(self):
         object.__setattr__(self, "cores", tuple(self.cores))
@@ -207,6 +216,12 @@ class SystemConfig:
         if self.window_cycles < 0:
             raise ValueError("window_cycles must be >= 0 (0 is one "
                              "millisecond), got %r" % (self.window_cycles,))
+        # the run steps one cycle domain: the window, the bandwidth and
+        # every delay are counted in it
+        freqs = sorted({c.model.freq_mhz for c in self.cores})
+        if len(freqs) > 1:
+            raise ValueError("cores run at %s MHz; a system runs on one "
+                             "core clock" % " and ".join(map(str, freqs)))
 
 
 # =========================================================================
@@ -299,7 +314,11 @@ class _Unregulated:
         return _BIG
 
     def advance(self, span):
-        """Skip `span` quiet cycles, as allowed by `quiet_span`."""
+        """Skip `span` quiet cycles from the cycle of the last
+        `quiet_span` call, at most as many as it allowed.  It may run long
+        after that call, when the core next steps: what the call found
+        (the fabric's counter slopes) holds for any span up to the
+        probed one."""
 
 
 class _Fabric(_Unregulated):
@@ -463,8 +482,8 @@ class CoreState:
         # memory queues: FIFOs of the cycles their requests become ready
         "reads", "wb",
         # workload cursor
-        "op", "ipc", "ipc_acc", "phase", "lines_left", "idle_until",
-        "wfi_idle", "trace_recs", "trace_pos", "trace_next",
+        "op", "ipc", "ipc_acc", "issue_at", "phase", "lines_left",
+        "idle_until", "wfi_idle", "trace_recs", "trace_pos", "trace_next",
         # interrupt machine
         "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
         # pulse masks
@@ -482,6 +501,7 @@ class CoreState:
 
         w = spec.workload
         self.ipc_acc = 0.0
+        self.issue_at = 0           # a lower bound on the next issue cycle
         self.phase = 0
         self.idle_until = 0
         self.wfi_idle = False
@@ -741,88 +761,99 @@ def _issues(st: CoreState, cycle):
             and st.idle_until <= cycle and st.lines_left > 0 and st.ipc > 0)
 
 
-def _quiet_span(cores, cycle, limit, acc, bw_fp):
-    """How many cycles from `cycle`, at most `limit`, every core can skip
-    in one hop: no core emits a pulse, changes a queue or reaches a
-    deadline in them.  Below 2 the run steps the next cycle instead.
+def _core_span(st: CoreState, cycle, limit):
+    """How many cycles from `cycle`, at most `limit`, core `st` can skip
+    in one hop unless the controller grants it a line: it emits no pulse,
+    changes no queue and reaches no deadline in them.  Below 2 it steps
+    the next cycle instead.
 
-    `acc` is the controller's 32.32 accumulator at the start of `cycle`
-    and `bw_fp` its gain per cycle.  The deadlines are: the controller's
-    next possible grant (a ready queue head and a whole line in `acc`);
-    each core's interrupt phase end, trace record and idle end; the first
-    issue of a workload whose issue credit is still building up; and each
-    regulator's own `quiet_span`.  A core whose queue is full cannot issue
-    until a grant frees the queue, and a handler poll that sees the
-    throttle level held only reschedules itself: the hop advances both
-    without a deadline."""
-    span = limit
-    ready = _BIG
-    for st in cores:
-        reg = st.reg
-        phase = st.irq_phase
-        req = st.prev_throttle
-        if phase == _IRQ_NONE:
-            if req and reg.irq_on_throttle:
-                return 0                # interrupt about to be raised
-        elif phase == _IRQ_WAIT and reg.sleeps and not req:
-            return 0                    # handler about to wake up
-        d = st.irq_at if phase != _IRQ_WAIT or not req else _BIG
-        if st.trace_next < d:
-            d = st.trace_next
-        if phase >= _IRQ_ENTRY:
-            if (st.kernel_pending
-                    and len(st.reads) < st.model.read_outstanding):
-                return 0                # the handler issues a kernel line
-        elif not (req and reg.halts):
-            if st.idle_until > cycle:
-                if st.idle_until < d:
-                    d = st.idle_until
-            elif st.lines_left == 0:
-                return 0                # a spent burst phase moves on
-            elif st.ipc > 0 and st.ipc_acc >= 1.0 and not _queue_full(st):
-                return 0                # the workload issues
-        if d - cycle < span:
-            span = d - cycle
-            if span < 2:
-                return 0
-        r = st.reads
-        if r and r[0] < ready:
-            ready = r[0]
-        w = st.wb
-        if w and w[0] < ready:
-            ready = w[0]
-    if ready < cycle + span:
-        # cycles until the accumulator holds a whole line
-        need = _FP_ONE - bw_fp - acc
-        if need > 0:
-            g = cycle - (-need // bw_fp)
-            if ready < g:
-                ready = g
-        if ready - cycle < span:
-            span = ready - cycle
-            if span < 2:
-                return 0
-    # only now ask the regulators, as the fabric's answer costs a step
-    for st in cores:
-        q = st.reg.quiet_span(st, cycle)
-        if q < span:
-            span = q
-            if span < 2:
-                return 0
-    # last, the credit build-up, whose count costs one addition a cycle
-    for st in cores:
-        if (st.ipc_acc < 1.0 and _issues(st, cycle)
-                and not _queue_full(st)):
+    The deadlines are the interrupt phase end, the trace record and the
+    idle end; the regulator's own `quiet_span`; and the first issue of a
+    workload whose issue credit is still building up.  A core whose queue
+    is full cannot issue until a grant frees the queue, and a handler poll
+    that sees the throttle level held only reschedules itself: the
+    catch-up in `_catch_up` advances both without a deadline."""
+    reg = st.reg
+    phase = st.irq_phase
+    req = st.prev_throttle
+    if phase == _IRQ_NONE:
+        if req and reg.irq_on_throttle:
+            return 0                    # interrupt about to be raised
+    elif phase == _IRQ_WAIT and reg.sleeps and not req:
+        return 0                        # handler about to wake up
+    d = st.irq_at if phase != _IRQ_WAIT or not req else _BIG
+    if st.trace_next < d:
+        d = st.trace_next
+    if phase >= _IRQ_ENTRY:
+        if st.kernel_pending and len(st.reads) < st.model.read_outstanding:
+            return 0                    # the handler issues a kernel line
+    elif not (req and reg.halts):
+        if st.idle_until > cycle:
+            if st.idle_until < d:
+                d = st.idle_until
+        elif st.lines_left == 0:
+            return 0                    # a spent burst phase moves on
+        elif st.ipc > 0 and st.ipc_acc >= 1.0 and not _queue_full(st):
+            return 0                    # the workload issues
+    span = d - cycle if d - cycle < limit else limit
+    if span < 2:
+        return 0
+    # only now ask the regulator, as the fabric's answer costs a step
+    q = reg.quiet_span(st, cycle)
+    if q < span:
+        if q < 2:
+            return 0
+        span = q
+    # last, the credit build-up, whose count costs one addition a cycle.
+    # The credit grows by the same addition in every cycle it grows at
+    # all and otherwise only falls, so an issue cycle counted before bounds
+    # the next issue from below: a core woken by a grant does not count
+    # the stretch again
+    if st.ipc_acc < 1.0 and _issues(st, cycle) and not _queue_full(st):
+        j = st.issue_at - cycle
+        if j <= 0:
             a = st.ipc_acc
             ipc = st.ipc
             for j in range(span):
                 a += ipc
                 if a >= 1.0:
-                    if j < 2:
-                        return 0
-                    span = j
+                    st.issue_at = cycle + j
                     break
+            else:
+                return span
+        if j < span:
+            return j if j >= 2 else 0
     return span
+
+
+def _catch_up(st: CoreState, start, end):
+    """Advance core `st` from `start` to `end` across cycles that
+    `_core_span` found quiet at `start`: its cycle counts, its issue
+    credit, its held-level poll instant and its regulator."""
+    span = end - start
+    if st.prev_throttle:
+        st.throttled_cycles += span
+    if st.irq_phase >= _IRQ_ENTRY:
+        st.handler_cycles += span
+        if st.irq_at < end:
+            # held-level polls: on to the first one at or after end
+            p = st.model.handler_poll_cycles
+            st.irq_at += -(-(end - st.irq_at) // p) * p
+    elif st.idle_until > start and not (st.prev_throttle and st.reg.halts):
+        st.idle_cycles += span
+    elif _issues(st, start):
+        # the issue credit builds up as in each stepped cycle; only a core
+        # stalled on a full queue reaches its clamp
+        ipc = st.ipc
+        lim = ipc if ipc > 1.0 else 1.0
+        a = st.ipc_acc
+        for _ in range(span):
+            a += ipc
+            if a >= lim:
+                a = lim
+                break
+        st.ipc_acc = a
+    st.reg.advance(span)
 
 
 # =========================================================================
@@ -850,6 +881,8 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     win_lines = [0] * n
     win_end = window
     grants = [0] * n
+    at = [0] * n        # the cycle each core's state is valid at
+    due = [0] * n       # the next cycle each core must step
 
     cycle = 0
     while cycle < duration:
@@ -888,54 +921,57 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         if acc > cap_fp:
             acc = cap_fp
 
-        # ---- 2+3. cores and their regulators ----
+        # ---- 2+3. the cores due now or granted a line, and their
+        # regulators; each core first catches up from its own time ----
+        nxt = win_end if win_end < duration else duration
+        ready = _BIG
         for i in range(n):
+            st = cores[i]
             g = grants[i]
-            if g:
-                grants[i] = 0
-                win_lines[i] += g
-            _core_cycle(cores[i], cycle, g)
+            d = due[i]
+            if g or d <= cycle:
+                if g:
+                    grants[i] = 0
+                    win_lines[i] += g
+                if at[i] < cycle:
+                    _catch_up(st, at[i], cycle)
+                _core_cycle(st, cycle, g)
+                d = cycle + 1
+                at[i] = d
+                if use_hops:
+                    d += _core_span(st, d, duration - d)
+                due[i] = d
+            if d < nxt:
+                nxt = d
+            r = st.reads
+            if r and r[0] < ready:
+                ready = r[0]
+            w = st.wb
+            if w and w[0] < ready:
+                ready = w[0]
 
+        # ---- 4. on to the next cycle that a core or the controller acts
+        # in: the controller's next possible grant is the earliest ready
+        # queue head, once the accumulator holds a whole line ----
         cycle += 1
+        if nxt > cycle and ready < nxt:
+            line_at = cycle
+            need = _FP_ONE - bw_fp - acc
+            if need > 0:
+                line_at -= -need // bw_fp
+            if ready < line_at:
+                ready = line_at
+            if ready < nxt:
+                nxt = ready
+        if nxt > cycle:
+            acc += (nxt - cycle) * bw_fp
+            if acc > cap_fp:
+                acc = cap_fp
+            cycle = nxt
 
-        # ---- 4. hop across provably quiet stretches ----
-        if not use_hops or cycle >= duration:
-            continue
-        span = _quiet_span(cores, cycle,
-                           (win_end if win_end < duration else duration)
-                           - cycle, acc, bw_fp)
-        if span < 2:
-            continue
-        end = cycle + span
-        for st in cores:
-            if st.prev_throttle:
-                st.throttled_cycles += span
-            if st.irq_phase >= _IRQ_ENTRY:
-                st.handler_cycles += span
-                if st.irq_at < end:
-                    # held-level polls: on to the first one at or after end
-                    p = st.model.handler_poll_cycles
-                    st.irq_at += -(-(end - st.irq_at) // p) * p
-            elif st.idle_until > cycle \
-                    and not (st.prev_throttle and st.reg.halts):
-                st.idle_cycles += span
-            elif _issues(st, cycle):
-                # the issue credit builds up as in each stepped cycle; only
-                # a core stalled on a full queue reaches its clamp
-                ipc = st.ipc
-                lim = ipc if ipc > 1.0 else 1.0
-                a = st.ipc_acc
-                for _ in range(span):
-                    a += ipc
-                    if a >= lim:
-                        a = lim
-                        break
-                st.ipc_acc = a
-            st.reg.advance(span)
-        cycle = end
-        acc += span * bw_fp
-        if acc > cap_fp:
-            acc = cap_fp
+    for i in range(n):
+        if at[i] < duration:
+            _catch_up(cores[i], at[i], duration)
 
     # close the final (full or partial) window
     for i in range(n):

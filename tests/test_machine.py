@@ -1,5 +1,6 @@
 """Tests for the cycle-stepped core/memory machine and its fast path."""
 
+import dataclasses
 import random
 
 import pytest
@@ -120,6 +121,16 @@ def test_system_config_validation():
                        duration_cycles=0)
     with pytest.raises(ValueError, match="bandwidth"):
         M.SystemConfig(cores=(core,), shared_mem_bandwidth=0.0,
+                       duration_cycles=100)
+
+
+def test_mixed_core_clocks_are_rejected():
+    # the run steps one clock, so an A55 at 1120 MHz beside an A76 at
+    # 1200 MHz would be misread in the A76's cycles
+    cores = tuple(M.CoreSpec(H.preset(b).model, M.Synthetic(op="read"))
+                  for b in ("rk3588-a76", "rk3588-a55"))
+    with pytest.raises(ValueError, match="1120 and 1200 MHz"):
+        M.SystemConfig(cores=cores, shared_mem_bandwidth=0.1,
                        duration_cycles=100)
 
 
@@ -266,15 +277,19 @@ def _core_state(st, grants):
             st.handler_cycles, st.idle_cycles, getattr(st.reg, "state", None))
 
 
-def _run_recording(monkeypatch, sc, use_hops, cycles=None):
-    """Run `sc`; return its trace and, per stepped cycle (all of them, or
-    those in `cycles`), each core's state on entry and its grants."""
+def _run_recording(monkeypatch, sc, use_hops, steps=None):
+    """Run `sc`; return its trace and, per stepped (cycle, core index) (all
+    of them, or those in `steps`), the core's state on entry and its
+    grants."""
     seen = {}
+    index = {}
     core_cycle = M._core_cycle
 
     def recording(st, cycle, grants):
-        if cycles is None or cycle in cycles:
-            seen.setdefault(cycle, []).append(_core_state(st, grants))
+        # every core steps at cycle 0, in order, which numbers the cores
+        i = index.setdefault(id(st), len(index))
+        if steps is None or (cycle, i) in steps:
+            seen[cycle, i] = _core_state(st, grants)
         core_cycle(st, cycle, grants)
 
     with monkeypatch.context() as mp:
@@ -284,8 +299,8 @@ def _run_recording(monkeypatch, sc, use_hops, cycles=None):
 
 @pytest.mark.parametrize("name", sorted(_DIFF))
 def test_hop_fast_path_is_exact(monkeypatch, name):
-    # the results match, and every cycle the hop run steps starts from the
-    # state and grants the per-cycle run has there
+    # the results match, and each core the hop run steps starts that cycle
+    # from the state and grants the per-cycle run has there
     sc = _DIFF[name]
     hopped, at_steps = _run_recording(monkeypatch, sc, True)
     stepped, states = _run_recording(monkeypatch, sc, False, set(at_steps))
@@ -327,22 +342,25 @@ def _random_regulator(rng):
                                           rng.randint(300, 8000)))
 
 
+def _random_core(rng):
+    model = M.CoreModelConfig(
+        irq_latency_cycles=rng.choice((0, 1, 5, 81, 300)),
+        read_outstanding=rng.randint(1, 10),
+        write_buffer_depth=rng.randint(1, 24),
+        mem_latency_cycles=rng.choice((0, 1, 3, 40, 120)),
+        handler_entry_cycles=rng.choice((0, 1, 30)),
+        handler_poll_cycles=rng.choice((1, 2, 20)),
+        handler_exit_cycles=rng.choice((0, 1, 20)),
+        handler_kernel_events=rng.randint(0, 3))
+    return M.CoreSpec(model, _random_workload(rng), _random_regulator(rng))
+
+
+_RATES = (0.01, 0.05, 0.2, 0.5, 1.0, 2.0)
+
+
 def _random_system(rng):
-    cores = []
-    for _ in range(rng.randint(1, 3)):
-        model = M.CoreModelConfig(
-            irq_latency_cycles=rng.choice((0, 1, 5, 81, 300)),
-            read_outstanding=rng.randint(1, 10),
-            write_buffer_depth=rng.randint(1, 24),
-            mem_latency_cycles=rng.choice((0, 1, 3, 40, 120)),
-            handler_entry_cycles=rng.choice((0, 1, 30)),
-            handler_poll_cycles=rng.choice((1, 2, 20)),
-            handler_exit_cycles=rng.choice((0, 1, 20)),
-            handler_kernel_events=rng.randint(0, 3))
-        cores.append(M.CoreSpec(model, _random_workload(rng),
-                                _random_regulator(rng)))
-    rate = rng.choice((0.01, 0.05, 0.2, 0.5, 1.0, 2.0,
-                       rng.uniform(0.005, 2.0)))
+    cores = [_random_core(rng) for _ in range(rng.randint(1, 3))]
+    rate = rng.choice(_RATES + (rng.uniform(0.005, 2.0),))
     # now and then a longer run, so busy queues hop many times
     longest = rng.choice((40_000,) * 7 + (120_000,))
     return M.SystemConfig(cores=tuple(cores), shared_mem_bandwidth=rate,
@@ -355,6 +373,19 @@ def test_random_systems_hop_exactly():
     rng = random.Random(1)
     for case in range(100):
         sc = _random_system(rng)
+        assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
+            "case %d: %r" % (case, sc)
+
+
+def test_many_lagging_cores_hop_exactly():
+    # the controller arbitrates among many cores, each on its own time
+    rng = random.Random(2)
+    for case in range(20):
+        sc = M.SystemConfig(
+            cores=tuple(_random_core(rng) for _ in range(rng.randint(4, 8))),
+            shared_mem_bandwidth=2.0 if case % 4 == 0 else rng.choice(
+                _RATES + (rng.uniform(0.005, 2.0),)),
+            duration_cycles=rng.randint(2000, 20_000))
         assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
             "case %d: %r" % (case, sc)
 
@@ -385,6 +416,27 @@ def test_saturating_runs_step_a_tenth_of_their_cycles(monkeypatch, board,
     _, stepped = _run_recording(monkeypatch, sc, True)
     assert sc.duration_cycles == 120_000
     assert len(stepped) * 10 <= _STEPPED_BEFORE[board, design, target, op]
+
+
+# core-steps of 0.1 ms saturating `pr`@350 read systems on zcu102 while a
+# hop still had to suit every core at once: cores -> (core-steps, the
+# fraction of them still allowed)
+_CORE_STEPS_BEFORE = {1: (821, 1, 1), 2: (3_130, 3, 5), 4: (6_508, 1, 3),
+                      8: (12_856, 1, 5)}
+
+
+@pytest.mark.parametrize("n", sorted(_CORE_STEPS_BEFORE))
+def test_idle_neighbours_do_not_step(monkeypatch, n):
+    # each core steps only at its own events and grants; the count repeats
+    # exactly, so it guards the gain against host noise
+    b = H.preset("zcu102")
+    sc = H.point_system(b, H.regulator_for(R.PR, b, 350.0, 5.0),
+                        M.OP_READ, 0.1)
+    sc = dataclasses.replace(sc, cores=sc.cores * n)
+    _, steps = _run_recording(monkeypatch, sc, True)
+    before, num, den = _CORE_STEPS_BEFORE[n]
+    assert sc.duration_cycles == 120_000
+    assert len(steps) * den <= before * num
 
 
 # ---------------------------------------------------------------------------
