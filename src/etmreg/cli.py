@@ -112,13 +112,13 @@ def cmd_simulate(args):
             "target_mbps": args.target, "op": args.op,
             "duration_cycles": trace.duration_cycles,
             "achieved_mbps": achieved,
-            "completed_lines": st.completed_lines,
+            "bus_lines": st.completed_lines,
             "pmc_events": st.pmc_events,
             "throttled_cycles": st.throttled_cycles,
             "throttle_entries": st.throttle_entries,
             "irq_count": st.irq_count,
             "handler_cycles": st.handler_cycles,
-            "windows_lines": list(trace.windows[0]),
+            "window_bus_lines": list(trace.windows[0]),
             "window_cycles": trace.window_cycles,
         }
         _write_out(json.dumps(out, indent=2) + "\n", args.out)
@@ -129,7 +129,7 @@ def cmd_simulate(args):
         "simulated %d cycles (%.3f ms at %d MHz)" % (
             trace.duration_cycles,
             trace.duration_cycles / board.freq_mhz / 1000, board.freq_mhz),
-        "achieved %.1f MB/s (%d lines, %d monitored events)" % (
+        "achieved %.1f MB/s (%d program lines, %d monitored events)" % (
             achieved, H.program_lines(st, args.op), st.pmc_events),
         "throttled %.1f%% of cycles, %d throttle entries, %d irqs" % (
             100 * st.throttled_cycles / trace.duration_cycles,
@@ -141,7 +141,8 @@ def cmd_simulate(args):
     mb = [lines * M.CACHELINE * board.freq_mhz
           / min(w, trace.duration_cycles - k * w)
           for k, lines in enumerate(trace.windows[0])]
-    lines.append("per-window MB/s: " + " ".join("%.0f" % v for v in mb))
+    lines.append("per-window bus MB/s: "
+                 + " ".join("%.0f" % v for v in mb))
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -324,16 +324,15 @@ class _Unregulated:
 class _Fabric(_Unregulated):
     """The trace-unit fabric; its throttle outputs raise an interrupt on
     the core, whose handler polls the level."""
-    __slots__ = ("step", "idle_out", "throttle_mask", "chained", "cm_user",
-                 "cm_kernel", "state", "out", "d0", "d1", "period_pmc",
-                 "period_tap", "period_throttled", "periods")
+    __slots__ = ("step", "idle_out", "chained", "cm_user", "cm_kernel",
+                 "state", "out", "d0", "d1", "pmc_mark", "tap_mark",
+                 "period_throttled", "periods")
     irq_on_throttle = True
 
     def __init__(self, cfg, st):
         cf = F.compile_fabric(cfg)
         self.step = cf.step
         self.idle_out = cf.idle_out
-        self.throttle_mask = F.THROTTLE_MASK
         self.chained = any(c.chained for c in cfg.counters)
         # the core fetches from one user and one kernel address
         self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)
@@ -341,8 +340,8 @@ class _Fabric(_Unregulated):
         self.state = cf.reset_tuple()
         self.out = 0
         self.d0 = self.d1 = 0           # counter slopes found by quiet_span
-        self.period_pmc = 0
-        self.period_tap = 0
+        # the core's event counts at the last period boundary
+        self.pmc_mark = self.tap_mark = 0
         self.period_throttled = False
         self.periods = []
         sigs = set()
@@ -351,9 +350,6 @@ class _Fabric(_Unregulated):
         st.tap_mask = F._signal_mask(sigs)
 
     def observe(self, st, cycle, pm, hits, kernel, wfi):
-        if hits:
-            self.period_pmc += hits
-            self.period_tap += 1
         s = self.state
         if wfi:
             out = self.idle_out(s[2], s[3], s[4])
@@ -365,12 +361,13 @@ class _Fabric(_Unregulated):
             out = cur[7]
             if cur[6]:                  # period boundary: close the record
                 self.periods.append(PeriodRecord(
-                    self.period_pmc, self.period_tap, self.period_throttled))
-                self.period_pmc = 0
-                self.period_tap = 0
+                    st.pmc_events - self.pmc_mark,
+                    st.tap_events - self.tap_mark, self.period_throttled))
+                self.pmc_mark = st.pmc_events
+                self.tap_mark = st.tap_events
                 self.period_throttled = False
         self.out = out
-        if out & self.throttle_mask:
+        if out & F.THROTTLE_MASK:
             self.period_throttled = True
             return True
         return False

@@ -290,7 +290,7 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
                                             ("select", 0)], "unused")
 
     # a chained counter 0 keeps its high half in counter 1's value registers
-    values = F.reset_fabric(config).counter_values
+    values = F.reset_fabric(config)[:2]
     chained = any(c.chained for c in config.counters)
     for n in range(F.NUM_COUNTERS):
         c = config.counter(n) or _DISABLED_COUNTER
@@ -437,6 +437,13 @@ def _lift_event(fields, prefix):
                        invert_b=bool(fields.get(prefix + "_inv_b", 0)))
 
 
+def _need(w, fields, name):
+    """The value of field `name` that lifting write `w` requires."""
+    if name not in fields:
+        raise MalformedProgram("%s lacks its %s field" % (w.register, name))
+    return fields[name]
+
+
 def lift(prog: RegisterProgram) -> F.EtmConfig:
     """Reconstruct the fabric config a well-phased program realizes."""
     _check_phasing(prog)
@@ -460,7 +467,7 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
                 if sigs:
                     taps[t] = frozenset(sigs)
         elif base == "TRCRSCTLR":
-            src = _SOURCE_OF_GROUP[fields["group"]]
+            src = _SOURCE_OF_GROUP[_need(w, fields, "group")]
             pair = None
             if "pair" in fields:
                 pair = (fields["pair"], fields.get("pairop", "and"))
@@ -468,9 +475,9 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
                 src, _unmask(fields.get("select", 0)),
                 invert=bool(fields.get("invert", 0)), paired_with=pair)
         elif base == "TRCCNTRLDVR":
-            cnt.setdefault(idx, {})["reload"] = fields["value"]
+            cnt.setdefault(idx, {})["reload"] = _need(w, fields, "value")
         elif base == "TRCCNTVR":
-            cnt.setdefault(idx, {})["start"] = fields["value"]
+            cnt.setdefault(idx, {})["start"] = _need(w, fields, "value")
         elif base == "TRCCNTCTLR":
             d = cnt.setdefault(idx, {})
             d["input"] = _lift_event(fields, "in")
@@ -486,7 +493,7 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
             if fields.get("state", 0) != 0:
                 raise MalformedProgram("sequencer must start in state 0")
         elif base == "TRCACVR":
-            acvr[idx] = fields["addr"]
+            acvr[idx] = _need(w, fields, "addr")
         elif base == "TRCACATR":
             acatr[idx] = fields
         elif base == "TRCEVENTCTL0R":

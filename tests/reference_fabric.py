@@ -233,9 +233,7 @@ def reference_step(config, state, pulses, cmp_hits, idle):
 
 def run_reference(config, stream):
     """Full trajectory under the reference interpreter."""
-    st = F.reset_fabric(config)
-    state = (st.counter_values[0], st.counter_values[1], st.sequencer_state,
-             False, False, False, False, 0)
+    state = F.reset_fabric(config) + (False, False, 0)
     traj = []
     for pulses, cmp_hits, idle in stream:
         state = reference_step(config, state, pulses, cmp_hits, idle)

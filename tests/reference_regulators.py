@@ -1,4 +1,4 @@
-"""Independent token-bucket oracle and small fabric-driving helpers."""
+"""Independent token-bucket oracle and a small fabric driver."""
 
 import etmreg.fabric as F
 
@@ -40,35 +40,29 @@ class TokenBucket:
                 self.period - self.cycles)
 
 
-def drive(config, inputs_seq, throttle_mask=0b1110):
-    """Run the public stepper; returns per-cycle (state, outputs, throttled)."""
-    st = F.reset_fabric(config)
-    log = []
-    for ci in inputs_seq:
-        st, out = F.step_fabric(config, st, ci)
-        throttled = any(out.output_levels[i] for i in range(4)
-                        if throttle_mask >> i & 1)
-        log.append((st, out, throttled))
-    return log
+# fields of a step result
+CV0, CV1, SEQ, Z0, Z1, FIRED0, FIRED1, OUT = range(8)
 
 
-def event_cycle(signal=21):
-    return F.CycleInputs(active_signals=frozenset({signal}))
+def drive(config, cycles, fetches=None):
+    """Step the compiled fabric from reset over `cycles`, each the PMU
+    signals pulsing in it, or None for a cycle in which the core is idle.
+    `fetches`, if given, holds each cycle's instruction fetch as (address,
+    user mode), or None.  Returns each cycle's step result:
+    (cv0, cv1, seq, z0, z1, fired0, fired1, out_mask)."""
+    cf = F.compile_fabric(config)
+    s = cf.reset_tuple()
+    rows = []
+    for i, signals in enumerate(cycles):
+        if signals is None:
+            rows.append(s + (False, False, cf.idle_out(s[2], s[3], s[4])))
+            continue
+        cm = cf.cmp_mask(*fetches[i]) if fetches and fetches[i] else 0
+        r = cf.step(*s, F._signal_mask(signals), cm)
+        rows.append(r)
+        s = r[:5]
+    return rows
 
 
-def quiet_cycle():
-    return F.CycleInputs()
-
-
-def user_cycle(event=False, addr=0x1000):
-    """A cycle executing user code (fetch in user space), optionally with an
-    accounting event pulse."""
-    sigs = frozenset({21}) if event else frozenset()
-    return F.CycleInputs(active_signals=sigs, instruction_fetch_addr=addr,
-                         exec_mode=F.USER)
-
-
-def kernel_cycle(event=False, addr=(1 << 60)):
-    sigs = frozenset({21}) if event else frozenset()
-    return F.CycleInputs(active_signals=sigs, instruction_fetch_addr=addr,
-                         exec_mode=F.KERNEL)
+def throttled(row):
+    return bool(row[OUT] & F.THROTTLE_MASK)

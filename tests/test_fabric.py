@@ -18,26 +18,12 @@ from reference_fabric import (
     run_reference,
     stream_palette,
 )
+from reference_regulators import CV0, FIRED0, OUT, SEQ, Z0, drive
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def quiet(n):
-    """n cycles with no pulses, no fetches."""
-    return [F.CycleInputs()] * n
-
-
-def run(config, inputs_seq):
-    """Step the public API, returning the (state, outputs) trajectory."""
-    st = F.reset_fabric(config)
-    traj = []
-    for ci in inputs_seq:
-        st, out = F.step_fabric(config, st, ci)
-        traj.append((st, out))
-    return traj
-
 
 def cmp_hits(config, fetch_addr, exec_mode):
     """Comparator pairs pulsing for this fetch (none without a fetch)."""
@@ -82,20 +68,17 @@ def event_counting_config(reload_value, signals=(21, 22), **kw):
 # ---------------------------------------------------------------------------
 
 def test_self_reload_fires_every_reload_cycles():
-    cfg = counting_config(5)
-    traj = run(cfg, quiet(17))
-    fire_cycles = [i + 1 for i, (st, out) in enumerate(traj)
-                   if out.counter_fired[0]]
+    rows = drive(counting_config(5), [()] * 17)
+    fire_cycles = [i + 1 for i, r in enumerate(rows) if r[FIRED0]]
     assert fire_cycles == [5, 10, 15]
     # value path R -> R-1 -> ... -> 1 -> fire + reload to R
-    assert traj[3][0].counter_values[0] == 1
-    assert traj[4][0].counter_values[0] == 5
+    assert rows[3][CV0] == 1
+    assert rows[4][CV0] == 5
 
 
 def test_reload_one_fires_every_cycle():
-    cfg = counting_config(1)
-    traj = run(cfg, quiet(6))
-    assert all(out.counter_fired[0] for st, out in traj)
+    rows = drive(counting_config(1), [()] * 6)
+    assert all(r[FIRED0] for r in rows)
 
 
 def test_self_reload_fire_count_is_floor():
@@ -103,19 +86,17 @@ def test_self_reload_fire_count_is_floor():
     for _ in range(20):
         r = rng.randint(1, 37)
         t = rng.randint(1, 300)
-        traj = run(counting_config(r), quiet(t))
-        fires = sum(out.counter_fired[0] for st, out in traj)
+        rows = drive(counting_config(r), [()] * t)
+        fires = sum(row[FIRED0] for row in rows)
         assert fires == t // r
 
 
 def test_counter_only_decrements_on_input_pulse():
     cfg = event_counting_config(3)
-    beat = [F.CycleInputs(active_signals=frozenset({21})),
-            F.CycleInputs(), F.CycleInputs(active_signals=frozenset({7}))]
-    traj = run(cfg, beat * 6)
+    rows = drive(cfg, [{21}, (), {7}] * 6)
     # signal 7 is not monitored; pulses land on cycles 0,3,6,9,12,15
     # (0-based) and every 3rd one fires the counter
-    fire_cycles = [i for i, (st, out) in enumerate(traj) if out.counter_fired[0]]
+    fire_cycles = [i for i, r in enumerate(rows) if r[FIRED0]]
     assert fire_cycles == [6, 15]
 
 
@@ -132,13 +113,10 @@ def test_trigger_reload_is_a_level_until_reloaded():
         counters=(F.CounterConfig(0, 2, F.EventSpec(2), self_reload=False,
                                   reload_event=F.EventSpec(3)),),
     )
-    ev = F.CycleInputs(active_signals=frozenset({21}))
-    no = F.CycleInputs()
-    rl = F.CycleInputs(active_signals=frozenset({23}))
-    traj = run(cfg, [ev, ev, no, no, ev, rl, ev])
-    fired = [out.counter_fired[0] for st, out in traj]
-    level = [st.last_fire[0] for st, out in traj]
-    vals = [st.counter_values[0] for st, out in traj]
+    rows = drive(cfg, [{21}, {21}, (), (), {21}, {23}, {21}])
+    fired = [r[FIRED0] for r in rows]
+    level = [r[Z0] for r in rows]
+    vals = [r[CV0] for r in rows]
     assert vals == [1, 0, 0, 0, 0, 2, 1]
     assert fired == [False, True, False, False, False, False, False]
     # zero signal holds as a level while the counter rests at zero; extra
@@ -160,11 +138,9 @@ def test_self_reload_with_forced_reload_event():
         counters=(F.CounterConfig(0, 3, F.EventSpec(2), self_reload=True,
                                   reload_event=F.EventSpec(3)),),
     )
-    ev = F.CycleInputs(active_signals=frozenset({21}))
-    both = F.CycleInputs(active_signals=frozenset({21, 23}))
-    traj = run(cfg, [ev, both, ev, ev, ev])
-    vals = [st.counter_values[0] for st, out in traj]
-    fired = [out.counter_fired[0] for st, out in traj]
+    rows = drive(cfg, [{21}, {21, 23}, {21}, {21}, {21}])
+    vals = [r[CV0] for r in rows]
+    fired = [r[FIRED0] for r in rows]
     assert vals == [2, 3, 2, 1, 3]
     assert fired == [False, False, False, False, True]
 
@@ -184,10 +160,9 @@ def test_reload_above_width_rejected():
 def test_chained_counter_crosses_16_bits():
     n = 70000  # > 0xFFFF
     cfg = counting_config(n, chained=True)
-    st = F.reset_fabric(cfg)
-    assert st.counter_values == (n & 0xFFFF, n >> 16)
     cf = F.compile_fabric(cfg)
     prev = cf.reset_tuple()
+    assert prev[:2] == (n & 0xFFFF, n >> 16)
     fires = []
     for cycle in range(1, n + 2):
         cur = cf.step(prev[0], prev[1], prev[2], prev[3], prev[4], 0, 0)
@@ -218,13 +193,11 @@ def test_counter_values_stay_in_bounds():
         if any(c.chained for c in cfg.counters):
             continue
         reloads = {c.index: c.reload_value for c in cfg.counters}
-        st = F.reset_fabric(cfg)
         pal = stream_palette(rng, cfg)
-        for i in rng.choices(range(len(pal)), k=400):
-            ci = F.CycleInputs(active_signals=pal[i][0], core_idle=pal[i][2])
-            st, _ = F.step_fabric(cfg, st, ci)
+        for row in drive(cfg, [None if pal[i][2] else pal[i][0]
+                               for i in rng.choices(range(len(pal)), k=400)]):
             for idx, r in reloads.items():
-                assert 0 <= st.counter_values[idx] <= r
+                assert 0 <= row[idx] <= r
 
 
 # ---------------------------------------------------------------------------
@@ -247,50 +220,42 @@ def seq_config(forward, backward, reset=F.FALSE_SEL, outputs=()):
     )
 
 
-def pulse(*signals):
-    return F.CycleInputs(active_signals=frozenset(signals))
-
-
 def test_sequencer_single_steps():
     # distinct selectors per link so each pulse moves exactly one state
     cfg = seq_config(forward=(2, 3, 2), backward=(1, 4, 1))
-    traj = run(cfg, [pulse(21), pulse(), pulse(22), pulse(23), pulse(23)])
-    states = [out.sequencer_state for st, out in traj]
-    assert states == [1, 1, 2, 1, 1]
+    rows = drive(cfg, [{21}, (), {22}, {23}, {23}])
+    assert [r[SEQ] for r in rows] == [1, 1, 2, 1, 1]
 
 
 def test_sequencer_multi_step_chain():
     # same selector armed on every link: one pulse walks 0 -> 3
     cfg = seq_config(forward=(2, 2, 2), backward=(3, 3, 3))
-    traj = run(cfg, [pulse(21), pulse(22)])
-    assert traj[0][1].sequencer_state == 3
+    rows = drive(cfg, [{21}, {22}])
+    assert rows[0][SEQ] == 3
     # and one pulse of the backward selector walks 3 -> 0
-    assert traj[1][1].sequencer_state == 0
+    assert rows[1][SEQ] == 0
 
 
 def test_sequencer_reset_beats_forward():
     cfg = seq_config(forward=(2, 2, 2), backward=(3, 3, 3), reset=4)
-    traj = run(cfg, [pulse(21), pulse(21, 23), pulse(21)])
-    states = [out.sequencer_state for st, out in traj]
-    assert states == [3, 0, 3]
+    rows = drive(cfg, [{21}, {21, 23}, {21}])
+    assert [r[SEQ] for r in rows] == [3, 0, 3]
 
 
 def test_forward_blocks_backward_same_cycle():
     # both selectors pulse together: forward wins, no backward move
     cfg = seq_config(forward=(2, 1, 1), backward=(3, 3, 3))
-    traj = run(cfg, [pulse(21, 22), pulse(21, 22), pulse(22)])
-    states = [out.sequencer_state for st, out in traj]
+    rows = drive(cfg, [{21, 22}, {21, 22}, {22}])
     # cycle 0: 0 -> 1 (forward); cycle 1: forward from 1 unarmed, backward
     # fires 1 -> 0; cycle 2: backward from 0 is a no-op
-    assert states == [1, 0, 0]
+    assert [r[SEQ] for r in rows] == [1, 0, 0]
 
 
 def test_backward_selector_indexing():
     # backward[i] drives i+1 -> i; only backward[2] is armed
     cfg = seq_config(forward=(2, 2, 2), backward=(1, 1, 3))
-    traj = run(cfg, [pulse(21), pulse(22), pulse(22)])
-    states = [out.sequencer_state for st, out in traj]
-    assert states == [3, 2, 2]
+    rows = drive(cfg, [{21}, {22}, {22}])
+    assert [r[SEQ] for r in rows] == [3, 2, 2]
 
 
 def test_output_levels_follow_new_state():
@@ -302,10 +267,9 @@ def test_output_levels_follow_new_state():
         sequencer=base.sequencer,
         outputs=(F.ExternalOutputConfig(1, 5),),
     )
-    traj = run(cfg, [pulse(21), pulse(), pulse(22)])
+    rows = drive(cfg, [{21}, (), {22}])
     # the output tracks the post-transition state in the same cycle
-    levels = [out.output_levels[1] for st, out in traj]
-    assert levels == [True, True, False]
+    assert [r[OUT] for r in rows] == [0b10, 0b10, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +411,9 @@ def test_all_violations_reported_at_once():
 # ---------------------------------------------------------------------------
 
 def test_idle_freezes_state_bit_identical():
-    cfg = counting_config(3)
-    st = F.reset_fabric(cfg)
-    for _ in range(2):
-        st, _ = F.step_fabric(cfg, st, F.CycleInputs())
-    st2, out = F.step_fabric(cfg, st, F.CycleInputs(core_idle=True))
-    assert st2 == st
-    assert out.counter_fired == (False, False)
+    rows = drive(counting_config(3), [(), (), None])
+    assert rows[2][:5] == rows[1][:5]
+    assert rows[2][FIRED0:OUT] == (False, False)
 
 
 def test_idle_outputs_drop_pulses_keep_levels():
@@ -467,31 +427,20 @@ def test_idle_outputs_drop_pulses_keep_levels():
         counters=(F.CounterConfig(0, 2, F.EventSpec(F.TRUE_SEL)),),
         outputs=(F.ExternalOutputConfig(1, 2), F.ExternalOutputConfig(2, 3)),
     )
-    st = F.reset_fabric(cfg)
-    st, out = F.step_fabric(cfg, st, F.CycleInputs())
-    st, out = F.step_fabric(cfg, st, F.CycleInputs())
-    assert out.output_levels[1] is True        # fired this cycle
-    st2, out2 = F.step_fabric(cfg, st, F.CycleInputs(core_idle=True))
-    assert st2 == st
-    assert out2.output_levels[1] is False      # pulse source goes low
-    assert out2.output_levels[2] is True       # level source persists
+    rows = drive(cfg, [(), (), None])
+    assert rows[1][OUT] & 0b10                 # fired this cycle
+    assert rows[2][:5] == rows[1][:5]
+    assert not rows[2][OUT] & 0b10             # pulse source goes low
+    assert rows[2][OUT] & 0b100                # level source persists
 
 
 def test_determinism():
     rng = random.Random(23)
     cfg = random_config_small(rng)
     pal = stream_palette(rng, cfg)
-    idx = rng.choices(range(len(pal)), k=300)
-    runs = []
-    for _ in range(2):
-        st = F.reset_fabric(cfg)
-        log = []
-        for i in idx:
-            ci = F.CycleInputs(active_signals=pal[i][0], core_idle=pal[i][2])
-            st, out = F.step_fabric(cfg, st, ci)
-            log.append((st, out))
-        runs.append(log)
-    assert runs[0] == runs[1]
+    cycles = [None if pal[i][2] else pal[i][0]
+              for i in rng.choices(range(len(pal)), k=300)]
+    assert drive(cfg, cycles) == drive(cfg, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -527,28 +476,23 @@ def test_reference_equivalence(family):
 
 
 def test_public_step_matches_reference_with_comparators():
-    # exercises the dataclass-level path end to end, fetch addresses included
+    # the compiled stepper fed from fetch addresses in both modes, the
+    # comparator masks included, against the reference cycle by cycle
     rng = random.Random(99)
     for _ in range(6):
         cfg = random_config(rng)
         if not cfg.comparators:
             continue
         pal = stream_palette(rng, cfg)
-        st = F.reset_fabric(cfg)
-        ref = st.counter_values + (st.sequencer_state, False, False,
-                                   False, False, 0)
+        ref = F.reset_fabric(cfg) + (False, False, 0)
         lo = cfg.comparators[0].lo
+        cycles, fetches, want = [], [], []
         for j in rng.choices(range(len(pal)), k=500):
             ps, cs, idle, pm, cm = pal[j]
             addr = lo + 64 * (j % 7) if j % 3 else None
             mode = F.USER if j % 2 else F.KERNEL
-            ci = F.CycleInputs(active_signals=ps, instruction_fetch_addr=addr,
-                               exec_mode=mode, core_idle=idle)
-            hits = cmp_hits(cfg, addr, mode)
-            st, out = F.step_fabric(cfg, st, ci)
-            ref = reference_step(cfg, ref, ps, hits, idle)
-            assert st.counter_values == ref[:2]
-            assert out.sequencer_state == ref[2]
-            assert out.counter_fired == (ref[5], ref[6])
-            got_mask = sum(1 << i for i, b in enumerate(out.output_levels) if b)
-            assert got_mask == ref[7]
+            cycles.append(None if idle else ps)
+            fetches.append((addr, mode == F.USER))
+            ref = reference_step(cfg, ref, ps, cmp_hits(cfg, addr, mode), idle)
+            want.append(ref)
+        assert drive(cfg, cycles, fetches) == want

@@ -572,16 +572,20 @@ def test_trace_replay_drives_the_regulator():
     cfg = R.build_config(R.RegulatorSpec(design=R.PR, budget_events=5,
                                          period_cycles=100))
     recs = [(2, frozenset({21}), "user")] * 6    # pulses at 2,4,...,12
+    recs.append((238, frozenset({21, 22}), "user"))  # two events at 250
     tr = M.run_system(one_core(M.TraceReplay(records=recs), cfg,
                                model=model, dur=300))
     st = tr.stats[0]
-    assert st.pmc_events == 6
+    assert (st.pmc_events, st.tap_events) == (8, 7)
     assert st.completed_lines == 0               # replay issues no memory ops
     assert st.irq_count == 1
     per = tr.periods[0]
     assert len(per) == 3
     assert per[0].pmc_events == 6 and per[0].throttled
     assert per[1].pmc_events == 0 and not per[1].throttled
+    # the PMU adder counts both events, the tap one cycle
+    assert (per[2].pmc_events, per[2].tap_events) == (2, 1)
+    assert not per[2].throttled
 
 
 def test_trace_replay_rejects_a_negative_delta():

@@ -11,6 +11,7 @@ import etmreg.regulators as R
 from etmreg.accounting import NotEtmRealizable
 from etmreg.machine import CoreModelConfig
 from reference_fabric import random_config, random_config_small, stream_palette
+from reference_regulators import drive
 
 
 def spec_for(design, budget=27, period=6000, **kw):
@@ -46,15 +47,9 @@ def test_lifted_config_simulates_identically():
     built = R.build_config(spec)
     lifted = P.lift(P.compile(spec))
     rng = random.Random(7)
-    sa = F.FabricState()
-    sb = F.FabricState()
-    for _ in range(2000):
-        ci = F.CycleInputs(
-            active_signals=frozenset({21} if rng.random() < 0.3 else ()),
-            instruction_fetch_addr=0x1000, exec_mode=F.USER)
-        sa, oa = F.step_fabric(built, sa, ci)
-        sb, ob = F.step_fabric(lifted, sb, ci)
-        assert (sa, oa) == (sb, ob)
+    cycles = [(21,) if rng.random() < 0.3 else () for _ in range(2000)]
+    fetches = [(0x1000, True)] * len(cycles)
+    assert drive(built, cycles, fetches) == drive(lifted, cycles, fetches)
 
 
 def test_text_round_trip():
@@ -362,4 +357,22 @@ def test_counter_start_must_equal_reload():
         dataclasses.replace(w, fields=(("value", 3),))
         if w.register == "TRCCNTVR0" else w for w in prog.writes)
     with pytest.raises(P.MalformedProgram, match="reload"):
+        P.lift(P.RegisterProgram(writes))
+
+
+@pytest.mark.parametrize("register,field", [
+    ("TRCRSCTLR2", "group"),
+    ("TRCCNTRLDVR0", "value"),
+    ("TRCCNTVR0", "value"),
+    ("TRCACVR0", "addr"),
+])
+def test_missing_field_names_register_and_field(register, field):
+    # a write without a field lift needs used to escape as a KeyError
+    prog = P.compile(spec_for(R.PR_USER))
+    writes = tuple(
+        dataclasses.replace(
+            w, fields=tuple(f for f in w.fields if f[0] != field))
+        if w.register == register else w for w in prog.writes)
+    with pytest.raises(P.MalformedProgram,
+                       match="%s lacks its %s field" % (register, field)):
         P.lift(P.RegisterProgram(writes))

@@ -6,14 +6,11 @@ import pytest
 
 import etmreg.fabric as F
 import etmreg.regulators as R
-from reference_regulators import (
-    TokenBucket,
-    drive,
-    event_cycle,
-    kernel_cycle,
-    quiet_cycle,
-    user_cycle,
-)
+from reference_regulators import CV0, CV1, SEQ, TokenBucket, drive, throttled
+
+EV = (21,)                       # a cycle with one accounting event
+USER = (0x1000, True)            # an instruction fetch in user space
+KERNEL = (1 << 60, False)        # and one in kernel space
 
 
 def spec(design, budget=27, period=6000):
@@ -123,11 +120,11 @@ def test_pr_throttles_on_budget_and_releases_on_period():
     cfg = R.build_pr_config(spec(R.PR, budget=5, period=50))
     stream = []
     for c in range(1, 101):
-        stream.append(event_cycle() if c % 4 == 0 and c <= 20 else quiet_cycle())
+        stream.append(EV if c % 4 == 0 and c <= 20 else ())
     log = drive(cfg, stream)
-    throttled = [i + 1 for i, (st, out, t) in enumerate(log) if t]
     # the 5th event lands on cycle 20; the period fire on cycle 50 releases
-    assert throttled == list(range(20, 50))
+    assert [i + 1 for i, r in enumerate(log) if throttled(r)] == \
+        list(range(20, 50))
 
 
 def test_pr_overuse_carries_into_next_period():
@@ -135,14 +132,14 @@ def test_pr_overuse_carries_into_next_period():
     cfg = R.build_pr_config(spec(R.PR, budget=q, period=p))
     stream = []
     # period 1: exhaust the budget, then `overuse` more events while throttled
-    stream += [event_cycle()] * q
-    stream += [event_cycle()] * overuse
-    stream += [quiet_cycle()] * (p - len(stream))
+    stream += [EV] * q
+    stream += [EV] * overuse
+    stream += [()] * (p - len(stream))
     # period 2: an event per cycle until the regulator throttles again
-    stream += [event_cycle()] * (p // 2)
+    stream += [EV] * (p // 2)
     log = drive(cfg, stream)
     onsets = [i + 1 for i in range(1, len(log))
-              if log[i][2] and not log[i - 1][2]]
+              if throttled(log[i]) and not throttled(log[i - 1])]
     assert onsets[0] == q
     # the second onset comes `overuse` events early
     admitted_second = onsets[1] - p
@@ -152,15 +149,15 @@ def test_pr_overuse_carries_into_next_period():
 def test_pr_stop_does_not_carry_and_admits_more():
     q, p, overuse = 50, 1000, 7
     stream = []
-    stream += [event_cycle()] * (q + overuse)
-    stream += [quiet_cycle()] * (p - len(stream))
-    stream += [event_cycle()] * (p // 2)
+    stream += [EV] * (q + overuse)
+    stream += [()] * (p - len(stream))
+    stream += [EV] * (p // 2)
     onsets = {}
     for design in (R.PR, R.PR_STOP):
         cfg = R.build_pr_config(spec(design, budget=q, period=p))
         log = drive(cfg, stream)
         onsets[design] = [i + 1 for i in range(1, len(log))
-                          if log[i][2] and not log[i - 1][2]]
+                          if throttled(log[i]) and not throttled(log[i - 1])]
     assert onsets[R.PR_STOP][1] - p == q          # full budget again
     assert onsets[R.PR][1] - p == q - overuse     # carry bites
     assert onsets[R.PR][1] < onsets[R.PR_STOP][1]
@@ -171,12 +168,12 @@ def test_pr_small_budget_wraps_overuse():
     q, p, overuse = 5, 400, 12
     cfg = R.build_pr_config(spec(R.PR, budget=q, period=p))
     stream = []
-    stream += [event_cycle()] * (q + overuse)
-    stream += [quiet_cycle()] * (p - len(stream))
-    stream += [event_cycle()] * 40
+    stream += [EV] * (q + overuse)
+    stream += [()] * (p - len(stream))
+    stream += [EV] * 40
     log = drive(cfg, stream)
     onsets = [i + 1 for i in range(1, len(log))
-              if log[i][2] and not log[i - 1][2]]
+              if throttled(log[i]) and not throttled(log[i - 1])]
     assert onsets[1] - p == q - (overuse % q)
 
 
@@ -192,18 +189,14 @@ def test_tb_matches_token_bucket_oracle():
             p = rng.randint(3, 120)
             cfg = R.build_tb_config(spec(design, budget=q, period=p))
             ref = TokenBucket(q, p)
-            st = F.reset_fabric(cfg)
             density = rng.choice((0.1, 0.4, 0.9))
             thr_len = len(spec(design).throttle_states)
-            for _ in range(500):
-                ev = rng.random() < density
-                st, out = F.step_fabric(
-                    cfg, st, event_cycle() if ev else quiet_cycle())
+            evs = [rng.random() < density for _ in range(500)]
+            rows = drive(cfg, [EV if ev else () for ev in evs])
+            for ev, r in zip(evs, rows):
                 ref.step(ev)
-                got = (st.sequencer_state,) + st.counter_values
-                assert got == ref.expected()
-                throttled = any(out.output_levels[1:])
-                assert throttled == (ref.debt >= 4 - thr_len)
+                assert (r[SEQ], r[CV0], r[CV1]) == ref.expected()
+                assert throttled(r) == (ref.debt >= 4 - thr_len)
 
 
 def test_tb_headroom_orders_the_variants():
@@ -213,8 +206,8 @@ def test_tb_headroom_orders_the_variants():
     admitted = {}
     for design in (R.TB31, R.TB22, R.TB13):
         cfg = R.build_tb_config(spec(design, budget=q, period=p))
-        log = drive(cfg, [event_cycle()] * 60)
-        first = next(i for i, (st, out, t) in enumerate(log) if t)
+        log = drive(cfg, [EV] * 60)
+        first = next(i for i, r in enumerate(log) if throttled(r))
         admitted[design] = first + 1
     assert admitted == {R.TB31: 3 * q, R.TB22: 2 * q, R.TB13: q}
 
@@ -222,14 +215,14 @@ def test_tb_headroom_orders_the_variants():
 def test_tb_debt_saturates():
     q, p = 3, 7
     cfg = R.build_tb_config(spec(R.TB31, budget=q, period=p))
-    log = drive(cfg, [event_cycle()] * 200)
+    log = drive(cfg, [EV] * 200)
     # saturated bucket: each grant pays one step back, events refill it
     # within a budget's worth of cycles; debt never leaves the top states
-    states = {st.sequencer_state for st, out, t in log[50:]}
+    states = {r[SEQ] for r in log[50:]}
     assert states == {2, 3}
     # and a long quiet stretch pays all debt back without undershoot
-    log = drive(cfg, [event_cycle()] * 100 + [quiet_cycle()] * 200)
-    assert log[-1][0].sequencer_state == 0
+    log = drive(cfg, [EV] * 100 + [()] * 200)
+    assert log[-1][SEQ] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,35 +233,36 @@ def test_pr_user_ignores_kernel_mode_events():
     cfg = R.build_pr_user_config(spec(R.PR_USER, budget=5, period=500))
     # enter the user state, return to kernel (the state tracks the fetch
     # stream with a one-cycle lag), then feed events from kernel mode only
-    stream = ([user_cycle(), kernel_cycle()]
-              + [kernel_cycle(event=True)] * 20 + [user_cycle()])
-    log = drive(cfg, stream)
-    assert not any(t for st, out, t in log)
-    assert log[-1][0].counter_values[0] == 5   # budget untouched
+    stream = [(), ()] + [EV] * 20 + [()]
+    fetches = [USER, KERNEL] + [KERNEL] * 20 + [USER]
+    log = drive(cfg, stream, fetches)
+    assert not any(throttled(r) for r in log)
+    assert log[-1][CV0] == 5                   # budget untouched
     # 5 events in user mode now throttle exactly
-    stream += [user_cycle(event=True)] * 5 + [user_cycle()] * 3
-    log = drive(cfg, stream)
-    throttled_from = next(i for i, (st, out, t) in enumerate(log) if t)
+    stream += [EV] * 5 + [()] * 3
+    fetches += [USER] * 8
+    log = drive(cfg, stream, fetches)
+    throttled_from = next(i for i, r in enumerate(log) if throttled(r))
     assert throttled_from == len(stream) - 4   # the 5th user event
-    assert log[throttled_from][0].sequencer_state == 2
+    assert log[throttled_from][SEQ] == 2
 
 
 def test_pr_user_replenish_resets_then_first_fetch_restores():
     q, p = 4, 60
     cfg = R.build_pr_user_config(spec(R.PR_USER, budget=q, period=p))
-    stream = [user_cycle()]                    # settle into state 1 first
-    stream += [user_cycle(event=True)] * q     # exhaust -> state 2
-    stream += [kernel_cycle()] * 2             # over budget, kernel: state 3
-    stream += [user_cycle()] * (p - len(stream) + 1)
-    log = drive(cfg, stream)
-    assert log[q][0].sequencer_state == 2      # the q-th counted event
-    assert log[q][2]
-    assert log[q + 1][0].sequencer_state == 3
-    assert log[q + 1][2]
-    assert log[p - 1][0].sequencer_state == 0  # replenish: (2 or 3) -> 0
-    assert not log[p - 1][2]                   # throttle drops with the reset
-    assert log[p][0].sequencer_state == 1      # next user fetch
-    assert not log[p][2]
+    # settle into state 1 first, exhaust the budget (state 2), then two
+    # kernel fetches over budget (state 3), then user code to the period end
+    stream = [()] + [EV] * q + [()] * (p - q)
+    fetches = [USER] * (q + 1) + [KERNEL] * 2 + [USER] * (p - q - 2)
+    log = drive(cfg, stream, fetches)
+    assert log[q][SEQ] == 2                    # the q-th counted event
+    assert throttled(log[q])
+    assert log[q + 1][SEQ] == 3
+    assert throttled(log[q + 1])
+    assert log[p - 1][SEQ] == 0                # replenish: (2 or 3) -> 0
+    assert not throttled(log[p - 1])           # throttle drops with the reset
+    assert log[p][SEQ] == 1                    # next user fetch
+    assert not throttled(log[p])
 
 
 def test_pr_user_equals_pr_on_all_user_streams():
@@ -281,13 +275,12 @@ def test_pr_user_equals_pr_on_all_user_streams():
     stream = []
     for c in range(1, p * periods + 1):
         ev = rng.random() < 0.12 and c % p != 1
-        stream.append(user_cycle(event=ev))
-    log_pr = drive(pr, stream)
-    log_pu = drive(pu, stream)
-    assert [t for _, _, t in log_pr] == [t for _, _, t in log_pu]
+        stream.append(EV if ev else ())
+    log_pr = drive(pr, stream, [USER] * len(stream))
+    log_pu = drive(pu, stream, [USER] * len(stream))
+    assert [throttled(r) for r in log_pr] == [throttled(r) for r in log_pu]
     # budget counters stay in lockstep as well
-    assert [st.counter_values[0] for st, _, _ in log_pr] == \
-           [st.counter_values[0] for st, _, _ in log_pu]
+    assert [r[CV0] for r in log_pr] == [r[CV0] for r in log_pu]
 
 
 # ---------------------------------------------------------------------------
