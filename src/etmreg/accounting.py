@@ -194,12 +194,6 @@ class BandwidthModel:
     def etm_realizable(self) -> bool:
         return self.rejection_reason is None
 
-    @property
-    def budget_scale(self) -> Fraction:
-        """Common factor folded out of a realizable model: a budget of B
-        accounted lines becomes B/scale counted pulses."""
-        return self.terms[0].coefficient
-
 
 def model_for(core_type, variant="default", etm=True) -> BandwidthModel:
     """Look up the accounting model for a core; resolves variant

@@ -138,8 +138,8 @@ def cmd_simulate(args):
     # bus lines per window over that window's own length: the last
     # window of a run ends early when the run does
     w = trace.window_cycles
-    mb = [lines * M.CACHELINE * board.freq_mhz
-          / min(w, trace.duration_cycles - k * w)
+    mb = [M.lines_mbps(lines, min(w, trace.duration_cycles - k * w),
+                       board.freq_mhz)
           for k, lines in enumerate(trace.windows[0])]
     lines.append("per-window bus MB/s: "
                  + " ".join("%.0f" % v for v in mb))

@@ -8,6 +8,7 @@ runs of the same config produce byte-identical outputs.
 """
 
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 from . import fabric as F
 from . import machine as M
@@ -43,7 +44,7 @@ class BoardPreset:
         return self.model.freq_mhz
 
     def cap_lines_per_cycle(self):
-        return self.mem_cap_mbps / (M.CACHELINE * self.freq_mhz)
+        return Fraction(self.mem_cap_mbps) / (M.CACHELINE * self.freq_mhz)
 
     def period_cycles(self, period_us):
         return us_to_cycles(period_us, self.freq_mhz)
@@ -251,9 +252,8 @@ def program_lines(stats: M.CoreStats, op_type):
 
 def program_mbps(trace: M.SystemTrace, op_type, freq_mhz) -> float:
     """Achieved MB/s of core 0 as its `op_type` program sees it."""
-    seconds = trace.duration_cycles / (freq_mhz * 1e6)
-    return (program_lines(trace.stats[0], op_type) * M.CACHELINE
-            / seconds / 1e6)
+    return M.lines_mbps(program_lines(trace.stats[0], op_type),
+                        trace.duration_cycles, freq_mhz)
 
 
 def run_point(board: BoardPreset, design, target_mbps, op_type,

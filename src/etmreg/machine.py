@@ -3,8 +3,8 @@
 One simulated cycle advances in a fixed order:
 
   1. the shared memory controller grants cacheline slots (bandwidth
-     accumulates in 32.32 fixed point; round-robin across requesting cores;
-     within a core, ready reads are served before buffered write-backs)
+     accumulates at an exact rational rate; round-robin across requesting
+     cores; within a core, ready reads are served before write-backs)
   2. each core retires its grants (a write-back retirement pulses the
      write-back signals), runs its interrupt state machine against the
      previous cycle's throttle level, and issues new work (an issued
@@ -61,6 +61,7 @@ same loop; both must produce identical results.
 
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from math import isfinite
 from operator import attrgetter
 from typing import Optional
@@ -82,8 +83,12 @@ OPS = (OP_READ, OP_PREFETCH, OP_WRITE, OP_MODIFY)
 CACHELINE = 64                  # bytes moved per memory transaction
 
 _BIG = 1 << 62
-_FP = 32                        # fixed-point fraction bits for bandwidth
-_FP_ONE = 1 << _FP
+
+
+def lines_mbps(lines, cycles, freq_mhz):
+    """MB/s of `lines` cachelines moved over `cycles` at `freq_mhz`."""
+    seconds = cycles / (freq_mhz * 1e6)
+    return lines * CACHELINE / seconds / 1e6
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ class CoreSpec:
 @dataclass(frozen=True)
 class SystemConfig:
     cores: tuple
-    shared_mem_bandwidth: float     # cachelines per cycle at the controller
+    shared_mem_bandwidth: Fraction  # cachelines per cycle at the controller
     duration_cycles: int
     window_cycles: int = 0          # 0 -> one millisecond of core clock
 
@@ -213,6 +218,8 @@ class SystemConfig:
                 and self.shared_mem_bandwidth > 0):
             raise ValueError("shared_mem_bandwidth must be a positive finite "
                              "number, got %r" % (self.shared_mem_bandwidth,))
+        object.__setattr__(self, "shared_mem_bandwidth",
+                           Fraction(self.shared_mem_bandwidth))
         if self.window_cycles < 0:
             raise ValueError("window_cycles must be >= 0 (0 is one "
                              "millisecond), got %r" % (self.window_cycles,))
@@ -267,9 +274,8 @@ class SystemTrace:
     total_granted: int
 
     def achieved_mbps(self, core_index, freq_mhz):
-        lines = self.stats[core_index].completed_lines
-        seconds = self.duration_cycles / (freq_mhz * 1e6)
-        return lines * CACHELINE / seconds / 1e6
+        return lines_mbps(self.stats[core_index].completed_lines,
+                          self.duration_cycles, freq_mhz)
 
 
 # =========================================================================
@@ -865,10 +871,9 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     window = sys_cfg.window_cycles
     if window <= 0:
         window = sys_cfg.cores[0].model.freq_mhz * 1000   # one millisecond
-    bw_fp = int(round(sys_cfg.shared_mem_bandwidth * _FP_ONE))
-    if bw_fp < 1:
-        raise ValueError("shared_mem_bandwidth is below resolution")
-    cap_fp = _FP_ONE if bw_fp <= _FP_ONE else bw_fp
+    # acc counts 1/den lines: num a cycle, up to a line or a cycle's rate
+    num, den = sys_cfg.shared_mem_bandwidth.as_integer_ratio()
+    cap = max(den, num)
     acc = 0
     rr = 0
     total_granted = 0
@@ -892,8 +897,8 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             win_end += window
 
         # ---- 1. controller grants ----
-        acc += bw_fp
-        avail = acc >> _FP
+        acc += num
+        avail = acc // den
         if avail:
             served = 0
             again = True
@@ -913,10 +918,10 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 rr += 1
                 if rr >= n:
                     rr = 0
-                acc -= served << _FP
+                acc -= served * den
                 total_granted += served
-        if acc > cap_fp:
-            acc = cap_fp
+        if acc > cap:
+            acc = cap
 
         # ---- 2+3. the cores due now or granted a line, and their
         # regulators; each core first catches up from its own time ----
@@ -953,17 +958,17 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         cycle += 1
         if nxt > cycle and ready < nxt:
             line_at = cycle
-            need = _FP_ONE - bw_fp - acc
+            need = den - num - acc
             if need > 0:
-                line_at -= -need // bw_fp
+                line_at -= -need // num
             if ready < line_at:
                 ready = line_at
             if ready < nxt:
                 nxt = ready
         if nxt > cycle:
-            acc += (nxt - cycle) * bw_fp
-            if acc > cap_fp:
-                acc = cap_fp
+            acc += (nxt - cycle) * num
+            if acc > cap:
+                acc = cap
             cycle = nxt
 
     for i in range(n):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +102,16 @@ def test_bad_system_rate_or_window_is_named(field, value):
         M.SystemConfig(**kw)
 
 
+def test_rate_is_stored_exactly():
+    # a float rate converts exactly; it was rounded to 2**-32 line per cycle
+    core = M.CoreSpec(model=M.CoreModelConfig(**ZCU),
+                      workload=M.Synthetic(op="read"))
+    sc = M.SystemConfig(cores=(core,), shared_mem_bandwidth=0.1,
+                        duration_cycles=100)
+    assert isinstance(sc.shared_mem_bandwidth, Fraction)
+    assert sc.shared_mem_bandwidth == Fraction(0.1)
+
+
 def test_model_validation():
     with pytest.raises(ValueError, match="freq_mhz"):
         M.CoreModelConfig(**dict(ZCU, freq_mhz=0))
@@ -156,6 +167,23 @@ def test_unregulated_read_hits_controller_cap():
     mbps = tr.achieved_mbps(0, 1200)
     # 0.1 lines/cycle * 64 B * 1200 MHz = 7680 MB/s, minus queue warm-up
     assert 7660.0 <= mbps <= 7680.0
+
+
+def test_unregulated_zcu102_read_completes_the_cap():
+    # 1000 MB/s at 1200 MHz is 5/384 lines a cycle, which 32.32 fixed point
+    # rounded down by a line in 2 ms
+    b = H.preset("zcu102")
+    assert b.cap_lines_per_cycle() == Fraction(5, 384)
+    tr = M.run_system(H.point_system(b, None, M.OP_READ, 2.0))
+    assert tr.stats[0].completed_lines == 31_250
+
+
+def test_tiny_rate_runs_and_grants_nothing():
+    # no positive rate is below the accumulator's resolution
+    sc = one_core(M.Synthetic(op="read"), dur=10_000, cap=1e-12)
+    tr = M.run_system(sc)
+    assert tr.total_granted == 0
+    assert tr == M.run_system(sc, use_hops=False)
 
 
 def test_round_robin_shares_cap_fairly():
@@ -262,6 +290,17 @@ def _diff_scenarios():
     # MemPol halts a write core whose buffer is full
     out["mempol_full_write"] = one_core(M.Synthetic(op="write"), mp,
                                         dur=120_000)
+    # preset rates whose denominators (384, 896) are not powers of two, so
+    # the next-grant deadline divides by a numerator that leaves remainders
+    zcu102 = H.preset("zcu102")
+    out["zcu102_cap_read_write"] = M.SystemConfig(
+        cores=tuple(M.CoreSpec(zcu102.model, M.Synthetic(op=op))
+                    for op in (M.OP_READ, M.OP_WRITE)),
+        shared_mem_bandwidth=zcu102.cap_lines_per_cycle(),
+        duration_cycles=120_000)
+    a55 = H.preset("rk3588-a55")
+    out["rk3588_a55_mempol"] = H.point_system(
+        a55, H.regulator_for(R.MEMPOL, a55, 350.0, 5.0), M.OP_READ, 0.1)
     return out
 
 

@@ -10,7 +10,8 @@ import etmreg.regprog as P
 import etmreg.regulators as R
 from etmreg.accounting import NotEtmRealizable
 from etmreg.machine import CoreModelConfig
-from reference_fabric import random_config, random_config_small, stream_palette
+from reference_fabric import (random_config, random_config_small,
+                              run_reference, stream_palette)
 from reference_regulators import drive
 
 
@@ -43,13 +44,15 @@ def test_random_specs_round_trip():
 
 
 def test_lifted_config_simulates_identically():
+    # equal configs share one cached compiled fabric, so the lifted one
+    # runs on the reference interpreter; TB22 sets no address comparator
     spec = spec_for(R.TB22, budget=5, period=40)
     built = R.build_config(spec)
     lifted = P.lift(P.compile(spec))
     rng = random.Random(7)
     cycles = [(21,) if rng.random() < 0.3 else () for _ in range(2000)]
-    fetches = [(0x1000, True)] * len(cycles)
-    assert drive(built, cycles, fetches) == drive(lifted, cycles, fetches)
+    stream = [(frozenset(c), frozenset(), False) for c in cycles]
+    assert drive(built, cycles) == run_reference(lifted, stream)
 
 
 def test_text_round_trip():
