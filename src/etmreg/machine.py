@@ -13,15 +13,19 @@ One simulated cycle advances in a fixed order:
      on the pulse/fetch inputs, or a software baseline updates
   4. window, period, and aggregate statistics are updated
 
-Cores stall on read_outstanding / write_buffer_depth backpressure.  A
-throttle level raises an interrupt after irq_latency_cycles; the handler
-charges an entry cost, issues its own kernel-mode memory traffic, polls the
-throttle level every handler_poll_cycles, and pays an exit cost once the
-level drops.  The workload issues nothing from handler entry to handler
-exit, but in-flight transactions keep draining and keep pulsing — the gap
-between "throttle asserted" and "traffic actually stops" is the point of
-the model.  Timer-replenished regulators additionally run their handler at
-every period boundary, throttled or not.
+A core issues at its workload's exact rate, like the controller: its
+issue credit counts 1/den lines and grows by the rate's numerator in
+each cycle the workload may issue.  Cores stall on read_outstanding /
+write_buffer_depth backpressure, and a stall banks at most one cycle's
+credit.  A throttle level raises an interrupt after irq_latency_cycles;
+the handler charges an entry cost, issues its own kernel-mode memory
+traffic, polls the throttle level every handler_poll_cycles, and pays an
+exit cost once the level drops.  The workload issues nothing from
+handler entry to handler exit, but in-flight transactions keep draining
+and keep pulsing — the gap between "throttle asserted" and "traffic
+actually stops" is the point of the model.  Timer-replenished regulators
+additionally run their handler at every period boundary, throttled or
+not.
 
 Each core's regulator is one runtime object, built once per run: none, the
 fabric, MemGuard or MemPol.  It observes every stepped cycle and returns
@@ -35,16 +39,16 @@ controller grants it a line.  The inert stretches between (throttle
 stalls, idle phases, compute-bound spans, a saturating core waiting on
 the bus) are skipped per core.  One rule, `_core_span`, says how far: to
 the first deadline the core or its regulator states.  A core's deadlines
-are its interrupt phase end, trace record and idle end, and the first
-issue of a workload whose issue credit is still building up.  A core
-whose queue is full cannot issue before a grant, and a handler poll that
-finds the throttle level held only reschedules itself, so neither is a
-deadline.  The regulator then bounds the span with its own answer:
-MemGuard its next timer refill, MemPol its next poll, and the fabric the
-stretch in which its counters only count down, found by probing one
-pulse-free cycle.  Before a lagging core steps, `_catch_up` advances it
-across the cycles it skipped, its issue credit and poll instant
-included, and at the end every core is caught up to the duration.
+are its interrupt phase end, trace record and idle end, and its next
+issue, which the exact credit gives in closed form.  A core whose queue
+is full cannot issue before a grant, and a handler poll that finds the
+throttle level held only reschedules itself, so neither is a deadline.
+The regulator then bounds the span with its own answer: MemGuard its
+next timer refill, MemPol its next poll, and the fabric the stretch in
+which its counters only count down, found by probing one pulse-free
+cycle.  Before a lagging core steps, `_catch_up` advances it across the
+cycles it skipped, its issue credit and poll instant included, and at
+the end every core is caught up to the duration.
 
 The controller is the only thing that couples cores, and it reads only
 their queue heads, which change only at a cycle that core steps.  So the
@@ -68,6 +72,7 @@ from typing import Optional
 
 from . import fabric as F
 from . import regulators as REG
+from .accounting import model_for
 
 
 # =========================================================================
@@ -122,11 +127,27 @@ class CoreModelConfig:
                      "handler_kernel_events"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % name)
+        # a signal the core type's regulators never tap would let its
+        # traffic through uncounted
+        known = model_for(self.core_type, etm=False).signals
+        stray = (self.refill_signals | self.wb_signals) - known
+        if stray:
+            raise ValueError(
+                "refill_signals/wb_signals %s are not among the %s "
+                "accounting signals %s" % (sorted(stray), self.core_type,
+                                           sorted(known)))
 
 
 @dataclass(frozen=True)
 class Synthetic:
-    """Endless stream of one access type."""
+    """Endless stream of one access type.
+
+    `issue_ipc_limit` is the exact average number of lines issued per
+    cycle, taken as the rational value of the number given (a float 0.1
+    is a hair above one tenth).  A core stalled on a full queue banks at
+    most one cycle's worth of it, so it issues again in the cycle the
+    queue frees, no sooner and in no burst.
+    """
     op: str
     issue_ipc_limit: float = 1.0
 
@@ -185,11 +206,9 @@ class TraceReplay:
             if rec[2] != F.USER and rec[2] != F.KERNEL:
                 raise ValueError("record %d %r has mode %r, not %r or %r"
                                  % (i, rec, rec[2], F.USER, F.KERNEL))
-        if min(frozenset().union(*(rec[1] for rec in records)),
-               default=0) < 0:
-            i, rec = next((i, rec) for i, rec in enumerate(records)
-                          if min(rec[1], default=0) < 0)
-            raise ValueError("record %d %r has a negative signal" % (i, rec))
+            if min(rec[1], default=0) < 0:
+                raise ValueError("record %d %r has a negative signal"
+                                 % (i, rec))
 
 
 @dataclass(frozen=True)
@@ -485,7 +504,7 @@ class CoreState:
         # memory queues: FIFOs of the cycles their requests become ready
         "reads", "wb",
         # workload cursor
-        "op", "ipc", "ipc_acc", "issue_at", "phase", "lines_left",
+        "op", "ipc", "ipc_den", "ipc_acc", "ipc_stall", "phase", "lines_left",
         "idle_until", "wfi_idle", "trace_recs", "trace_pos", "trace_next",
         # interrupt machine
         "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
@@ -503,8 +522,6 @@ class CoreState:
         self.wbk_mask = F._signal_mask(m.wb_signals)
 
         w = spec.workload
-        self.ipc_acc = 0.0
-        self.issue_at = 0           # a lower bound on the next issue cycle
         self.phase = 0
         self.idle_until = 0
         self.wfi_idle = False
@@ -513,10 +530,11 @@ class CoreState:
         self.trace_next = _BIG
         if isinstance(w, Synthetic):
             self.op = w.op
-            self.ipc = w.issue_ipc_limit
+            self.ipc, self.ipc_den = \
+                Fraction(w.issue_ipc_limit).as_integer_ratio()
             self.lines_left = _BIG
         elif isinstance(w, Burst):
-            self.ipc = 1.0
+            self.ipc, self.ipc_den = 1, 1
             op, nbytes, _idle = w.pattern[0]
             self.op = op
             self.lines_left = nbytes // CACHELINE
@@ -524,7 +542,7 @@ class CoreState:
         elif isinstance(w, TraceReplay):
             # a replay core issues nothing: no issue rate, no end of lines
             self.op = OP_READ
-            self.ipc = 0.0
+            self.ipc, self.ipc_den = 0, 1
             self.lines_left = _BIG
             # pre-resolve records to (absolute cycle, mask, kernel),
             # merging same-cycle records
@@ -544,6 +562,12 @@ class CoreState:
                 self.trace_next = merged[0][0]
         else:
             raise ValueError("unknown workload %r" % (w,))
+        # the issue credit counts 1/ipc_den lines, ipc of them a cycle.  A
+        # core stalled on a full queue with a line's credit keeps one
+        # addition short of a line: it issues in the cycle the queue
+        # frees, and never several refills in one collapsed pulse
+        self.ipc_acc = 0
+        self.ipc_stall = max(self.ipc_den - self.ipc, 0)
 
         self.irq_phase = _IRQ_NONE
         self.irq_at = _BIG
@@ -694,15 +718,10 @@ def _core_cycle(st: CoreState, cycle, grants):
         if st.idle_until > cycle:
             st.idle_cycles += 1
             wfi = st.wfi_idle
-        elif st.lines_left > 0 and st.ipc > 0:
-            st.ipc_acc += st.ipc
-            # a structural stall must not bank whole issue slots: at most
-            # one deferred issue survives, or the resume cycle would burst
-            # several refills into a single (collapsed) pulse
-            lim = st.ipc if st.ipc > 1.0 else 1.0
-            if st.ipc_acc > lim:
-                st.ipc_acc = lim
-            n = int(st.ipc_acc)
+        elif st.lines_left > 0 and st.ipc:
+            den = st.ipc_den
+            acc = st.ipc_acc + st.ipc
+            n = acc // den
             reads = st.reads
             wbq = st.wb
             while n > 0 and st.lines_left > 0:
@@ -725,8 +744,10 @@ def _core_cycle(st: CoreState, cycle, grants):
                     pm |= st.refill_mask
                 st.issued_lines += 1
                 st.lines_left -= 1
-                st.ipc_acc -= 1.0
+                acc -= den
                 n -= 1
+            # a line's credit left over means a full queue stopped the loop
+            st.ipc_acc = acc if acc < den else st.ipc_stall
 
     # ---- the regulator observes the cycle ----
     hits = (pm & st.tap_mask).bit_count() if pm else 0
@@ -756,26 +777,18 @@ def _queue_full(st: CoreState):
     return len(st.reads) >= m.read_outstanding
 
 
-def _issues(st: CoreState, cycle):
-    """True when core `st`'s workload runs its issue stage at `cycle`
-    with lines to issue: not in the handler, not halted, not idle."""
-    return (st.irq_phase < _IRQ_ENTRY
-            and not (st.prev_throttle and st.reg.halts)
-            and st.idle_until <= cycle and st.lines_left > 0 and st.ipc > 0)
-
-
 def _core_span(st: CoreState, cycle, limit):
     """How many cycles from `cycle`, at most `limit`, core `st` can skip
     in one hop unless the controller grants it a line: it emits no pulse,
     changes no queue and reaches no deadline in them.  Below 2 it steps
     the next cycle instead.
 
-    The deadlines are the interrupt phase end, the trace record and the
-    idle end; the regulator's own `quiet_span`; and the first issue of a
-    workload whose issue credit is still building up.  A core whose queue
-    is full cannot issue until a grant frees the queue, and a handler poll
-    that sees the throttle level held only reschedules itself: the
-    catch-up in `_catch_up` advances both without a deadline."""
+    The deadlines are the interrupt phase end, the trace record, the idle
+    end, the workload's next issue and the regulator's own `quiet_span`.
+    A core whose queue is full cannot issue until a grant frees the queue,
+    and a handler poll that sees the throttle level held only reschedules
+    itself: the catch-up in `_catch_up` advances both without a
+    deadline."""
     reg = st.reg
     phase = st.irq_phase
     req = st.prev_throttle
@@ -796,8 +809,12 @@ def _core_span(st: CoreState, cycle, limit):
                 d = st.idle_until
         elif st.lines_left == 0:
             return 0                    # a spent burst phase moves on
-        elif st.ipc > 0 and st.ipc_acc >= 1.0 and not _queue_full(st):
-            return 0                    # the workload issues
+        elif st.ipc and not _queue_full(st):
+            # the workload issues in the cycle whose addition brings its
+            # credit to a whole line
+            t = cycle - 1 - (st.ipc_acc - st.ipc_den) // st.ipc
+            if t < d:
+                d = t
     span = d - cycle if d - cycle < limit else limit
     if span < 2:
         return 0
@@ -807,25 +824,6 @@ def _core_span(st: CoreState, cycle, limit):
         if q < 2:
             return 0
         span = q
-    # last, the credit build-up, whose count costs one addition a cycle.
-    # The credit grows by the same addition in every cycle it grows at
-    # all and otherwise only falls, so an issue cycle counted before bounds
-    # the next issue from below: a core woken by a grant does not count
-    # the stretch again
-    if st.ipc_acc < 1.0 and _issues(st, cycle) and not _queue_full(st):
-        j = st.issue_at - cycle
-        if j <= 0:
-            a = st.ipc_acc
-            ipc = st.ipc
-            for j in range(span):
-                a += ipc
-                if a >= 1.0:
-                    st.issue_at = cycle + j
-                    break
-            else:
-                return span
-        if j < span:
-            return j if j >= 2 else 0
     return span
 
 
@@ -842,20 +840,14 @@ def _catch_up(st: CoreState, start, end):
             # held-level polls: on to the first one at or after end
             p = st.model.handler_poll_cycles
             st.irq_at += -(-(end - st.irq_at) // p) * p
-    elif st.idle_until > start and not (st.prev_throttle and st.reg.halts):
-        st.idle_cycles += span
-    elif _issues(st, start):
-        # the issue credit builds up as in each stepped cycle; only a core
-        # stalled on a full queue reaches its clamp
-        ipc = st.ipc
-        lim = ipc if ipc > 1.0 else 1.0
-        a = st.ipc_acc
-        for _ in range(span):
-            a += ipc
-            if a >= lim:
-                a = lim
-                break
-        st.ipc_acc = a
+    elif not (st.prev_throttle and st.reg.halts):
+        if st.idle_until > start:
+            st.idle_cycles += span
+        elif st.lines_left > 0 and st.ipc:
+            # the credit builds up as in each stepped cycle; only a core
+            # stalled on a full queue reaches a line, and holds there
+            a = st.ipc_acc + span * st.ipc
+            st.ipc_acc = a if a < st.ipc_den else st.ipc_stall
     st.reg.advance(span)
 
 

@@ -121,6 +121,15 @@ def test_model_validation():
         M.CoreModelConfig(**dict(ZCU, irq_latency_cycles=-1))
 
 
+def test_signals_must_be_the_core_types_own():
+    # the A53's default signals 21/22 on an A72, whose regulators tap
+    # 24/25: a `pr` core at 350 MB/s let 3,906 lines through, 0 counted
+    with pytest.raises(ValueError, match=r"\[21, 22\] .* cortex-a72"):
+        M.CoreModelConfig(core_type="cortex-a72")
+    with pytest.raises(ValueError, match=r"\[7\] .* cortex-a53"):
+        M.CoreModelConfig(refill_signals=frozenset({21, 7}))
+
+
 def test_system_config_validation():
     core = M.CoreSpec(model=M.CoreModelConfig(**ZCU),
                       workload=M.Synthetic(op="read"))
@@ -176,6 +185,41 @@ def test_unregulated_zcu102_read_completes_the_cap():
     assert b.cap_lines_per_cycle() == Fraction(5, 384)
     tr = M.run_system(H.point_system(b, None, M.OP_READ, 2.0))
     assert tr.stats[0].completed_lines == 31_250
+
+
+# ---------------------------------------------------------------------------
+# issue credit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate,lines", [
+    # ten float additions of 0.1 fell short of a line: one line every
+    # 11 cycles, 9,090
+    (0.1, 10_000),
+    # a clamp before the issue cut the carry of a core that never stalls:
+    # 25,000 and 50,000.  Fraction(0.3) and Fraction(0.7) are a hair
+    # below 0.3 and 0.7
+    (0.3, 29_999), (0.7, 69_999),
+    (0.5, 50_000), (0.02, 2_000),
+])
+def test_synthetic_issues_at_its_exact_rate(rate, lines):
+    sc = one_core(M.Synthetic(op="write", issue_ipc_limit=rate),
+                  dur=100_000, cap=1.0)
+    assert M.run_system(sc).stats[0].issued_lines == lines
+
+
+@pytest.mark.parametrize("reg", [
+    None, mkreg(R.PR, 350.0)[0], R.MemGuardConfig(27, 6000),
+    R.MemPolConfig(50, 300),
+], ids=["none", "pr", "memguard", "mempol"])
+def test_a_stall_banks_no_issues(reg):
+    # a saturating read core stalls on its read slots.  A stall banks at
+    # most one cycle's credit, so however many slots free at once (all of
+    # them, after a throttle), the core issues one line a cycle and no
+    # refills collapse into one pulse
+    st = M.run_system(one_core(M.Synthetic(op="read"), reg, dur=100_000,
+                               cap=2.0)).stats[0]
+    assert st.issued_lines > 400
+    assert st.pmc_events == st.issued_lines
 
 
 def test_tiny_rate_runs_and_grants_nothing():
@@ -290,6 +334,14 @@ def _diff_scenarios():
     # MemPol halts a write core whose buffer is full
     out["mempol_full_write"] = one_core(M.Synthetic(op="write"), mp,
                                         dur=120_000)
+    # credit reaching a line on a full buffer holds one addition short
+    out["ipc_0.7_stalled_write"] = one_core(
+        M.Synthetic(op="write", issue_ipc_limit=0.7),
+        model=dict(ZCU, write_buffer_depth=2), dur=120_000, cap=0.05)
+    # more than a line of credit a cycle, which a stall drops to nothing
+    out["ipc_1.5_read"] = one_core(M.Synthetic(op="read",
+                                               issue_ipc_limit=1.5),
+                                   dur=120_000, cap=2.0)
     # preset rates whose denominators (384, 896) are not powers of two, so
     # the next-grant deadline divides by a numerator that leaves remainders
     zcu102 = H.preset("zcu102")
@@ -311,9 +363,8 @@ def _core_state(st, grants):
     """Everything a core carries from one cycle to the next."""
     return (grants, st.ipc_acc, st.irq_phase, st.irq_at, tuple(st.reads),
             tuple(st.wb), st.kernel_pending, st.op, st.phase, st.lines_left,
-            st.idle_until, st.trace_pos, st.prev_throttle, st.issued_lines,
-            st.completed_lines, st.pmc_events, st.throttled_cycles,
-            st.handler_cycles, st.idle_cycles, getattr(st.reg, "state", None))
+            st.idle_until, st.trace_pos, st.prev_throttle, M._stats_of(st),
+            getattr(st.reg, "state", None))
 
 
 def _run_recording(monkeypatch, sc, use_hops, steps=None):
