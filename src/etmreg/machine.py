@@ -10,7 +10,9 @@ One simulated cycle advances in a fixed order:
      previous cycle's throttle level, and issues new work (an issued
      refill pulses the refill signals immediately)
   3. each core's regulator observes the cycle: the trace-unit fabric steps
-     on the pulse/fetch inputs, or a software baseline updates
+     on the pulse/fetch inputs, whose taps see the cycle's pulses ORed,
+     or a software baseline updates on the PMU count, which counts each
+     line's pulse
   4. window, period, and aggregate statistics are updated
 
 A core issues at its workload's exact rate, like the controller: its
@@ -34,8 +36,8 @@ level (the fabric and MemGuard raise an interrupt, MemGuard's handler
 sleeps instead of polling, MemPol halts issue from outside).
 
 Each core keeps its own time, and a cycle steps only the cores that act
-in it: a core is stepped at its own event cycles and whenever the
-controller grants it a line.  The inert stretches between (throttle
+in it: a core is stepped at its own event cycles and at each grant
+outside a train (below).  The inert stretches between (throttle
 stalls, idle phases, compute-bound spans, a saturating core waiting on
 the bus) are skipped per core.  One rule, `_core_span`, says how far: to
 the first deadline the core or its regulator states.  A core's deadlines
@@ -58,7 +60,13 @@ earliest of: a core's next step, the controller's next possible grant
 line), the window edge and the duration.  Both queues hold the cycle each
 request becomes ready: a read's after the memory latency, a write-back's
 the cycle after it is buffered.  A window edge needs no core step, as a
-core's event count moves only at its stepped cycles.
+core's event count moves only at its stepped cycles.  On a bus of less
+than a line a cycle, the grants to a sole requester stalled on a full
+queue run as a train, in one hop (`_train`): each retires the ready
+queue head and the issue credit refills the slot, one pulse, until a
+head is not ready, the credit falls short, the regulator's
+`pulse_budget` or the burst phase would run out, or another core, the
+window edge or the duration is due.  The loop goes on from the last.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 """
@@ -338,20 +346,26 @@ class _Unregulated:
         them."""
         return _BIG
 
-    def advance(self, span):
-        """Skip `span` quiet cycles from the cycle of the last
-        `quiet_span` call, at most as many as it allowed.  It may run long
-        after that call, when the core next steps: what the call found
-        (the fabric's counter slopes) holds for any span up to the
-        probed one."""
+    def pulse_budget(self, st, pm, hits):
+        """How many of the quiet cycles that the last `quiet_span` call
+        allowed core `st` may instead pulse `pm`, `hits` monitored events
+        a cycle, while this regulator neither acts nor changes a level."""
+        return _BIG
+
+    def advance(self, span, pulses=0, hits=0):
+        """Skip `span` cycles from the cycle of the last `quiet_span`
+        call, at most as many as it allowed, `pulses` of them pulsing as
+        the last `pulse_budget` call allowed.  It may run long after the
+        calls, when the core next steps: what they found (the fabric's
+        counter slopes) holds for any span up to the probed one."""
 
 
 class _Fabric(_Unregulated):
     """The trace-unit fabric; its throttle outputs raise an interrupt on
     the core, whose handler polls the level."""
     __slots__ = ("step", "idle_out", "chained", "cm_user", "cm_kernel",
-                 "state", "out", "d0", "d1", "pmc_mark", "tap_mark",
-                 "period_throttled", "periods")
+                 "state", "out", "reload", "d0", "d1", "e0", "e1",
+                 "pmc_mark", "tap_mark", "period_throttled", "periods")
     irq_on_throttle = True
 
     def __init__(self, cfg, st):
@@ -363,8 +377,12 @@ class _Fabric(_Unregulated):
         self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)
         self.cm_kernel = cf.cmp_mask(_KERNEL_FETCH_ADDR, False)
         self.state = cf.reset_tuple()
+        r = self.state
+        self.reload = (r[0] | (r[1] << 16), 0) if self.chained \
+            else (r[0], r[1])
         self.out = 0
         self.d0 = self.d1 = 0           # counter slopes found by quiet_span
+        self.e0 = self.e1 = 0           # and under pulses, by pulse_budget
         # the core's event counts at the last period boundary
         self.pmc_mark = self.tap_mark = 0
         self.period_throttled = False
@@ -406,34 +424,60 @@ class _Fabric(_Unregulated):
         if not kernel and st.wfi_idle and st.idle_until > cycle:
             self.d0 = self.d1 = 0
             return _BIG
+        p = self._probe(0, self.cm_kernel if kernel else self.cm_user)
+        if p is None:
+            return 0
+        a, b, self.d0, self.d1 = p
+        # a counter counting down from a fires a - 1 cycles after the probe
+        return min(a - 1 if self.d0 else _BIG, b - 1 if self.d1 else _BIG)
+
+    def pulse_budget(self, st, pm, hits):
+        """A one-cycle probe with the pulses `pm` from the state that
+        `quiet_span` probed gives the counters' slopes under pulses.  A
+        counter that only pulses move fires at its value-th pulse.  One at
+        its reload value whose two slopes differ may be reloaded by one
+        kind of cycle, which no slope describes."""
+        p = self._probe(pm, self.cm_user)
+        if p is None:
+            return 0
+        a, b, e0, e1 = p
+        r0, r1 = self.reload
+        if (a == r0 and e0 != self.d0) or (b == r1 and e1 != self.d1):
+            return 0
+        self.e0 = e0
+        self.e1 = e1
+        return min(a - 1 if e0 > self.d0 else _BIG,
+                   b - 1 if e1 > self.d1 else _BIG)
+
+    def _probe(self, pm, cm):
+        """Step a copy of the state once on the pulses `pm`: the counter
+        values (a chained pair is one) and how far each drops, or None if
+        a counter fires or jumps or a level changes."""
         s = self.state
-        cur = self.step(s[0], s[1], s[2], s[3], s[4], 0,
-                        self.cm_kernel if kernel else self.cm_user)
+        cur = self.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
         if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
                 or cur[5] or cur[6] or cur[7] != self.out):
-            return 0
+            return None
         if self.chained:
             a, b = s[0] | (s[1] << 16), 0
-            ca, cb = cur[0] | (cur[1] << 16), 0
+            d0, d1 = a - (cur[0] | (cur[1] << 16)), 0
         else:
             a, b = s[0], s[1]
-            ca, cb = cur[0], cur[1]
-        d0 = a - ca
-        d1 = b - cb
+            d0, d1 = a - cur[0], b - cur[1]
         if d0 not in (0, 1) or d1 not in (0, 1):
-            return 0
-        self.d0 = d0
-        self.d1 = d1
-        # a counter counting down from ca fires ca cycles from now
-        return min(ca if d0 else _BIG, cb if d1 else _BIG)
+            return None
+        return a, b, d0, d1
 
-    def advance(self, span):
+    def advance(self, span, pulses=0, hits=0):
         s = self.state
+        quiet = span - pulses
         if self.chained:
-            v = (s[0] | (s[1] << 16)) - self.d0 * span
+            v = ((s[0] | (s[1] << 16)) - self.d0 * quiet
+                 - self.e0 * pulses)
             self.state = (v & 0xFFFF, v >> 16, s[2], s[3], s[4])
         else:
-            self.state = (s[0] - self.d0 * span, s[1] - self.d1 * span,
+            self.state = (s[0] - self.d0 * quiet - self.e0 * pulses,
+                          s[1] - self.d1 * quiet - self.e1 * pulses,
                           s[2], s[3], s[4])
 
 
@@ -467,6 +511,16 @@ class _MemGuard(_Unregulated):
 
     def quiet_span(self, st, cycle):
         return self.state.next_boundary - cycle
+
+    def pulse_budget(self, st, pm, hits):
+        # the budget must stay above zero
+        return (self.state.remaining - 1) // hits if hits else _BIG
+
+    def advance(self, span, pulses=0, hits=0):
+        if pulses:
+            s = self.state
+            self.state = REG.MemGuardState(s.remaining - pulses * hits,
+                                           s.next_boundary)
 
 
 class _MemPol(_Unregulated):
@@ -508,8 +562,8 @@ class CoreState:
         "idle_until", "wfi_idle", "trace_recs", "trace_pos", "trace_next",
         # interrupt machine
         "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
-        # pulse masks
-        "refill_mask", "wbk_mask", "tap_mask",
+        # pulse masks, and the monitored events of one line's pulse
+        "refill_mask", "wbk_mask", "tap_mask", "refill_hits", "wbk_hits",
     ) + _STATS
 
     def __init__(self, spec: CoreSpec):
@@ -586,6 +640,8 @@ class CoreState:
             self.reg = _MemPol(reg)
         else:
             raise ValueError("unknown regulator %r" % (reg,))
+        self.refill_hits = (self.refill_mask & self.tap_mask).bit_count()
+        self.wbk_hits = (self.wbk_mask & self.tap_mask).bit_count()
 
         for name in _STATS:
             setattr(self, name, 0)
@@ -605,15 +661,15 @@ class CoreState:
         return bool(w) and w[0] <= cycle
 
     def serve_one(self, cycle):
-        """Retire one granted line; returns the pulse mask it emits now."""
+        """Retire one granted line; True for a write-back, which pulses
+        now (a refill pulsed at issue)."""
+        self.completed_lines += 1
         r = self.reads
         if r and r[0] <= cycle:
             del r[0]
-            self.completed_lines += 1
-            return 0                    # refills pulsed at issue
+            return False
         del self.wb[0]
-        self.completed_lines += 1
-        return self.wbk_mask
+        return True
 
 
 # =========================================================================
@@ -645,12 +701,17 @@ def _advance_burst(st: CoreState, cycle):
 def _core_cycle(st: CoreState, cycle, grants):
     """Retire grants, run the interrupt machine against the previous
     cycle's throttle level, issue new work, and let the regulator observe
-    the cycle's pulses; updates st.prev_throttle and the statistics."""
+    the cycle's pulses; updates st.prev_throttle and the statistics.
+
+    `pm` ORs the cycle's pulses, as the fabric's taps see them; `hits`
+    counts each line's pulse apart, as the PMU adders do."""
     m = st.model
     reg = st.reg
-    pm = 0
+    pm = hits = 0
     for _ in range(grants):
-        pm |= st.serve_one(cycle)
+        if st.serve_one(cycle):         # a write-back pulses as it retires
+            pm |= st.wbk_mask
+            hits += st.wbk_hits
 
     # ---- interrupt machine ----
     phase = st.irq_phase
@@ -698,6 +759,7 @@ def _core_cycle(st: CoreState, cycle, grants):
             st.issued_lines += 1
             st.kernel_lines += 1
             pm |= st.refill_mask
+            hits += st.refill_hits
 
     # ---- scripted pulse streams ----
     kernel = in_handler
@@ -705,6 +767,7 @@ def _core_cycle(st: CoreState, cycle, grants):
         recs = st.trace_recs
         _t, mask, kern = recs[st.trace_pos]
         pm |= mask
+        hits += (mask & st.tap_mask).bit_count()
         kernel = kernel or kern
         st.trace_pos += 1
         st.trace_next = (recs[st.trace_pos][0]
@@ -737,11 +800,13 @@ def _core_cycle(st: CoreState, cycle, grants):
                     reads.append(cycle + m.mem_latency_cycles)
                     wbq.append(cycle + 1)
                     pm |= st.refill_mask
+                    hits += st.refill_hits
                 else:                   # read / prefetch
                     if len(reads) >= m.read_outstanding:
                         break
                     reads.append(cycle + m.mem_latency_cycles)
                     pm |= st.refill_mask
+                    hits += st.refill_hits
                 st.issued_lines += 1
                 st.lines_left -= 1
                 acc -= den
@@ -750,7 +815,6 @@ def _core_cycle(st: CoreState, cycle, grants):
             st.ipc_acc = acc if acc < den else st.ipc_stall
 
     # ---- the regulator observes the cycle ----
-    hits = (pm & st.tap_mask).bit_count() if pm else 0
     if hits:
         st.pmc_events += hits
         st.tap_events += 1
@@ -851,6 +915,60 @@ def _catch_up(st: CoreState, start, end):
     st.reg.advance(span)
 
 
+def _train(st: CoreState, t, end, acc, num, den):
+    """Apply in one hop the grants that a controller of rate num/den < 1,
+    its accumulator at `acc`, makes before `end` to core `st`, its sole
+    requester, which stepped at `t` stalled on a full queue.  Each grant
+    retires the queue head, if it is ready, and the issue credit refills
+    the slot, if it reaches a line: the core pulses once and changes no
+    phase, so the regulator, within its `pulse_budget`, does not act.
+    Returns the lines granted, the last grant cycle and the accumulator
+    after it."""
+    # a phase with lines left is not idle
+    if (st.irq_phase != _IRQ_NONE or st.prev_throttle or st.lines_left < 2
+            or st.op == OP_MODIFY or not _queue_full(st)):
+        return 0, t, acc
+    if st.op == OP_WRITE:
+        if st.reads:                    # a read in flight is served first
+            return 0, t, acc
+        q, lat, pm, hits = st.wb, 1, st.wbk_mask, st.wbk_hits
+    else:
+        q, lat = st.reads, st.model.mem_latency_cycles
+        pm, hits = st.refill_mask, st.refill_hits
+    g = t - (acc - den) // num if acc < den else t + 1
+    if g >= end or q[0] > g:
+        return 0, t, acc
+    room = min(st.lines_left - 1, st.reg.pulse_budget(st, pm, hits))
+    ipc, ipc_den, a = st.ipc, st.ipc_den, st.ipc_acc
+    k = 0
+    last = t
+    while k < room and g < end and q[0] <= g:
+        # the credit as `_catch_up` and `_core_cycle` leave it
+        c = a + (g - last - 1) * ipc
+        if c >= ipc_den:
+            c = st.ipc_stall
+        c += ipc - ipc_den
+        if c < 0:
+            break
+        a = c if c < ipc_den else st.ipc_stall
+        del q[0]
+        q.append(g + lat)
+        acc += (g - last) * num - den
+        last = g
+        k += 1
+        g = last - (acc - den) // num
+    if k:
+        st.ipc_acc = a
+        st.completed_lines += k
+        st.issued_lines += k
+        st.lines_left -= k
+        if hits:
+            st.pmc_events += k * hits
+            st.tap_events += k
+        st.reg.advance(last - t, k, hits)
+    return k, last, acc
+
+
 # =========================================================================
 # the system loop
 # =========================================================================
@@ -866,6 +984,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     # acc counts 1/den lines: num a cycle, up to a line or a cycle's rate
     num, den = sys_cfg.shared_mem_bandwidth.as_integer_ratio()
     cap = max(den, num)
+    trains = use_hops and num < den     # then one grant a cycle at most
     acc = 0
     rr = 0
     total_granted = 0
@@ -919,6 +1038,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         # regulators; each core first catches up from its own time ----
         nxt = win_end if win_end < duration else duration
         ready = _BIG
+        queued = 0
         for i in range(n):
             st = cores[i]
             g = grants[i]
@@ -943,6 +1063,26 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             w = st.wb
             if w and w[0] < ready:
                 ready = w[0]
+            if r or w:
+                queued += 1
+                sole = i
+
+        # ---- a sole requester that just stepped takes its next grants
+        # as one train; the loop goes on from the last, where `ready`
+        # may be early, which costs a visit ----
+        if trains and queued == 1 and at[sole] > cycle:
+            st = cores[sole]
+            k, last, acc = _train(st, cycle, nxt, acc, num, den)
+            if k:
+                total_granted += k
+                win_lines[sole] += k
+                rr = (rr + k) % n
+                cycle = last
+                d = at[sole] = last + 1
+                d += _core_span(st, d, duration - d)
+                due[sole] = d
+                if d < nxt:
+                    nxt = d
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import etmreg.fabric as F
 import etmreg.harness as H
 import etmreg.machine as M
 import etmreg.regulators as R
+from reference_fabric import random_config, random_config_small
 
 # ZCU102-like timing: 1200 MHz A53, 81-cycle interrupt delivery
 ZCU = dict(freq_mhz=1200, irq_latency_cycles=81, read_outstanding=8,
@@ -222,6 +224,19 @@ def test_a_stall_banks_no_issues(reg):
     assert st.pmc_events == st.issued_lines
 
 
+@pytest.mark.parametrize("op", [M.OP_READ, M.OP_WRITE])
+def test_each_line_pulses_the_pmu_adder(op):
+    # on a 2.0 bus two lines issue or retire in one cycle.  Their pulses
+    # were ORed into one event: pmc_events read 10,000 of 20,000 refills
+    # and 99,999 of 199,998 write-backs.  The taps still see one cycle
+    st = M.run_system(one_core(M.Synthetic(op=op, issue_ipc_limit=2.0),
+                               dur=100_000, cap=2.0)).stats[0]
+    lines = st.issued_lines if op == M.OP_READ else st.completed_lines
+    assert (lines, st.pmc_events, st.tap_events) == {
+        M.OP_READ: (20_000, 20_000, 10_000),
+        M.OP_WRITE: (199_998, 199_998, 99_999)}[op]
+
+
 def test_tiny_rate_runs_and_grants_nothing():
     # no positive rate is below the accumulator's resolution
     sc = one_core(M.Synthetic(op="read"), dur=10_000, cap=1e-12)
@@ -353,6 +368,37 @@ def _diff_scenarios():
     a55 = H.preset("rk3588-a55")
     out["rk3588_a55_mempol"] = H.point_system(
         a55, H.regulator_for(R.MEMPOL, a55, 350.0, 5.0), M.OP_READ, 0.1)
+    # grant trains.  The write phase starts with reads in flight, which
+    # the controller serves first
+    cap = zcu102.cap_lines_per_cycle()
+    out["burst_read_then_write"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Burst(((M.OP_READ, 512, 0),
+                                           (M.OP_WRITE, 2560, 0)))),),
+        cap, 120_000)
+    # window edges inside trains
+    out["pr_900_window_1000"] = dataclasses.replace(H.point_system(
+        zcu102, H.regulator_for(R.PR, zcu102, 900.0, 5.0), M.OP_READ, 0.1),
+        window_cycles=1000)
+    # a reader that is the sole requester only while its neighbour sleeps
+    out["reader_and_wfi_burst"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ)),
+         M.CoreSpec(zcu102.model, wfi, pr)), cap, 120_000)
+    # a tap of three signals
+    a76 = H.preset("rk3588-a76")
+    out["rk3588_a76_tb13"] = H.point_system(
+        a76, H.regulator_for(R.TB13, a76, 1500.0, 5.0), M.OP_READ, 0.1)
+    # a counter that each pulse reloads and each quiet cycle counts down:
+    # at its reload value a pulse seems to leave it alone
+    ext = F.ResourceSelectorConfig(F.EXTERNAL_INPUTS, frozenset({0}))
+    zero = F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({0}))
+    reloaded = F.EtmConfig(
+        inputs=(F.ExternalInputSelector(frozenset({21})),),
+        selectors=F.HARDWIRED + (ext, zero),
+        counters=(F.CounterConfig(0, 50, F.EventSpec(F.TRUE_SEL),
+                                  reload_event=F.EventSpec(2)),),
+        outputs=(F.ExternalOutputConfig(1, 3),))
+    out["pulse_reloaded_counter"] = one_core(M.Synthetic(op="read"), reloaded,
+                                             dur=20_000, cap=0.05)
     return out
 
 
@@ -432,8 +478,8 @@ def _random_regulator(rng):
                                           rng.randint(300, 8000)))
 
 
-def _random_core(rng):
-    model = M.CoreModelConfig(
+def _random_model(rng, **signals):
+    return M.CoreModelConfig(
         irq_latency_cycles=rng.choice((0, 1, 5, 81, 300)),
         read_outstanding=rng.randint(1, 10),
         write_buffer_depth=rng.randint(1, 24),
@@ -441,8 +487,12 @@ def _random_core(rng):
         handler_entry_cycles=rng.choice((0, 1, 30)),
         handler_poll_cycles=rng.choice((1, 2, 20)),
         handler_exit_cycles=rng.choice((0, 1, 20)),
-        handler_kernel_events=rng.randint(0, 3))
-    return M.CoreSpec(model, _random_workload(rng), _random_regulator(rng))
+        handler_kernel_events=rng.randint(0, 3), **signals)
+
+
+def _random_core(rng):
+    return M.CoreSpec(_random_model(rng), _random_workload(rng),
+                      _random_regulator(rng))
 
 
 _RATES = (0.01, 0.05, 0.2, 0.5, 1.0, 2.0)
@@ -480,6 +530,23 @@ def test_many_lagging_cores_hop_exactly():
             "case %d: %r" % (case, sc)
 
 
+def test_random_fabric_configs_hop_exactly():
+    # any fabric config, not only the six designs, with the core's pulses
+    # on one or both of the signals its taps may monitor
+    rng = random.Random(13)
+    for case in range(50):
+        sigs = {k: frozenset(rng.sample((21, 22), rng.randint(1, 2)))
+                for k in ("refill_signals", "wb_signals")}
+        reg = rng.choice((random_config, random_config_small))(rng)
+        sc = M.SystemConfig(
+            cores=(M.CoreSpec(_random_model(rng, **sigs),
+                              _random_workload(rng), reg),),
+            shared_mem_bandwidth=rng.choice((0.013, 0.05, 0.2, 1.0)),
+            duration_cycles=rng.randint(5000, 40_000))
+        assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
+            "case %d: %r" % (case, sc)
+
+
 # cycles each 0.1 ms single-core scenario stepped while the hop rule still
 # refused any queued traffic: (board, design, target MB/s, op) -> cycles
 _STEPPED_BEFORE = {
@@ -491,6 +558,21 @@ _STEPPED_BEFORE = {
     ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 45_588,
     ("zcu102", R.MEMPOL, 350.0, M.OP_READ): 49_128,
     ("ideal", R.PR, 350.0, M.OP_READ): 120_000,
+}
+
+
+# and since a sole requester takes its routine grants as one train; each
+# stepped one grant at a time before: 1,570, 821, 1,100, 1,761, 1,803, 864,
+# 675 and 659 in this order
+_STEPPED_WITH_TRAINS = {
+    ("zcu102", None, 0.0, M.OP_READ): 8,
+    ("zcu102", R.PR, 350.0, M.OP_READ): 537,
+    ("zcu102", R.PR, 350.0, M.OP_WRITE): 1_037,
+    ("zcu102", R.PR, 950.0, M.OP_READ): 537,
+    ("zcu102", R.TB13, 1000.0, M.OP_READ): 446,
+    ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 524,
+    ("zcu102", R.MEMPOL, 350.0, M.OP_READ): 52,
+    ("ideal", R.PR, 350.0, M.OP_READ): 159,
 }
 
 
@@ -506,6 +588,23 @@ def test_saturating_runs_step_a_tenth_of_their_cycles(monkeypatch, board,
     _, stepped = _run_recording(monkeypatch, sc, True)
     assert sc.duration_cycles == 120_000
     assert len(stepped) * 10 <= _STEPPED_BEFORE[board, design, target, op]
+    assert len(stepped) <= _STEPPED_WITH_TRAINS[board, design, target, op]
+
+
+def test_a_floor_search_near_the_cap_steps_few_cores(monkeypatch):
+    # its probes are bus-bound runs, whose grants go one by one to a lone
+    # core: 2,088 core-steps before trains.  The count repeats exactly, so
+    # it guards the trains against host noise
+    calls = []
+    core_cycle = M._core_cycle
+
+    def counting(st, cycle, grants):
+        calls.append(cycle)
+        core_cycle(st, cycle, grants)
+
+    monkeypatch.setattr(M, "_core_cycle", counting)
+    H.calibrate_safe_floor("zcu102", R.MEMGUARD, 2.5, duration_ms=0.015)
+    assert len(calls) <= 1_000
 
 
 # core-steps of 0.1 ms saturating `pr`@350 read systems on zcu102 while a
