@@ -3,31 +3,33 @@
 One simulated cycle advances in a fixed order:
 
   1. the shared memory controller grants cacheline slots (bandwidth
-     accumulates at an exact rational rate; round-robin across requesting
-     cores; within a core, ready reads are served before write-backs)
-  2. each core retires its grants (a write-back retirement pulses the
+     accumulates at an exact rational rate; one round-robin pass across
+     requesting cores, at most one line each; within a core, ready reads
+     are served before write-backs)
+  2. each core retires its grant (a write-back retirement pulses the
      write-back signals), runs its interrupt state machine against the
-     previous cycle's throttle level, and issues new work (an issued
-     refill pulses the refill signals immediately)
+     previous cycle's throttle level, and issues at most one line (an
+     issued refill pulses the refill signals immediately)
   3. each core's regulator observes the cycle: the trace-unit fabric steps
      on the pulse/fetch inputs, whose taps see the cycle's pulses ORed,
      or a software baseline updates on the PMU count, which counts each
      line's pulse
   4. window, period, and aggregate statistics are updated
 
-A core issues at its workload's exact rate, like the controller: its
-issue credit counts 1/den lines and grows by the rate's numerator in
-each cycle the workload may issue.  Cores stall on read_outstanding /
+A core moves at most one line a cycle, as a trace-unit input pulses
+once a cycle at most.  It issues at its workload's exact rate: its issue
+credit counts 1/den lines and grows by the rate's numerator in each
+cycle the workload may issue.  Cores stall on read_outstanding /
 write_buffer_depth backpressure, and a stall banks at most one cycle's
-credit.  A throttle level raises an interrupt after irq_latency_cycles;
-the handler charges an entry cost, issues its own kernel-mode memory
-traffic, polls the throttle level every handler_poll_cycles, and pays an
-exit cost once the level drops.  The workload issues nothing from
-handler entry to handler exit, but in-flight transactions keep draining
-and keep pulsing — the gap between "throttle asserted" and "traffic
-actually stops" is the point of the model.  Timer-replenished regulators
-additionally run their handler at every period boundary, throttled or
-not.
+credit.  A throttle level raises an interrupt after
+irq_latency_cycles; the handler charges an entry cost, issues its own
+kernel-mode memory traffic, polls the throttle level every
+handler_poll_cycles, and pays an exit cost once the level drops.  The
+workload issues nothing from handler entry to handler exit, but
+in-flight transactions keep draining and keep pulsing — the gap between
+"throttle asserted" and "traffic actually stops" is the point of the
+model.  Timer-replenished regulators additionally run their handler at
+every period boundary, throttled or not.
 
 Each core's regulator is one runtime object, built once per run: none, the
 fabric, MemGuard or MemPol.  It observes every stepped cycle and returns
@@ -60,18 +62,17 @@ earliest of: a core's next step, the controller's next possible grant
 line), the window edge and the duration.  Both queues hold the cycle each
 request becomes ready: a read's after the memory latency, a write-back's
 the cycle after it is buffered.  A window edge needs no core step, as a
-core's event count moves only at its stepped cycles.  On a bus of less
-than a line a cycle, the grants to a sole requester stalled on a full
-queue run as a train, in one hop (`_train`): each retires the ready
-queue head and the issue credit refills the slot, one pulse, until a
-head is not ready, the credit falls short, the regulator's
-`pulse_budget` or the burst phase would run out, or another core, the
-window edge or the duration is due.  The loop goes on from the last.
+core's event count moves only at its stepped cycles.  The grants to a
+sole requester stalled on a full queue, at most one a cycle on any bus,
+run as a train, in one hop (`_train`): each retires the ready queue head
+and the issue credit refills the slot, one pulse, until a head is not
+ready, the credit falls short, the regulator's `pulse_budget` or the
+burst phase would run out, or another core, the window edge or the
+duration is due.  The loop goes on from the last.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isfinite
@@ -104,6 +105,13 @@ def lines_mbps(lines, cycles, freq_mhz):
     return lines * CACHELINE / seconds / 1e6
 
 
+def _check_int(name, value):
+    """Raise a ValueError that names `name` unless `value` is an int (a
+    bool is not): the hops count cycles and lines in integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class CoreModelConfig:
     """Timing/capacity parameters of one core and its path to memory."""
@@ -124,6 +132,9 @@ class CoreModelConfig:
         object.__setattr__(self, "refill_signals",
                            frozenset(self.refill_signals))
         object.__setattr__(self, "wb_signals", frozenset(self.wb_signals))
+        for f in fields(self):
+            if f.type is int:
+                _check_int(f.name, getattr(self, f.name))
         if self.freq_mhz <= 0:
             raise ValueError("freq_mhz must be positive")
         if self.read_outstanding < 1 or self.write_buffer_depth < 1:
@@ -152,9 +163,9 @@ class Synthetic:
 
     `issue_ipc_limit` is the exact average number of lines issued per
     cycle, taken as the rational value of the number given (a float 0.1
-    is a hair above one tenth).  A core stalled on a full queue banks at
-    most one cycle's worth of it, so it issues again in the cycle the
-    queue frees, no sooner and in no burst.
+    is a hair above one tenth), at most one line a cycle.  A core stalled
+    on a full queue banks at most one cycle's worth of it, so it issues
+    again in the cycle the queue frees, no sooner.
     """
     op: str
     issue_ipc_limit: float = 1.0
@@ -162,9 +173,10 @@ class Synthetic:
     def __post_init__(self):
         if self.op not in OPS:
             raise ValueError("unknown op %r" % (self.op,))
-        if not (isfinite(self.issue_ipc_limit) and self.issue_ipc_limit >= 0):
-            raise ValueError("issue_ipc_limit must be a finite number >= 0, "
-                             "got %r" % (self.issue_ipc_limit,))
+        if not 0 <= self.issue_ipc_limit <= 1:
+            raise ValueError("issue_ipc_limit must be a number in [0, 1] (a "
+                             "core moves at most one line a cycle), got %r"
+                             % (self.issue_ipc_limit,))
 
 
 @dataclass(frozen=True)
@@ -184,9 +196,11 @@ class Burst:
         if not self.pattern:
             raise ValueError("burst pattern is empty")
         busy = False
-        for op, nbytes, idle in self.pattern:
+        for i, (op, nbytes, idle) in enumerate(self.pattern):
             if op not in OPS:
                 raise ValueError("unknown op %r" % (op,))
+            _check_int("burst phase %d bytes" % i, nbytes)
+            _check_int("burst phase %d idle_cycles" % i, idle)
             if nbytes < 0 or idle < 0:
                 raise ValueError("negative burst phase")
             if nbytes % CACHELINE:
@@ -208,6 +222,7 @@ class TraceReplay:
         records = tuple(self.records)
         object.__setattr__(self, "records", records)
         for i, rec in enumerate(records):
+            _check_int("record %d %r cycle delta" % (i, rec), rec[0])
             if rec[0] < 0:
                 raise ValueError("record %d %r has a negative cycle delta"
                                  % (i, rec))
@@ -230,6 +245,9 @@ class CoreSpec:
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """Cores sharing one memory controller, whose exact rate may exceed
+    one line a cycle for several cores: each core still moves at most
+    one line a cycle."""
     cores: tuple
     shared_mem_bandwidth: Fraction  # cachelines per cycle at the controller
     duration_cycles: int
@@ -239,6 +257,8 @@ class SystemConfig:
         object.__setattr__(self, "cores", tuple(self.cores))
         if not self.cores:
             raise ValueError("need at least one core")
+        _check_int("duration_cycles", self.duration_cycles)
+        _check_int("window_cycles", self.window_cycles)
         if self.duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
         if not (isfinite(self.shared_mem_bandwidth)
@@ -617,11 +637,10 @@ class CoreState:
         else:
             raise ValueError("unknown workload %r" % (w,))
         # the issue credit counts 1/ipc_den lines, ipc of them a cycle.  A
-        # core stalled on a full queue with a line's credit keeps one
-        # addition short of a line: it issues in the cycle the queue
-        # frees, and never several refills in one collapsed pulse
+        # core stalled on a full queue holds one addition short of a
+        # line, so it issues in the cycle the queue frees
         self.ipc_acc = 0
-        self.ipc_stall = max(self.ipc_den - self.ipc, 0)
+        self.ipc_stall = self.ipc_den - self.ipc
 
         self.irq_phase = _IRQ_NONE
         self.irq_at = _BIG
@@ -648,20 +667,16 @@ class CoreState:
 
     # -- memory controller interface --------------------------------------
 
-    def has_request(self, cycle, granted=0):
-        """True when more than `granted` requests are ready at `cycle`."""
+    def has_request(self, cycle):
+        """True when a request is ready at `cycle`."""
         r = self.reads
-        w = self.wb
-        if granted:
-            # a later grant round of the same cycle: count the ready ones
-            # (both FIFOs are in ready order)
-            return bisect_right(r, cycle) + bisect_right(w, cycle) > granted
         if r and r[0] <= cycle:
             return True
+        w = self.wb
         return bool(w) and w[0] <= cycle
 
     def serve_one(self, cycle):
-        """Retire one granted line; True for a write-back, which pulses
+        """Retire the line of one grant; True for a write-back, which pulses
         now (a refill pulsed at issue)."""
         self.completed_lines += 1
         r = self.reads
@@ -699,19 +714,19 @@ def _advance_burst(st: CoreState, cycle):
 
 
 def _core_cycle(st: CoreState, cycle, grants):
-    """Retire grants, run the interrupt machine against the previous
-    cycle's throttle level, issue new work, and let the regulator observe
-    the cycle's pulses; updates st.prev_throttle and the statistics.
+    """Retire the cycle's grant, if `grants`, run the interrupt machine
+    against the previous cycle's throttle level, issue at most one line,
+    and let the regulator observe the cycle's pulses; updates
+    st.prev_throttle and the statistics.
 
     `pm` ORs the cycle's pulses, as the fabric's taps see them; `hits`
     counts each line's pulse apart, as the PMU adders do."""
     m = st.model
     reg = st.reg
     pm = hits = 0
-    for _ in range(grants):
-        if st.serve_one(cycle):         # a write-back pulses as it retires
-            pm |= st.wbk_mask
-            hits += st.wbk_hits
+    if grants and st.serve_one(cycle):  # a write-back pulses as it retires
+        pm |= st.wbk_mask
+        hits += st.wbk_hits
 
     # ---- interrupt machine ----
     phase = st.irq_phase
@@ -782,37 +797,22 @@ def _core_cycle(st: CoreState, cycle, grants):
             st.idle_cycles += 1
             wfi = st.wfi_idle
         elif st.lines_left > 0 and st.ipc:
-            den = st.ipc_den
             acc = st.ipc_acc + st.ipc
-            n = acc // den
-            reads = st.reads
-            wbq = st.wb
-            while n > 0 and st.lines_left > 0:
-                op = st.op
-                if op == OP_WRITE:
-                    if len(wbq) >= m.write_buffer_depth:
-                        break
-                    wbq.append(cycle + 1)   # ready once it is buffered
-                elif op == OP_MODIFY:
-                    if (len(reads) >= m.read_outstanding
-                            or len(wbq) >= m.write_buffer_depth):
-                        break
-                    reads.append(cycle + m.mem_latency_cycles)
-                    wbq.append(cycle + 1)
-                    pm |= st.refill_mask
-                    hits += st.refill_hits
-                else:                   # read / prefetch
-                    if len(reads) >= m.read_outstanding:
-                        break
-                    reads.append(cycle + m.mem_latency_cycles)
-                    pm |= st.refill_mask
-                    hits += st.refill_hits
+            if acc < st.ipc_den:
+                st.ipc_acc = acc
+            elif _queue_full(st):       # the credit holds short of a line
+                st.ipc_acc = st.ipc_stall
+            else:
+                st.ipc_acc = acc - st.ipc_den
                 st.issued_lines += 1
                 st.lines_left -= 1
-                acc -= den
-                n -= 1
-            # a line's credit left over means a full queue stopped the loop
-            st.ipc_acc = acc if acc < den else st.ipc_stall
+                op = st.op
+                if op != OP_WRITE:
+                    st.reads.append(cycle + m.mem_latency_cycles)
+                    pm |= st.refill_mask
+                    hits += st.refill_hits
+                if op == OP_WRITE or op == OP_MODIFY:
+                    st.wb.append(cycle + 1)     # ready once it is buffered
 
     # ---- the regulator observes the cycle ----
     if hits:
@@ -915,14 +915,15 @@ def _catch_up(st: CoreState, start, end):
     st.reg.advance(span)
 
 
-def _train(st: CoreState, t, end, acc, num, den):
-    """Apply in one hop the grants that a controller of rate num/den < 1,
-    its accumulator at `acc`, makes before `end` to core `st`, its sole
-    requester, which stepped at `t` stalled on a full queue.  Each grant
-    retires the queue head, if it is ready, and the issue credit refills
-    the slot, if it reaches a line: the core pulses once and changes no
-    phase, so the regulator, within its `pulse_budget`, does not act.
-    Returns the lines granted, the last grant cycle and the accumulator
+def _train(st: CoreState, t, end, acc, num, den, cap):
+    """Apply in one hop the grants that a controller of rate num/den, its
+    accumulator at `acc` and capped at `cap`, makes before `end` to core
+    `st`, its sole requester, which stepped at `t` stalled on a full
+    queue.  The core takes at most one grant a cycle.  Each grant retires
+    the queue head, if it is ready, and the issue credit refills the
+    slot, if it reaches a line: the core pulses once and changes no phase,
+    so the regulator, within its `pulse_budget`, does not act.
+    Returns the number of grants, the last grant cycle and the accumulator
     after it."""
     # a phase with lines left is not idle
     if (st.irq_phase != _IRQ_NONE or st.prev_throttle or st.lines_left < 2
@@ -943,20 +944,20 @@ def _train(st: CoreState, t, end, acc, num, den):
     k = 0
     last = t
     while k < room and g < end and q[0] <= g:
-        # the credit as `_catch_up` and `_core_cycle` leave it
-        c = a + (g - last - 1) * ipc
-        if c >= ipc_den:
-            c = st.ipc_stall
-        c += ipc - ipc_den
+        # the credit as `_catch_up` and `_core_cycle` leave it: a core
+        # that held a whole line before g holds none after it
+        c = a + (g - last) * ipc - ipc_den
         if c < 0:
             break
-        a = c if c < ipc_den else st.ipc_stall
+        a = c if c < ipc else 0
         del q[0]
         q.append(g + lat)
         acc += (g - last) * num - den
+        if acc > cap:
+            acc = cap
         last = g
         k += 1
-        g = last - (acc - den) // num
+        g = last - (acc - den) // num if acc < den else last + 1
     if k:
         st.ipc_acc = a
         st.completed_lines += k
@@ -984,7 +985,6 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     # acc counts 1/den lines: num a cycle, up to a line or a cycle's rate
     num, den = sys_cfg.shared_mem_bandwidth.as_integer_ratio()
     cap = max(den, num)
-    trains = use_hops and num < den     # then one grant a cycle at most
     acc = 0
     rr = 0
     total_granted = 0
@@ -1012,19 +1012,15 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         avail = acc // den
         if avail:
             served = 0
-            again = True
-            while avail > 0 and again:
-                again = False
-                for k in range(n):
-                    ci = rr + k
-                    if ci >= n:
-                        ci -= n
-                    if avail > 0 and cores[ci].has_request(cycle,
-                                                           grants[ci]):
-                        grants[ci] += 1
-                        avail -= 1
-                        served += 1
-                        again = True
+            for k in range(n):
+                ci = rr + k
+                if ci >= n:
+                    ci -= n
+                if cores[ci].has_request(cycle):
+                    grants[ci] = 1
+                    served += 1
+                    if served == avail:
+                        break
             if served:
                 rr += 1
                 if rr >= n:
@@ -1034,7 +1030,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         if acc > cap:
             acc = cap
 
-        # ---- 2+3. the cores due now or granted a line, and their
+        # ---- 2+3. the cores due now or given a grant, and their
         # regulators; each core first catches up from its own time ----
         nxt = win_end if win_end < duration else duration
         ready = _BIG
@@ -1070,9 +1066,9 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         # ---- a sole requester that just stepped takes its next grants
         # as one train; the loop goes on from the last, where `ready`
         # may be early, which costs a visit ----
-        if trains and queued == 1 and at[sole] > cycle:
+        if use_hops and queued == 1 and at[sole] > cycle:
             st = cores[sole]
-            k, last, acc = _train(st, cycle, nxt, acc, num, den)
+            k, last, acc = _train(st, cycle, nxt, acc, num, den, cap)
             if k:
                 total_granted += k
                 win_lines[sole] += k
