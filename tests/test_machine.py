@@ -265,14 +265,16 @@ def test_a_stall_banks_no_issues(reg):
     assert st.pmc_events == st.issued_lines
 
 
-def test_each_line_pulses_the_pmu_adder():
-    # a modify core whose refill and write-back pulse one signal: a grant
-    # that retires a write-back frees the buffer entry that the next
-    # refill takes in the same cycle.  The PMU adder counts both lines,
-    # the tap one cycle; ORed pulses counted 661 events
+@pytest.mark.parametrize("op", [M.OP_READ, M.OP_WRITE])
+def test_each_line_pulses_the_pmu_adder(op):
+    # a modify core whose refill and write-back pulse one signal, the
+    # refill's (read) or the write-back's (write): a grant that retires a
+    # write-back frees the buffer entry that the next refill takes in the
+    # same cycle.  The PMU adder counts both lines, the tap one cycle;
+    # ORed pulses counted 661 events
     b = H.preset("zcu102")
-    model = dataclasses.replace(b.model, refill_signals=frozenset({21}),
-                                wb_signals=frozenset({21}))
+    sig = frozenset({21 if op == M.OP_READ else 22})
+    model = dataclasses.replace(b.model, refill_signals=sig, wb_signals=sig)
     sc = M.SystemConfig((M.CoreSpec(model, M.Synthetic(op=M.OP_MODIFY)),),
                         b.cap_lines_per_cycle(), 100_000)
     st = M.run_system(sc).stats[0]
