@@ -27,7 +27,10 @@ levels reflect the frozen sequencer with all pulses low.
 
 `compile_fabric` turns a config into a generated step function over a
 plain state tuple; it is the one way to step the fabric.  The test suite
-checks it against an independent interpretive reference.
+checks it against an independent interpretive reference.  A chained
+counter 0 is one 32-bit counter: the state holds its whole value in
+`cv0`, and `cv1` stays 0.  Only the register program (`regprog`) splits
+it over the two 16-bit value registers.
 """
 
 from dataclasses import dataclass
@@ -55,6 +58,13 @@ ADDRESS_RANGE = "address_range"
 
 USER = "user"
 KERNEL = "kernel"
+
+
+def check_int(name, value):
+    """Raise a ValueError that names `name` unless `value` is an int (a
+    bool is not): counters, cycles and lines are whole numbers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an int, got %r" % (name, value))
 
 
 class InvalidConfig(ValueError):
@@ -136,7 +146,8 @@ class CounterConfig:
     is a level) until `reload_event` fires.  `reload_event` may also be set
     alongside self_reload; it forces a reload regardless of current value.
     With chained (counter 0 only) both counters form one 32-bit counter and
-    counter 1 must not be configured.
+    counter 1 must not be configured; the fabric state holds the 32-bit
+    value in `cv0`.
     """
     index: int
     reload_value: int
@@ -302,9 +313,13 @@ def validate_config(config: EtmConfig) -> ResourceReport:
             else:
                 chained = True
         limit = CHAINED_MAX if (c.chained and c.index == 0) else COUNTER_MAX
-        if not (1 <= c.reload_value <= limit):
-            v.append("counter %d: reload must be >= 1 and <= %d, got %d"
-                     % (c.index, limit, c.reload_value))
+        try:
+            check_int("counter %d reload_value" % c.index, c.reload_value)
+            if not (1 <= c.reload_value <= limit):
+                v.append("counter %d: reload must be >= 1 and <= %d, got %d"
+                         % (c.index, limit, c.reload_value))
+        except ValueError as e:
+            v.append(str(e))
         for ev, what in ((c.input, "input"), (c.reload_event, "reload")):
             if ev is None:
                 continue
@@ -370,11 +385,7 @@ def reset_fabric(config: EtmConfig) -> tuple:
     reload values, sequencer at 0, no counter-zero signal."""
     vals = [0, 0]
     for c in config.counters:
-        if c.chained:
-            vals[0] = c.reload_value & COUNTER_MAX
-            vals[1] = (c.reload_value >> 16) & COUNTER_MAX
-        else:
-            vals[c.index] = c.reload_value
+        vals[c.index] = c.reload_value
     return (vals[0], vals[1], 0, False, False)
 
 
@@ -464,10 +475,6 @@ def _generate_step(config: EtmConfig):
 
     c0 = config.counter(0)
     c1 = config.counter(1)
-    # a chained pair is one 32-bit counter 0 between pack and split
-    chained = c0 is not None and c0.chained
-    if chained:
-        emit("    cv0 = cv0 | (cv1 << 16)")
 
     # --- counters: decrement phase (inputs see previous-cycle zero signals)
     for c, nm in ((c0, 0), (c1, 1)):
@@ -496,12 +503,6 @@ def _generate_step(config: EtmConfig):
             emit("    if %s:" % g.event(c.reload_event, _PROV, "seq"))
             emit("        nv%d = %d" % (nm, c.reload_value))
         emit("    nz%d = %s" % (nm, ("pz%d" % nm) if c.self_reload else ("(nv%d == 0)" % nm)))
-    if chained:
-        emit("    ncv0 = nv0 & 0xFFFF")
-        emit("    ncv1 = nv0 >> 16")
-    else:
-        emit("    ncv0 = nv0")
-        emit("    ncv1 = nv1")
 
     # --- sequencer (transitions see final zero signals, latched state)
     sq = config.sequencer
@@ -530,7 +531,7 @@ def _generate_step(config: EtmConfig):
         out_terms.append("(%d if %s else 0)" % (1 << o.output_index,
                                                 g.slot(o.selector, _NOW, "ns")))
     emit("    out = %s" % (" | ".join(out_terms) if out_terms else "0"))
-    emit("    return (ncv0, ncv1, ns, nz0, nz1, bool(f0), bool(f1), out)")
+    emit("    return (nv0, nv1, ns, nz0, nz1, bool(f0), bool(f1), out)")
 
     ns = {}
     exec(compile("\n".join(L), "<fabric-step>", "exec"), ns)
@@ -562,7 +563,8 @@ def _generate_idle_out(config: EtmConfig):
 class CompiledFabric:
     """Config compiled to its step function, its idle-output function and
     its comparator mask; the state is a plain (cv0, cv1, seq, z0, z1)
-    tuple.
+    tuple, in which a chained counter 0 holds its 32-bit value in cv0
+    and cv1 stays 0.
 
     step(cv0, cv1, seq, z0, z1, p, cm) takes the pulsing-signal mask `p`
     and the comparator-pair mask `cm` and returns the next state followed

@@ -76,6 +76,7 @@ same loop; both must produce identical results.
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isfinite
+from numbers import Real
 from operator import attrgetter
 from typing import Optional
 
@@ -105,11 +106,10 @@ def lines_mbps(lines, cycles, freq_mhz):
     return lines * CACHELINE / seconds / 1e6
 
 
-def _check_int(name, value):
-    """Raise a ValueError that names `name` unless `value` is an int (a
-    bool is not): the hops count cycles and lines in integers."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an int, got %r" % (name, value))
+def _is_real(value):
+    """True for a real number, but not a bool, which would pass as a rate
+    of 0 or 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class CoreModelConfig:
         object.__setattr__(self, "wb_signals", frozenset(self.wb_signals))
         for f in fields(self):
             if f.type is int:
-                _check_int(f.name, getattr(self, f.name))
+                F.check_int(f.name, getattr(self, f.name))
         if self.freq_mhz <= 0:
             raise ValueError("freq_mhz must be positive")
         if self.read_outstanding < 1 or self.write_buffer_depth < 1:
@@ -173,10 +173,11 @@ class Synthetic:
     def __post_init__(self):
         if self.op not in OPS:
             raise ValueError("unknown op %r" % (self.op,))
-        if not 0 <= self.issue_ipc_limit <= 1:
+        x = self.issue_ipc_limit
+        if not (_is_real(x) and 0 <= x <= 1):
             raise ValueError("issue_ipc_limit must be a number in [0, 1] (a "
                              "core moves at most one line a cycle), got %r"
-                             % (self.issue_ipc_limit,))
+                             % (x,))
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,8 @@ class Burst:
         for i, (op, nbytes, idle) in enumerate(self.pattern):
             if op not in OPS:
                 raise ValueError("unknown op %r" % (op,))
-            _check_int("burst phase %d bytes" % i, nbytes)
-            _check_int("burst phase %d idle_cycles" % i, idle)
+            F.check_int("burst phase %d bytes" % i, nbytes)
+            F.check_int("burst phase %d idle_cycles" % i, idle)
             if nbytes < 0 or idle < 0:
                 raise ValueError("negative burst phase")
             if nbytes % CACHELINE:
@@ -222,7 +223,7 @@ class TraceReplay:
         records = tuple(self.records)
         object.__setattr__(self, "records", records)
         for i, rec in enumerate(records):
-            _check_int("record %d %r cycle delta" % (i, rec), rec[0])
+            F.check_int("record %d %r cycle delta" % (i, rec), rec[0])
             if rec[0] < 0:
                 raise ValueError("record %d %r has a negative cycle delta"
                                  % (i, rec))
@@ -257,14 +258,14 @@ class SystemConfig:
         object.__setattr__(self, "cores", tuple(self.cores))
         if not self.cores:
             raise ValueError("need at least one core")
-        _check_int("duration_cycles", self.duration_cycles)
-        _check_int("window_cycles", self.window_cycles)
+        F.check_int("duration_cycles", self.duration_cycles)
+        F.check_int("window_cycles", self.window_cycles)
         if self.duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
-        if not (isfinite(self.shared_mem_bandwidth)
-                and self.shared_mem_bandwidth > 0):
+        b = self.shared_mem_bandwidth
+        if not (_is_real(b) and isfinite(b) and b > 0):
             raise ValueError("shared_mem_bandwidth must be a positive finite "
-                             "number, got %r" % (self.shared_mem_bandwidth,))
+                             "number, got %r" % (b,))
         object.__setattr__(self, "shared_mem_bandwidth",
                            Fraction(self.shared_mem_bandwidth))
         if self.window_cycles < 0:
@@ -383,7 +384,7 @@ class _Unregulated:
 class _Fabric(_Unregulated):
     """The trace-unit fabric; its throttle outputs raise an interrupt on
     the core, whose handler polls the level."""
-    __slots__ = ("step", "idle_out", "chained", "cm_user", "cm_kernel",
+    __slots__ = ("step", "idle_out", "cm_user", "cm_kernel",
                  "state", "out", "reload", "d0", "d1", "e0", "e1",
                  "pmc_mark", "tap_mark", "period_throttled", "periods")
     irq_on_throttle = True
@@ -392,14 +393,11 @@ class _Fabric(_Unregulated):
         cf = F.compile_fabric(cfg)
         self.step = cf.step
         self.idle_out = cf.idle_out
-        self.chained = any(c.chained for c in cfg.counters)
         # the core fetches from one user and one kernel address
         self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)
         self.cm_kernel = cf.cmp_mask(_KERNEL_FETCH_ADDR, False)
         self.state = cf.reset_tuple()
-        r = self.state
-        self.reload = (r[0] | (r[1] << 16), 0) if self.chained \
-            else (r[0], r[1])
+        self.reload = self.state[:2]
         self.out = 0
         self.d0 = self.d1 = 0           # counter slopes found by quiet_span
         self.e0 = self.e1 = 0           # and under pulses, by pulse_budget
@@ -471,34 +469,25 @@ class _Fabric(_Unregulated):
 
     def _probe(self, pm, cm):
         """Step a copy of the state once on the pulses `pm`: the counter
-        values (a chained pair is one) and how far each drops, or None if
-        a counter fires or jumps or a level changes."""
+        values as the state holds them (counter 0 holds all 32 bits of
+        the joined pair, counter 1 then stays at 0) and how far each
+        drops, or None if a counter fires or jumps or a level changes."""
         s = self.state
         cur = self.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
         if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
                 or cur[5] or cur[6] or cur[7] != self.out):
             return None
-        if self.chained:
-            a, b = s[0] | (s[1] << 16), 0
-            d0, d1 = a - (cur[0] | (cur[1] << 16)), 0
-        else:
-            a, b = s[0], s[1]
-            d0, d1 = a - cur[0], b - cur[1]
+        d0, d1 = s[0] - cur[0], s[1] - cur[1]
         if d0 not in (0, 1) or d1 not in (0, 1):
             return None
-        return a, b, d0, d1
+        return s[0], s[1], d0, d1
 
     def advance(self, span, pulses=0, hits=0):
         s = self.state
         quiet = span - pulses
-        if self.chained:
-            v = ((s[0] | (s[1] << 16)) - self.d0 * quiet
-                 - self.e0 * pulses)
-            self.state = (v & 0xFFFF, v >> 16, s[2], s[3], s[4])
-        else:
-            self.state = (s[0] - self.d0 * quiet - self.e0 * pulses,
-                          s[1] - self.d1 * quiet - self.e1 * pulses,
-                          s[2], s[3], s[4])
+        self.state = (s[0] - self.d0 * quiet - self.e0 * pulses,
+                      s[1] - self.d1 * quiet - self.e1 * pulses,
+                      s[2], s[3], s[4])
 
 
 class _MemGuard(_Unregulated):
@@ -990,8 +979,8 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     total_granted = 0
     windows = [[] for _ in range(n)]
     wevents = [[] for _ in range(n)]
+    ln_snap = [0] * n
     ev_snap = [0] * n
-    win_lines = [0] * n
     win_end = window
     grants = [0] * n
     at = [0] * n        # the cycle each core's state is valid at
@@ -1001,10 +990,11 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     while cycle < duration:
         if cycle >= win_end:
             for i in range(n):
-                windows[i].append(win_lines[i])
-                win_lines[i] = 0
-                wevents[i].append(cores[i].pmc_events - ev_snap[i])
-                ev_snap[i] = cores[i].pmc_events
+                st = cores[i]
+                windows[i].append(st.completed_lines - ln_snap[i])
+                ln_snap[i] = st.completed_lines
+                wevents[i].append(st.pmc_events - ev_snap[i])
+                ev_snap[i] = st.pmc_events
             win_end += window
 
         # ---- 1. controller grants ----
@@ -1042,7 +1032,6 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             if g or d <= cycle:
                 if g:
                     grants[i] = 0
-                    win_lines[i] += g
                 if at[i] < cycle:
                     _catch_up(st, at[i], cycle)
                 _core_cycle(st, cycle, g)
@@ -1071,7 +1060,6 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             k, last, acc = _train(st, cycle, nxt, acc, num, den, cap)
             if k:
                 total_granted += k
-                win_lines[sole] += k
                 rr = (rr + k) % n
                 cycle = last
                 d = at[sole] = last + 1
@@ -1105,7 +1093,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
 
     # close the final (full or partial) window
     for i in range(n):
-        windows[i].append(win_lines[i])
+        windows[i].append(cores[i].completed_lines - ln_snap[i])
         wevents[i].append(cores[i].pmc_events - ev_snap[i])
 
     stats = tuple(CoreStats(*_stats_of(st)) for st in cores)

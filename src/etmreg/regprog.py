@@ -289,9 +289,12 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
             emit("ETM", "TRCRSCTLR%d" % n, [("group", "FALSE"),
                                             ("select", 0)], "unused")
 
-    # a chained counter 0 keeps its high half in counter 1's value registers
+    # a chained counter 0's 32-bit value (cv0 in the fabric state) keeps
+    # its high half in counter 1's value registers; `lift` joins them
     values = F.reset_fabric(config)[:2]
     chained = any(c.chained for c in config.counters)
+    if chained:
+        values = (values[0] & F.COUNTER_MAX, values[0] >> 16)
     for n in range(F.NUM_COUNTERS):
         c = config.counter(n) or _DISABLED_COUNTER
         used = c is not _DISABLED_COUNTER

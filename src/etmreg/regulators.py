@@ -76,6 +76,7 @@ class RegulatorSpec:
 
 
 def _check_positive(what, value, unit):
+    F.check_int(what, value)
     if value < 1:
         raise RangeError("%s %s %ss is below 1 %s" % (what, value, unit, unit))
 
@@ -296,6 +297,7 @@ class MemGuardConfig:
     period_cycles: int          # any size; not bound to a 16-bit counter
 
     def __post_init__(self):
+        F.check_int("budget_events", self.budget_events)
         _check_positive("period", self.period_cycles, "cycle")
 
 
@@ -348,7 +350,10 @@ class MemPolConfig:
     window_size: int = MEMPOL_WINDOW
 
     def __post_init__(self):
+        F.check_int("budget_events", self.budget_events)
         _check_positive("poll period", self.poll_cycles, "cycle")
+        # a window of 0 polls would sum the whole history (`win[-0:]`)
+        _check_positive("window_size", self.window_size, "poll")
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def reference_step(config, state, pulses, cmp_hits, idle):
             chained_cfg = c
     if chained_cfg is not None:
         c = chained_cfg
-        v = cv0 | (cv1 << 16)
+        v = cv0
         inp = eval_event(selectors, taps, c.input, pulses, cmp_hits, z0p, z1p,
                          seq)
         f0 = inp and v == 1
@@ -145,8 +145,7 @@ def reference_step(config, state, pulses, cmp_hits, idle):
                 seq):
             v = c.reload_value
         nz0 = f0 if c.self_reload else v == 0
-        ncv0 = v & 0xFFFF
-        ncv1 = (v >> 16) & 0xFFFF
+        ncv0, ncv1 = v, 0
     else:
         # decrement all counters first (inputs only read previous-cycle zero
         # signals, so order between counters does not matter), then apply

@@ -129,9 +129,19 @@ def test_a_non_integer_count_is_named(field, value):
         _with_count(field, value)
 
 
+@pytest.mark.parametrize("rate", [True, "0.5"])
+def test_an_issue_rate_that_is_not_a_number_is_named(rate):
+    # True ran as a rate of 1; "0.5" raised a bare TypeError
+    with pytest.raises(ValueError, match="issue_ipc_limit"):
+        M.Synthetic(op="read", issue_ipc_limit=rate)
+
+
 @pytest.mark.parametrize("field,value", [
     ("shared_mem_bandwidth", float("inf")),
     ("shared_mem_bandwidth", float("nan")),
+    # True ran as a rate of 1; "0.5" raised a bare TypeError
+    ("shared_mem_bandwidth", True),
+    ("shared_mem_bandwidth", "0.5"),
     ("window_cycles", -5),
 ])
 def test_bad_system_rate_or_window_is_named(field, value):
@@ -440,6 +450,21 @@ def _diff_scenarios():
         outputs=(F.ExternalOutputConfig(1, 3),))
     out["pulse_reloaded_counter"] = one_core(M.Synthetic(op="read"), reloaded,
                                              dur=20_000, cap=0.05)
+    # a chained counter 0 whose value crosses 16 bits: a cycle counter
+    # that fires 5 interrupts, and a pulse counter that never fires
+    for name, reload_value, inp in (("cycles", 70_000, F.TRUE_SEL),
+                                    ("pulses", 65_600, 2)):
+        chained = F.EtmConfig(
+            inputs=(F.ExternalInputSelector(
+                zcu102.model.refill_signals | zcu102.model.wb_signals),),
+            selectors=F.HARDWIRED + (ext, zero),
+            counters=(F.CounterConfig(0, reload_value, F.EventSpec(inp),
+                                      chained=True),),
+            outputs=(F.ExternalOutputConfig(1, 3),))
+        for op in (M.OP_READ, M.OP_WRITE):
+            out["chained_%s_%s" % (name, op)] = M.SystemConfig(
+                (M.CoreSpec(zcu102.model, M.Synthetic(op=op), chained),),
+                cap, 400_000)
     return out
 
 

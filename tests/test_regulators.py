@@ -304,6 +304,36 @@ def test_baseline_period_below_one_cycle_is_rejected():
         R.MemPolConfig(50, 0)
 
 
+@pytest.mark.parametrize("make,match", [
+    # a saturating zcu102 read ran differently with hops and without them
+    # on these two; the pr spec completed 138 lines with hops, 30 without
+    (lambda: R.MemGuardConfig(22, 600.5), "period must be an int"),
+    (lambda: R.build_config(spec(R.PR, period=6000.5)),
+     "period must be an int"),
+    # these were taken silently
+    (lambda: R.build_config(spec(R.PR, budget=27.5)), "budget must be an int"),
+    (lambda: R.MemGuardConfig(True, 600), "budget_events must be an int"),
+    (lambda: R.MemPolConfig(170.0, 600), "budget_events must be an int"),
+    (lambda: R.MemPolConfig(170, True), "poll period must be an int"),
+    (lambda: R.MemPolConfig(170, 600, window_size=2.0),
+     "window_size must be an int"),
+    # a window of 0 polls summed the whole history
+    (lambda: R.MemPolConfig(170, 600, window_size=0),
+     "window_size 0 polls is below 1 poll"),
+    (lambda: F.validate_config(F.EtmConfig(counters=(
+        F.CounterConfig(0, 27.5, F.EventSpec(F.TRUE_SEL)),))),
+     "counter 0 reload_value must be an int"),
+    (lambda: F.validate_config(F.EtmConfig(counters=(
+        F.CounterConfig(0, True, F.EventSpec(F.TRUE_SEL)),))),
+     "counter 0 reload_value must be an int"),
+], ids=["memguard-period", "pr-period", "pr-budget", "memguard-budget",
+        "mempol-budget", "mempol-poll", "mempol-window-float",
+        "mempol-window-0", "fabric-reload-float", "fabric-reload-bool"])
+def test_a_non_integer_regulator_count_is_named(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_memguard_throttles_until_boundary():
     cfg = R.MemGuardConfig(budget_events=5, period_cycles=1000)
     st = R.memguard_reset(cfg)
