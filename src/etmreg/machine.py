@@ -63,10 +63,14 @@ line), the window edge and the duration.  Both queues hold the cycle each
 request becomes ready: a read's after the memory latency, a write-back's
 the cycle after it is buffered.  A window edge needs no core step, as a
 core's event count moves only at its stepped cycles.  The grants to a
-sole requester stalled on a full queue, at most one a cycle on any bus,
-run as a train, in one hop (`_train`): each retires the ready queue head
-and the issue credit refills the slot, one pulse, until a head is not
-ready, the credit falls short, the regulator's `pulse_budget` or the
+sole requester, at most one a cycle on any bus, run as a train, in one
+hop (`_train`), in every phase whose only events are grants: a stalled
+core whose workload issues refills each freed slot from its issue
+credit, and a core in its handler, or halted, drains its queues, a
+freed read slot taking only a pending kernel line.  Every grant of a
+train pulses alike (a refill, a write-back or nothing).  The train
+waits for heads not yet ready and ends before a grant of another kind,
+or when the credit falls short, the regulator's `pulse_budget` or the
 burst phase would run out, or another core, the window edge or the
 duration is due.  The loop goes on from the last.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
@@ -384,7 +388,7 @@ class _Unregulated:
 class _Fabric(_Unregulated):
     """The trace-unit fabric; its throttle outputs raise an interrupt on
     the core, whose handler polls the level."""
-    __slots__ = ("step", "idle_out", "cm_user", "cm_kernel",
+    __slots__ = ("step", "idle_out", "cm_user", "cm_kernel", "cm",
                  "state", "out", "reload", "d0", "d1", "e0", "e1",
                  "pmc_mark", "tap_mark", "period_throttled", "periods")
     irq_on_throttle = True
@@ -396,6 +400,7 @@ class _Fabric(_Unregulated):
         # the core fetches from one user and one kernel address
         self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)
         self.cm_kernel = cf.cmp_mask(_KERNEL_FETCH_ADDR, False)
+        self.cm = self.cm_user          # the fetch that quiet_span probed
         self.state = cf.reset_tuple()
         self.reload = self.state[:2]
         self.out = 0
@@ -436,13 +441,14 @@ class _Fabric(_Unregulated):
     def quiet_span(self, st, cycle):
         """A one-cycle probe without pulses: the span is how long the
         counters keep counting down by at most one a cycle without firing
-        and without any level changing.  A sleeping core freezes the
-        fabric, so nothing changes at all."""
+        and without any level changing, with the fetch of the core's phase.
+        A sleeping core freezes the fabric, so nothing changes at all."""
         kernel = st.irq_phase >= _IRQ_ENTRY
         if not kernel and st.wfi_idle and st.idle_until > cycle:
             self.d0 = self.d1 = 0
             return _BIG
-        p = self._probe(0, self.cm_kernel if kernel else self.cm_user)
+        self.cm = self.cm_kernel if kernel else self.cm_user
+        p = self._probe(self.state, 0, self.cm)
         if p is None:
             return 0
         a, b, self.d0, self.d1 = p
@@ -452,27 +458,35 @@ class _Fabric(_Unregulated):
     def pulse_budget(self, st, pm, hits):
         """A one-cycle probe with the pulses `pm` from the state that
         `quiet_span` probed gives the counters' slopes under pulses.  A
-        counter that only pulses move fires at its value-th pulse.  One at
-        its reload value whose two slopes differ may be reloaded by one
-        kind of cycle, which no slope describes."""
-        p = self._probe(pm, self.cm_user)
+        counter that only pulses move fires at its value-th pulse.  At its
+        reload value, the kind of cycle that seems to hold a counter the
+        other kind moves may instead reload it, which no slope describes:
+        a second probe one count lower tells a reload from a held value."""
+        s = self.state
+        cm = self.cm
+        p = self._probe(s, pm, cm)
         if p is None:
             return 0
         a, b, e0, e1 = p
         r0, r1 = self.reload
-        if (a == r0 and e0 != self.d0) or (b == r1 and e1 != self.d1):
-            return 0
+        if a == r0 and e0 != self.d0:
+            q = self._probe((a - 1,) + s[1:], 0 if e0 else pm, cm)
+            if q is None or q[2]:
+                return 0
+        if b == r1 and e1 != self.d1:
+            q = self._probe((a, b - 1) + s[2:], 0 if e1 else pm, cm)
+            if q is None or q[3]:
+                return 0
         self.e0 = e0
         self.e1 = e1
         return min(a - 1 if e0 > self.d0 else _BIG,
                    b - 1 if e1 > self.d1 else _BIG)
 
-    def _probe(self, pm, cm):
-        """Step a copy of the state once on the pulses `pm`: the counter
-        values as the state holds them (counter 0 holds all 32 bits of
-        the joined pair, counter 1 then stays at 0) and how far each
-        drops, or None if a counter fires or jumps or a level changes."""
-        s = self.state
+    def _probe(self, s, pm, cm):
+        """Step the state `s` once on the pulses `pm`: the counter values
+        as the state holds them (counter 0 holds all 32 bits of the joined
+        pair, counter 1 then stays at 0) and how far each drops, or None
+        if a counter fires or jumps or a level changes."""
         cur = self.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
         if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
                 or cur[5] or cur[6] or cur[7] != self.out):
@@ -522,12 +536,13 @@ class _MemGuard(_Unregulated):
         return self.state.next_boundary - cycle
 
     def pulse_budget(self, st, pm, hits):
-        # the budget must stay above zero
-        return (self.state.remaining - 1) // hits if hits else _BIG
+        # the budget must stay above zero; a throttled core is not charged
+        s = self.state
+        return (s.remaining - 1) // hits if hits and not s.throttled else _BIG
 
     def advance(self, span, pulses=0, hits=0):
-        if pulses:
-            s = self.state
+        s = self.state
+        if pulses and not s.throttled:
             self.state = REG.MemGuardState(s.remaining - pulses * hits,
                                            s.next_boundary)
 
@@ -880,20 +895,29 @@ def _core_span(st: CoreState, cycle, limit):
     return span
 
 
-def _catch_up(st: CoreState, start, end):
-    """Advance core `st` from `start` to `end` across cycles that
-    `_core_span` found quiet at `start`: its cycle counts, its issue
-    credit, its held-level poll instant and its regulator."""
+def _hold(st: CoreState, start, end):
+    """Count the cycles from `start` to `end` in which core `st` holds its
+    interrupt phase and throttle level: its throttled and handler cycles,
+    and its held-level polls, on to the first at or after `end`.  True if
+    its workload may issue in them."""
     span = end - start
     if st.prev_throttle:
         st.throttled_cycles += span
     if st.irq_phase >= _IRQ_ENTRY:
         st.handler_cycles += span
         if st.irq_at < end:
-            # held-level polls: on to the first one at or after end
             p = st.model.handler_poll_cycles
             st.irq_at += -(-(end - st.irq_at) // p) * p
-    elif not (st.prev_throttle and st.reg.halts):
+        return False
+    return not (st.prev_throttle and st.reg.halts)
+
+
+def _catch_up(st: CoreState, start, end):
+    """Advance core `st` from `start` to `end` across cycles that
+    `_core_span` found quiet at `start`: its cycle counts, its issue
+    credit, its held-level poll instant and its regulator."""
+    span = end - start
+    if _hold(st, start, end):
         if st.idle_until > start:
             st.idle_cycles += span
         elif st.lines_left > 0 and st.ipc:
@@ -904,54 +928,96 @@ def _catch_up(st: CoreState, start, end):
     st.reg.advance(span)
 
 
-def _train(st: CoreState, t, end, acc, num, den, cap):
+def _train(st: CoreState, t, g, end, acc, num, den, cap):
     """Apply in one hop the grants that a controller of rate num/den, its
-    accumulator at `acc` and capped at `cap`, makes before `end` to core
-    `st`, its sole requester, which stepped at `t` stalled on a full
-    queue.  The core takes at most one grant a cycle.  Each grant retires
-    the queue head, if it is ready, and the issue credit refills the
-    slot, if it reaches a line: the core pulses once and changes no phase,
-    so the regulator, within its `pulse_budget`, does not act.
-    Returns the number of grants, the last grant cycle and the accumulator
-    after it."""
-    # a phase with lines left is not idle
-    if (st.irq_phase != _IRQ_NONE or st.prev_throttle or st.lines_left < 2
-            or st.op == OP_MODIFY or not _queue_full(st)):
-        return 0, t, acc
-    if st.op == OP_WRITE:
-        if st.reads:                    # a read in flight is served first
+    accumulator at `acc` and capped at `cap`, makes from its next line at
+    `g` to before `end` to core `st`, its sole requester, which stepped at
+    `t`.  The core takes at most one grant a cycle, and each retires a
+    ready queue head, a read first; the controller waits for a head that
+    is not yet ready.  A core whose workload issues (unthrottled, or while
+    its interrupt is pending), stalled on a full queue, refills the slot
+    if its issue credit reaches a line.  One in its handler, or halted,
+    retires its heads with no refill, but a freed read slot takes a
+    pending kernel line.  Every grant of a train pulses alike, a refill, a
+    write-back or nothing, and the core changes no phase or level: the
+    regulator, within its `pulse_budget`, does not act, and `_hold` counts
+    the cycles as `_catch_up` does.  Returns the number of grants, the
+    last grant cycle and the accumulator after it."""
+    reads, wb = st.reads, st.wb
+    issue = st.irq_phase < _IRQ_ENTRY and not (st.prev_throttle
+                                               and st.reg.halts)
+    lat = st.model.mem_latency_cycles
+    if issue:
+        # a phase with lines left is not idle
+        if st.lines_left < 2 or st.op == OP_MODIFY or not _queue_full(st):
             return 0, t, acc
-        q, lat, pm, hits = st.wb, 1, st.wbk_mask, st.wbk_hits
+        if st.op == OP_WRITE:
+            if reads:                   # a read in flight is served first
+                return 0, t, acc
+            q, lat = wb, 1
+        else:
+            q = reads
+        refill = True
+        room = st.lines_left - 1
     else:
-        q, lat = st.reads, st.model.mem_latency_cycles
-        pm, hits = st.refill_mask, st.refill_hits
-    g = t - (acc - den) // num if acc < den else t + 1
-    if g >= end or q[0] > g:
-        return 0, t, acc
-    room = min(st.lines_left - 1, st.reg.pulse_budget(st, pm, hits))
+        q = wb if wb and (not reads or max(g, wb[0]) < reads[0]) else reads
+        refill = q is reads and st.kernel_pending > 0
+        room = st.kernel_pending if refill else _BIG
+    if q is wb:
+        pm, hits, o = st.wbk_mask, st.wbk_hits, reads
+    elif refill:
+        pm, hits, o = st.refill_mask, st.refill_hits, wb
+    else:
+        pm, hits, o = 0, 0, wb
+    # the head of the other queue, which the train leaves alone: a read
+    # that comes ready is served first, and a write-back that comes ready
+    # before the read head does is served as it waits
+    o = o[0] if o else _BIG
+    if q is wb and o < end:
+        end = o
+    room = min(room, st.reg.pulse_budget(st, pm, hits))
     ipc, ipc_den, a = st.ipc, st.ipc_den, st.ipc_acc
     k = 0
     last = t
-    while k < room and g < end and q[0] <= g:
-        # the credit as `_catch_up` and `_core_cycle` leave it: a core
-        # that held a whole line before g holds none after it
-        c = a + (g - last) * ipc - ipc_den
-        if c < 0:
+    while k < room and q:
+        h = q[0]
+        if h > g:                       # the controller waits for the head
+            if o < h:
+                break
+            g = h
+        if g >= end:
             break
-        a = c if c < ipc else 0
+        if issue:
+            # the credit as `_catch_up` and `_core_cycle` leave it: a core
+            # that held a whole line before g holds none after it
+            c = a + (g - last) * ipc - ipc_den
+            if c < 0:
+                break
+            a = c if c < ipc else 0
         del q[0]
-        q.append(g + lat)
-        acc += (g - last) * num - den
+        if refill:
+            q.append(g + lat)
+        # the accumulator fills up to `cap` while the controller waits
+        acc += (g - 1 - last) * num
+        if acc > cap:
+            acc = cap
+        acc += num - den
         if acc > cap:
             acc = cap
         last = g
         k += 1
         g = last - (acc - den) // num if acc < den else last + 1
     if k:
-        st.ipc_acc = a
+        _hold(st, t + 1, last + 1)
         st.completed_lines += k
-        st.issued_lines += k
-        st.lines_left -= k
+        if refill:
+            st.issued_lines += k
+            if issue:
+                st.ipc_acc = a
+                st.lines_left -= k
+            else:
+                st.kernel_pending -= k
+                st.kernel_lines += k
         if hits:
             st.pmc_events += k * hits
             st.tap_events += k
@@ -1053,20 +1119,23 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 sole = i
 
         # ---- a sole requester that just stepped takes its next grants
-        # as one train; the loop goes on from the last, where `ready`
+        # as one train, if its head and the controller's next line both
+        # come before nxt; the loop goes on from the last, where `ready`
         # may be early, which costs a visit ----
-        if use_hops and queued == 1 and at[sole] > cycle:
-            st = cores[sole]
-            k, last, acc = _train(st, cycle, nxt, acc, num, den, cap)
-            if k:
-                total_granted += k
-                rr = (rr + k) % n
-                cycle = last
-                d = at[sole] = last + 1
-                d += _core_span(st, d, duration - d)
-                due[sole] = d
-                if d < nxt:
-                    nxt = d
+        if use_hops and queued == 1 and ready < nxt and at[sole] > cycle:
+            g = cycle - (acc - den) // num if acc < den else cycle + 1
+            if g < nxt:
+                st = cores[sole]
+                k, last, acc = _train(st, cycle, g, nxt, acc, num, den, cap)
+                if k:
+                    total_granted += k
+                    rr = (rr + k) % n
+                    cycle = last
+                    d = at[sole] = last + 1
+                    d += _core_span(st, d, duration - d)
+                    due[sole] = d
+                    if d < nxt:
+                        nxt = d
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready

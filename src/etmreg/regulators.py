@@ -298,6 +298,7 @@ class MemGuardConfig:
 
     def __post_init__(self):
         F.check_int("budget_events", self.budget_events)
+        _check_positive("budget", self.budget_events, "event")
         _check_positive("period", self.period_cycles, "cycle")
 
 
@@ -351,6 +352,7 @@ class MemPolConfig:
 
     def __post_init__(self):
         F.check_int("budget_events", self.budget_events)
+        _check_positive("budget", self.budget_events, "event")
         _check_positive("poll period", self.poll_cycles, "cycle")
         # a window of 0 polls would sum the whole history (`win[-0:]`)
         _check_positive("window_size", self.window_size, "poll")

@@ -304,6 +304,18 @@ def test_baseline_period_below_one_cycle_is_rejected():
         R.MemPolConfig(50, 0)
 
 
+@pytest.mark.parametrize("make,budget", [
+    (R.MemGuardConfig, 0), (R.MemGuardConfig, -5),
+    (R.MemPolConfig, 0), (R.MemPolConfig, -5),
+], ids=["memguard-0", "memguard-negative", "mempol-0", "mempol-negative"])
+def test_baseline_budget_below_one_event_is_rejected(make, budget):
+    # each constructed, as the fabric designs' budgets do not: MemPol then
+    # halted its core from the second poll on, whatever it moved
+    with pytest.raises(R.RangeError,
+                       match="budget %d events is below 1 event" % budget):
+        make(budget, 600)
+
+
 @pytest.mark.parametrize("make,match", [
     # a saturating zcu102 read ran differently with hops and without them
     # on these two; the pr spec completed 138 lines with hops, 30 without
