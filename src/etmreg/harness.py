@@ -9,6 +9,7 @@ runs of the same config produce byte-identical outputs.
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import isfinite
 
 from . import fabric as F
 from . import machine as M
@@ -90,8 +91,18 @@ def preset(name) -> BoardPreset:
 # budgets
 # =========================================================================
 
+def _check_positive(what, value):
+    """Raise a RangeError that names `what` unless `value` is a positive
+    finite number."""
+    if not (isfinite(value) and value > 0):
+        raise RangeError("%s %r is not a positive finite number"
+                         % (what, value))
+
+
 def us_to_cycles(us, freq_mhz) -> int:
     """Cycles in `us` microseconds at `freq_mhz`, to the nearest cycle."""
+    if not isfinite(us):
+        raise RangeError("%r us is not a finite time" % (us,))
     return round(us * freq_mhz)
 
 
@@ -99,8 +110,8 @@ def bandwidth_to_budget(target_mbps, period_us) -> int:
     """Events per period allowing `target_mbps`; rounds to the nearest
     whole cacheline, minimum one.  The trace unit's 16-bit limit is
     checked where a fabric config is built."""
-    if target_mbps <= 0 or period_us <= 0:
-        raise RangeError("target and period must be positive")
+    _check_positive("target_mbps", target_mbps)
+    _check_positive("period_us", period_us)
     exact = target_mbps * 1e6 * period_us * 1e-6 / M.CACHELINE
     return max(1, int(exact + 0.5))     # half rounds up, never to even
 
@@ -164,15 +175,15 @@ class ExperimentConfig:
         object.__setattr__(self, "targets_mbps", tuple(
             float(config_value("targets_mbps", t))
             for t in self.targets_mbps))
-        config_value("period_us", self.period_us)
-        config_value("duration_ms", self.duration_ms)
+        _check_positive("period_us", config_value("period_us",
+                                                  self.period_us))
+        _check_positive("duration_ms", config_value("duration_ms",
+                                                    self.duration_ms))
         b = preset(self.board)
         if not self.targets_mbps:
             raise ValueError("no sweep targets")
-        if any(t <= 0 for t in self.targets_mbps):
-            raise ValueError("targets must be positive")
-        if self.duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
+        for t in self.targets_mbps:
+            _check_positive("targets_mbps entry", t)
         if any(d in R.ETM_DESIGNS for d in self.designs) \
                 and b.period_cycles(self.period_us) > F.COUNTER_MAX:
             raise ValueError(
@@ -319,6 +330,8 @@ def calibrate_safe_floor(board_name, design, period_us, tol=0.05,
     within `tol`; below the floor, in-flight traffic and interrupt
     latency outrun the allowance.  Returns the floor target in MB/s.
     """
+    if not tol >= 0:
+        raise RangeError("tol %r is not a number >= 0" % (tol,))
     board = preset(board_name)
 
     def ok(budget):

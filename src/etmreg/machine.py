@@ -75,10 +75,15 @@ burst phase would run out, or another core, the window edge or the
 duration is due.  The loop goes on from the last.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
+
+What a core carries from one cycle to the next is declared once, in
+`_STATE` and its regulator runtime's `_STATE`; `snapshot` reads both, and
+the hop differential compares it at every core-step of a hopping run.
 """
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 from math import isfinite
 from numbers import Real
 from operator import attrgetter
@@ -116,6 +121,10 @@ def _is_real(value):
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _is_triple(item):
+    return isinstance(item, (tuple, list)) and len(item) == 3
+
+
 @dataclass(frozen=True)
 class CoreModelConfig:
     """Timing/capacity parameters of one core and its path to memory."""
@@ -133,6 +142,9 @@ class CoreModelConfig:
     wb_signals: frozenset = frozenset({22})
 
     def __post_init__(self):
+        if not isinstance(self.core_type, str):
+            raise ValueError("core_type must be text, got %r"
+                             % (self.core_type,))
         object.__setattr__(self, "refill_signals",
                            frozenset(self.refill_signals))
         object.__setattr__(self, "wb_signals", frozenset(self.wb_signals))
@@ -196,6 +208,10 @@ class Burst:
     wfi_idle: bool = False
 
     def __post_init__(self):
+        for i, p in enumerate(self.pattern):
+            if not _is_triple(p):
+                raise ValueError("burst phase %d %r is not a (op, bytes, "
+                                 "idle_cycles) triple" % (i, p))
         object.__setattr__(self, "pattern",
                            tuple(tuple(p) for p in self.pattern))
         if not self.pattern:
@@ -226,15 +242,26 @@ class TraceReplay:
     def __post_init__(self):
         records = tuple(self.records)
         object.__setattr__(self, "records", records)
+        # a long replay is checked record by record, so each message is
+        # formatted only for a bad one
         for i, rec in enumerate(records):
-            F.check_int("record %d %r cycle delta" % (i, rec), rec[0])
-            if rec[0] < 0:
+            if not _is_triple(rec):
+                raise ValueError("record %d %r is not a (cycle delta, "
+                                 "signals, mode) triple" % (i, rec))
+            delta, sigs, mode = rec
+            if type(delta) is not int:
+                F.check_int("record %d %r cycle delta" % (i, rec), delta)
+            if delta < 0:
                 raise ValueError("record %d %r has a negative cycle delta"
                                  % (i, rec))
-            if rec[2] != F.USER and rec[2] != F.KERNEL:
+            if mode != F.USER and mode != F.KERNEL:
                 raise ValueError("record %d %r has mode %r, not %r or %r"
-                                 % (i, rec, rec[2], F.USER, F.KERNEL))
-            if min(rec[1], default=0) < 0:
+                                 % (i, rec, mode, F.USER, F.KERNEL))
+            if not (isinstance(sigs, (set, frozenset, tuple, list))
+                    and all(type(s) is int for s in sigs)):
+                raise ValueError("record %d %r signals are not a set of ints"
+                                 % (i, rec))
+            if min(sigs, default=0) < 0:
                 raise ValueError("record %d %r has a negative signal"
                                  % (i, rec))
 
@@ -246,6 +273,11 @@ class CoreSpec:
     model: CoreModelConfig
     workload: object
     regulator: Optional[object] = None
+
+    def __post_init__(self):
+        if not isinstance(self.model, CoreModelConfig):
+            raise ValueError("core model %r is not a CoreModelConfig"
+                             % (self.model,))
 
 
 @dataclass(frozen=True)
@@ -262,6 +294,9 @@ class SystemConfig:
         object.__setattr__(self, "cores", tuple(self.cores))
         if not self.cores:
             raise ValueError("need at least one core")
+        for i, core in enumerate(self.cores):
+            if not isinstance(core, CoreSpec):
+                raise ValueError("core %d %r is not a CoreSpec" % (i, core))
         F.check_int("duration_cycles", self.duration_cycles)
         F.check_int("window_cycles", self.window_cycles)
         if self.duration_cycles <= 0:
@@ -301,10 +336,6 @@ class CoreStats:
     irq_count: int
     handler_cycles: int
     idle_cycles: int
-
-
-_STATS = tuple(f.name for f in fields(CoreStats))
-_stats_of = attrgetter(*_STATS)
 
 
 @dataclass(frozen=True)
@@ -353,7 +384,12 @@ class _Unregulated:
     `irq_on_throttle` raises an interrupt on it, `sleeps` makes the handler
     sleep until the level drops instead of polling it, and `halts` stops
     the workload's issue from outside the core while the level is high.
+
+    Each runtime's slots are `_CONSTANTS`, set when the run starts;
+    `_STATE`, what it carries from one of its core's steps to the next,
+    which `snapshot` reads; and `_PROBES`, what its hop answers cache.
     """
+    _CONSTANTS = _STATE = _PROBES = ()
     __slots__ = ()
     irq_on_throttle = False
     sleeps = False
@@ -388,9 +424,15 @@ class _Unregulated:
 class _Fabric(_Unregulated):
     """The trace-unit fabric; its throttle outputs raise an interrupt on
     the core, whose handler polls the level."""
-    __slots__ = ("step", "idle_out", "cm_user", "cm_kernel", "cm",
-                 "state", "out", "reload", "d0", "d1", "e0", "e1",
-                 "pmc_mark", "tap_mark", "period_throttled", "periods")
+    # `periods` is the list that each closed period's record joins
+    _CONSTANTS = ("step", "idle_out", "cm_user", "cm_kernel", "reload",
+                  "periods")
+    _STATE = ("state", "out", "pmc_mark", "tap_mark", "period_throttled")
+    # the fetch and counter slopes that `quiet_span` and `pulse_budget`
+    # find are a cache, not state: they rewrite them before each call that
+    # reads them, and a run without hops never sets them
+    _PROBES = ("cm", "d0", "d1", "e0", "e1")
+    __slots__ = _CONSTANTS + _STATE + _PROBES
     irq_on_throttle = True
 
     def __init__(self, cfg, st):
@@ -508,7 +550,9 @@ class _MemGuard(_Unregulated):
     """MemGuard: a budget refilled by a periodic timer interrupt that runs
     the handler every period; on exhaustion the handler sleeps until the
     next refill instead of polling."""
-    __slots__ = ("cfg", "state")
+    _CONSTANTS = ("cfg",)
+    _STATE = ("state",)
+    __slots__ = _CONSTANTS + _STATE
     irq_on_throttle = True
     sleeps = True
 
@@ -550,7 +594,9 @@ class _MemGuard(_Unregulated):
 class _MemPol(_Unregulated):
     """MemPol: an external poller reads the core's event counter and halts
     its issue from outside; no interrupt runs on the core."""
-    __slots__ = ("cfg", "state")
+    _CONSTANTS = ("cfg",)
+    _STATE = ("state",)
+    __slots__ = _CONSTANTS + _STATE
     halts = True
 
     def __init__(self, cfg):
@@ -573,22 +619,37 @@ class _MemPol(_Unregulated):
 # per-core mutable state
 # =========================================================================
 
-class CoreState:
-    """Mutable per-core simulation state: workload cursor, memory queues,
-    interrupt machine, regulator runtime, statistics counters."""
+# what a core fixes when the run starts
+_CONSTANTS = (
+    "model", "workload", "reg",
+    # the workload's issue rate, idle kind and replay schedule
+    "ipc", "ipc_den", "ipc_stall", "wfi_idle", "trace_recs",
+    # pulse masks, and the monitored events of one line's pulse
+    "refill_mask", "wbk_mask", "tap_mask", "refill_hits", "wbk_hits",
+)
 
-    __slots__ = (
-        "model", "workload", "reg",
-        # memory queues: FIFOs of the cycles their requests become ready
-        "reads", "wb",
-        # workload cursor
-        "op", "ipc", "ipc_den", "ipc_acc", "ipc_stall", "phase", "lines_left",
-        "idle_until", "wfi_idle", "trace_recs", "trace_pos", "trace_next",
-        # interrupt machine
-        "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
-        # pulse masks, and the monitored events of one line's pulse
-        "refill_mask", "wbk_mask", "tap_mask", "refill_hits", "wbk_hits",
-    ) + _STATS
+# what a core carries from one cycle to the next, beside its regulator
+# runtime's `_STATE`
+_STATE = (
+    # memory queues: FIFOs (lists) of the cycles their requests become ready
+    "reads", "wb",
+    # workload cursor
+    "op", "ipc_acc", "phase", "lines_left", "idle_until", "trace_pos",
+    "trace_next",
+    # interrupt machine
+    "irq_phase", "irq_at", "kernel_pending", "prev_throttle",
+)
+_state_of = attrgetter(*_STATE)
+
+_STATS = tuple(f.name for f in fields(CoreStats))
+_stats_of = attrgetter(*_STATS)
+
+
+class CoreState:
+    """Mutable per-core simulation state: the run's `_CONSTANTS`, the
+    `_STATE` it carries between cycles and its `_STATS` counters."""
+
+    __slots__ = _CONSTANTS + _STATE + _STATS
 
     def __init__(self, spec: CoreSpec):
         m = spec.model
@@ -689,6 +750,17 @@ class CoreState:
             return False
         del self.wb[0]
         return True
+
+
+def snapshot(st: CoreState):
+    """The state that core `st` carries from one cycle to the next: its
+    `_STATE`, the queues as tuples, and then its regulator runtime's.  Its
+    cycles stay absolute, as only a key that compares two instants of one
+    run would need them relative to now."""
+    reg = st.reg
+    s = _state_of(st)
+    return ((tuple(s[0]), tuple(s[1])) + s[2:]
+            + tuple(map(getattr, repeat(reg), reg._STATE)))
 
 
 # =========================================================================

@@ -195,6 +195,24 @@ def test_simulate_text_matches_json(capsys):
         data["achieved_mbps"], data["bus_lines"] // 2) in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    # each of these exited with an OverflowError or a ValueError traceback
+    (["simulate", "--target", "inf"], "target_mbps inf is not"),
+    (["simulate", "--target", "nan"], "target_mbps nan is not"),
+    (["simulate", "--duration-ms", "inf"], "inf us is not a finite time"),
+    (["simulate", "--design", "memguard", "--period-us", "inf"],
+     "inf us is not a finite time"),
+    (["calibrate", "--period-us", "inf"], "period_us inf is not"),
+    # nan reported that `pr` misses every target up to the cap
+    (["calibrate", "--tol", "nan"], "tol nan is not a number >= 0"),
+], ids=["target-inf", "target-nan", "duration-inf", "memguard-period-inf",
+        "calibrate-period-inf", "calibrate-tol-nan"])
+def test_a_non_finite_number_is_named(capsys, argv, message):
+    assert C.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_simulate_unknown_board_is_parse_error():
     with pytest.raises(SystemExit) as e:
         C.main(["simulate", "--board", "breadboard"])
@@ -289,8 +307,14 @@ def test_unrealizable_model_exits_1(tmp_path, capsys, command):
     ("validate", {"design": "pr", "budget_events": 27,
                   "period_cycles": 6000, "core_type": 5},
      "core_type must be text"),
+    # these exited with an OverflowError traceback
+    ("sweep", {"duration_ms": float("inf")},
+     "duration_ms inf is not a positive finite number"),
+    ("sweep", {"targets_mbps": [float("inf")]},
+     "targets_mbps entry inf is not a positive finite number"),
 ], ids=["targets-scalar", "duration-text", "designs-string",
-        "op-types-string", "budget-text", "no-design", "core-type-number"])
+        "op-types-string", "budget-text", "no-design", "core-type-number",
+        "duration-inf", "target-inf"])
 def test_malformed_yaml_names_the_key(tmp_path, capsys, command, data,
                                       message):
     if command == "sweep":

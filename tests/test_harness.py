@@ -31,6 +31,27 @@ def test_budget_counter_range():
         H.bandwidth_to_budget(100, 0)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("us", [INF, -INF, NAN])
+def test_a_non_finite_time_is_named(us):
+    # inf raised a bare OverflowError, nan "cannot convert float NaN to
+    # integer"
+    with pytest.raises(RangeError, match="%r us is not a finite time" % us):
+        H.us_to_cycles(us, 1200)
+
+
+@pytest.mark.parametrize("target,period,name", [
+    (INF, 5, "target_mbps inf"), (NAN, 5, "target_mbps nan"),
+    (350, INF, "period_us inf"), (350, NAN, "period_us nan"),
+])
+def test_a_non_finite_budget_input_is_named(target, period, name):
+    # inf overflowed in the rounding; nan passed the sign check
+    with pytest.raises(RangeError, match=name + " is not a positive finite"):
+        H.bandwidth_to_budget(target, period)
+
+
 def test_budget_to_bandwidth_inverse():
     assert H.budget_to_bandwidth(27, 5) == pytest.approx(345.6)
     b = H.bandwidth_to_budget(345.6, 5)
@@ -181,6 +202,18 @@ def test_experiment_config_validation():
         small_cfg(board="devboard9000")
 
 
+@pytest.mark.parametrize("field,value", [
+    # each of these constructed, and then every point failed or overflowed
+    ("period_us", 0), ("period_us", -5.0), ("period_us", INF),
+    ("period_us", NAN), ("duration_ms", INF), ("duration_ms", NAN),
+    ("targets_mbps", (INF,)), ("targets_mbps", (200, NAN)),
+])
+def test_experiment_config_rejects_a_non_finite_or_non_positive_value(
+        field, value):
+    with pytest.raises(ValueError, match=field + ".* positive finite"):
+        small_cfg(**{field: value})
+
+
 # =========================================================================
 # calibration
 # =========================================================================
@@ -198,6 +231,13 @@ def test_ideal_board_floor_is_two_quanta():
     # budget 2 absorbs it via carry, so the floor is the second quantum
     floor = H.calibrate_safe_floor("ideal", R.PR, 5, duration_ms=0.5)
     assert floor == pytest.approx(H.budget_to_bandwidth(2, 5))
+
+
+@pytest.mark.parametrize("tol", [NAN, -0.01])
+def test_floor_search_rejects_a_bad_tol(tol):
+    # nan reported that the design misses every target up to the cap
+    with pytest.raises(RangeError, match="tol %r is not a number >= 0" % tol):
+        H.calibrate_safe_floor("zcu102", R.PR, 5, tol=tol, duration_ms=0.2)
 
 
 def test_floor_no_convergence():

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -213,6 +214,31 @@ def test_unknown_workload_and_regulator_rejected():
     with pytest.raises(ValueError, match="unknown regulator"):
         M.run_system(one_core(M.Synthetic(op="read"), regulator=object(),
                               dur=10))
+
+
+@pytest.mark.parametrize("make,msg", [
+    # a bare IndexError or TypeError
+    (lambda: M.TraceReplay(((1, frozenset({21})),)),
+     r"record 0 \(1, .*\) is not a \(cycle delta, signals, mode\) triple"),
+    (lambda: M.TraceReplay((5,)), r"record 0 5 is not a \(cycle delta"),
+    (lambda: M.TraceReplay(((1, frozenset({"21"}), "user"),)),
+     r"record 0 .* signals are not a set of ints"),
+    (lambda: M.TraceReplay(((1, 21, "user"),)),
+     r"record 0 \(1, 21, 'user'\) signals are not a set of ints"),
+    # "not enough values to unpack"
+    (lambda: M.Burst(((M.OP_READ, 640, 0), (M.OP_WRITE, 640))),
+     r"burst phase 1 \('write', 640\) is not a \(op, bytes, idle_cycles\)"),
+    # an AttributeError
+    (lambda: M.SystemConfig((M.Synthetic(op="read"),), 0.1, 100),
+     r"core 0 Synthetic\(.*\) is not a CoreSpec"),
+    (lambda: M.CoreSpec("zcu102", M.Synthetic(op="read")),
+     "core model 'zcu102' is not a CoreModelConfig"),
+    (lambda: M.CoreModelConfig(core_type=5), "core_type must be text, got 5"),
+], ids=["record-pair", "record-int", "signal-text", "signals-int",
+        "phase-pair", "core-workload", "model-name", "core-type-int"])
+def test_a_malformed_workload_or_core_is_named(make, msg):
+    with pytest.raises(ValueError, match=msg):
+        make()
 
 
 def test_burst_bytes_must_match_cacheline():
@@ -507,43 +533,69 @@ def _diff_scenarios():
 _DIFF = _diff_scenarios()
 
 
-def _core_state(st, grants):
-    """Everything a core carries from one cycle to the next."""
-    return (grants, st.ipc_acc, st.irq_phase, st.irq_at, tuple(st.reads),
-            tuple(st.wb), st.kernel_pending, st.op, st.phase, st.lines_left,
-            st.idle_until, st.trace_pos, st.prev_throttle, M._stats_of(st),
-            getattr(st.reg, "state", None))
+@pytest.mark.parametrize("reg", [
+    None, mkreg(R.PR, 350.0)[0], R.MemGuardConfig(27, 6000),
+    R.MemPolConfig(50, 300),
+], ids=["none", "pr", "memguard", "mempol"])
+def test_every_slot_is_declared_once(reg):
+    # each slot of a core and of its regulator runtime is a constant,
+    # state, a statistic or a probe cache, so that a slot added later
+    # without a declaration cannot escape the differential's snapshot
+    st = M.CoreState(M.CoreSpec(M.CoreModelConfig(**ZCU),
+                                M.Synthetic(op="read"), reg))
+    rt = st.reg
+    for obj, groups in ((st, (M._CONSTANTS, M._STATE, M._STATS)),
+                        (rt, (rt._CONSTANTS, rt._STATE, rt._PROBES))):
+        names = sorted(n for group in groups for n in group)
+        slots = sorted(n for cls in type(obj).__mro__
+                       for n in vars(cls).get("__slots__", ()))
+        assert names == slots
+        assert not hasattr(obj, "__dict__")
+        for name in names:
+            getattr(obj, name)          # each is set when the run starts
 
 
-def _run_recording(monkeypatch, sc, use_hops, steps=None):
-    """Run `sc`; return its trace and, per stepped (cycle, core index) (all
-    of them, or those in `steps`), the core's state on entry and its
-    grants."""
-    seen = {}
+def _record_steps(mp, at=()):
+    """From now on, count the core-steps in `.steps`.  If `at` is None,
+    record in `.states` the grants, `M.snapshot` and statistics that each
+    core steps from, by (cycle, core index); else assert at each step that
+    `at` holds, the record of another run, that they match it."""
+    rec = SimpleNamespace(steps=0, states={})
+    cycles = None if at is None else {cycle for cycle, _ in at}
     index = {}
     core_cycle = M._core_cycle
 
     def recording(st, cycle, grants):
-        # every core steps at cycle 0, in order, which numbers the cores
-        i = index.setdefault(id(st), len(index))
-        if steps is None or (cycle, i) in steps:
-            seen[cycle, i] = _core_state(st, grants)
+        rec.steps += 1
+        if at is None or cycle in cycles:
+            # every core steps at cycle 0, in order, which numbers the cores
+            key = cycle, index.setdefault(id(st), len(index))
+            if at is None:
+                rec.states[key] = grants, M.snapshot(st), M._stats_of(st)
+            elif key in at:
+                assert (grants, M.snapshot(st), M._stats_of(st)) == at[key], \
+                    key
         core_cycle(st, cycle, grants)
 
+    mp.setattr(M, "_core_cycle", recording)
+    return rec
+
+
+def _assert_hops_exactly(monkeypatch, sc):
+    """Each core that the hop run of `sc` steps starts that cycle from the
+    grants, state and statistics that the per-cycle run has there, and the
+    results match (`pytest -l` shows the system)."""
     with monkeypatch.context() as mp:
-        mp.setattr(M, "_core_cycle", recording)
-        return M.run_system(sc, use_hops=use_hops), seen
+        hop = _record_steps(mp, None)
+        hopped = M.run_system(sc)
+    with monkeypatch.context() as mp:
+        _record_steps(mp, hop.states)
+        assert M.run_system(sc, use_hops=False) == hopped
 
 
 @pytest.mark.parametrize("name", sorted(_DIFF))
 def test_hop_fast_path_is_exact(monkeypatch, name):
-    # the results match, and each core the hop run steps starts that cycle
-    # from the state and grants the per-cycle run has there
-    sc = _DIFF[name]
-    hopped, at_steps = _run_recording(monkeypatch, sc, True)
-    stepped, states = _run_recording(monkeypatch, sc, False, set(at_steps))
-    assert hopped == stepped
-    assert at_steps == states
+    _assert_hops_exactly(monkeypatch, _DIFF[name])
 
 
 def _random_workload(rng):
@@ -609,17 +661,15 @@ def _random_system(rng):
                           duration_cycles=rng.randint(5000, longest))
 
 
-def test_random_systems_hop_exactly():
+def test_random_systems_hop_exactly(monkeypatch):
     # every valid system must hop to exactly the per-cycle result, and
     # none may raise
     rng = random.Random(1)
-    for case in range(100):
-        sc = _random_system(rng)
-        assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
-            "case %d: %r" % (case, sc)
+    for _ in range(100):
+        _assert_hops_exactly(monkeypatch, _random_system(rng))
 
 
-def test_many_lagging_cores_hop_exactly():
+def test_many_lagging_cores_hop_exactly(monkeypatch):
     # the controller arbitrates among many cores, each on its own time
     rng = random.Random(2)
     for case in range(20):
@@ -628,15 +678,14 @@ def test_many_lagging_cores_hop_exactly():
             shared_mem_bandwidth=2.0 if case % 4 == 0 else rng.choice(
                 _RATES + (rng.uniform(0.005, 2.0),)),
             duration_cycles=rng.randint(2000, 20_000))
-        assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
-            "case %d: %r" % (case, sc)
+        _assert_hops_exactly(monkeypatch, sc)
 
 
-def test_random_fabric_configs_hop_exactly():
+def test_random_fabric_configs_hop_exactly(monkeypatch):
     # any fabric config, not only the six designs, with the core's pulses
     # on one or both of the signals its taps may monitor
     rng = random.Random(13)
-    for case in range(50):
+    for _ in range(50):
         sigs = {k: frozenset(rng.sample((21, 22), rng.randint(1, 2)))
                 for k in ("refill_signals", "wb_signals")}
         reg = rng.choice((random_config, random_config_small))(rng)
@@ -645,8 +694,7 @@ def test_random_fabric_configs_hop_exactly():
                               _random_workload(rng), reg),),
             shared_mem_bandwidth=rng.choice((0.013, 0.05, 0.2, 1.0)),
             duration_cycles=rng.randint(5000, 40_000))
-        assert M.run_system(sc) == M.run_system(sc, use_hops=False), \
-            "case %d: %r" % (case, sc)
+        _assert_hops_exactly(monkeypatch, sc)
 
 
 # cycles each 0.1 ms single-core scenario stepped while the hop rule still
@@ -689,32 +737,20 @@ def test_saturating_runs_step_a_tenth_of_their_cycles(monkeypatch, board,
     b = H.preset(board)
     reg = None if design is None else H.regulator_for(design, b, target, 5.0)
     sc = H.point_system(b, reg, op, 0.1)
-    _, stepped = _run_recording(monkeypatch, sc, True)
+    rec = _record_steps(monkeypatch)
+    M.run_system(sc)
     assert sc.duration_cycles == 120_000
-    assert len(stepped) * 10 <= _STEPPED_BEFORE[board, design, target, op]
-    assert len(stepped) <= _STEPPED_WITH_TRAINS[board, design, target, op]
-
-
-def _count_core_steps(monkeypatch):
-    """A list that gets the cycle of every core-step from now on."""
-    calls = []
-    core_cycle = M._core_cycle
-
-    def counting(st, cycle, grants):
-        calls.append(cycle)
-        core_cycle(st, cycle, grants)
-
-    monkeypatch.setattr(M, "_core_cycle", counting)
-    return calls
+    assert rec.steps * 10 <= _STEPPED_BEFORE[board, design, target, op]
+    assert rec.steps <= _STEPPED_WITH_TRAINS[board, design, target, op]
 
 
 def test_a_floor_search_near_the_cap_steps_few_cores(monkeypatch):
     # its probes are bus-bound runs, whose grants go one by one to a lone
     # core: 2,088 core-steps before trains, and 986 before drain trains.
     # The count repeats exactly, so it guards the trains against host noise
-    calls = _count_core_steps(monkeypatch)
+    rec = _record_steps(monkeypatch)
     H.calibrate_safe_floor("zcu102", R.MEMGUARD, 2.5, duration_ms=0.015)
-    assert len(calls) <= 608
+    assert rec.steps <= 608
 
 
 @pytest.mark.parametrize("design,op,ms,steps", [
@@ -732,9 +768,9 @@ def test_a_throttled_core_drains_in_trains(monkeypatch, design, op, ms,
     # trains against host noise
     b = H.preset("zcu102")
     sc = H.point_system(b, H.regulator_for(design, b, 350.0, 5.0), op, ms)
-    calls = _count_core_steps(monkeypatch)
+    rec = _record_steps(monkeypatch)
     M.run_system(sc)
-    assert len(calls) <= steps
+    assert rec.steps <= steps
 
 
 def test_a_lone_core_on_a_full_bus_takes_trains(monkeypatch):
@@ -742,12 +778,12 @@ def test_a_lone_core_on_a_full_bus_takes_trains(monkeypatch):
     # 24,000 core-steps.  Each train now takes the eight reads that come
     # ready one a cycle, 40 cycles after the eight before them
     b = H.preset("zcu102")
-    calls = _count_core_steps(monkeypatch)
+    rec = _record_steps(monkeypatch)
     st = M.run_system(M.SystemConfig(
         (M.CoreSpec(b.model, M.Synthetic(op=M.OP_READ)),), 1.0,
         120_000)).stats[0]
     assert st.completed_lines == 23_992
-    assert len(calls) <= 3_007
+    assert rec.steps <= 3_007
 
 
 def test_a_lone_core_moves_a_line_a_cycle_on_a_wide_bus():
@@ -777,10 +813,11 @@ def test_idle_neighbours_do_not_step(monkeypatch, n):
     sc = H.point_system(b, H.regulator_for(R.PR, b, 350.0, 5.0),
                         M.OP_READ, 0.1)
     sc = dataclasses.replace(sc, cores=sc.cores * n)
-    _, steps = _run_recording(monkeypatch, sc, True)
+    rec = _record_steps(monkeypatch)
+    M.run_system(sc)
     before, num, den = _CORE_STEPS_BEFORE[n]
     assert sc.duration_cycles == 120_000
-    assert len(steps) * den <= before * num
+    assert rec.steps * den <= before * num
 
 
 # ---------------------------------------------------------------------------
