@@ -184,6 +184,11 @@ class ExperimentConfig:
             raise ValueError("no sweep targets")
         for t in self.targets_mbps:
             _check_positive("targets_mbps entry", t)
+        if b.period_cycles(self.period_us) < 1:
+            raise RangeError(
+                "period_us %r is %d cycles at the %s clock of %d MHz, below "
+                "1 cycle" % (self.period_us, b.period_cycles(self.period_us),
+                             self.board, b.freq_mhz))
         if any(d in R.ETM_DESIGNS for d in self.designs) \
                 and b.period_cycles(self.period_us) > F.COUNTER_MAX:
             raise ValueError(

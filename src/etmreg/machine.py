@@ -62,17 +62,25 @@ earliest of: a core's next step, the controller's next possible grant
 line), the window edge and the duration.  Both queues hold the cycle each
 request becomes ready: a read's after the memory latency, a write-back's
 the cycle after it is buffered.  A window edge needs no core step, as a
-core's event count moves only at its stepped cycles.  The grants to a
-sole requester, at most one a cycle on any bus, run as a train, in one
-hop (`_train`), in every phase whose only events are grants: a stalled
-core whose workload issues refills each freed slot from its issue
-credit, and a core in its handler, or halted, drains its queues, a
-freed read slot taking only a pending kernel line.  Every grant of a
-train pulses alike (a refill, a write-back or nothing).  The train
-waits for heads not yet ready and ends before a grant of another kind,
-or when the credit falls short, the regulator's `pulse_budget` or the
-burst phase would run out, or another core, the window edge or the
-duration is due.  The loop goes on from the last.
+core's event count moves only at its stepped cycles.  The grants to the
+cores that request run as a train, in one hop (`_train`), while each is
+in a phase whose only events are grants: a stalled core whose workload
+issues refills each freed slot from its issue credit, and a core in its
+handler, or halted, drains its queues, a freed read slot taking only a
+pending kernel line.  A train serves one requester on any bus, as each
+core takes one line a cycle at most, and several on a bus of less than
+a line a cycle (`num < den`, as on every board preset), where the
+controller makes one grant a cycle at most: to the first core in
+round-robin order whose head is ready.  On a bus of a line a cycle or
+more, the grants to several requesters step one by one.  Each core's
+grants pulse its train's kind (a refill, a write-back, or both, as when
+a `modify` core's write-back retires and it issues) or nothing, which
+the regulator sees as a quiet cycle.  A core without requests steps
+inside the train at its own deadlines.  The train waits for heads not
+yet ready and ends before a grant of another kind, or when a credit
+falls short, a regulator's `pulse_budget` or a burst phase would run
+out, a requester, the window edge or the duration is due, or a core
+that stepped inside it now requests.  The loop goes on from the last.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 
@@ -1000,32 +1008,169 @@ def _catch_up(st: CoreState, start, end):
     st.reg.advance(span)
 
 
-def _train(st: CoreState, t, g, end, acc, num, den, cap):
-    """Apply in one hop the grants that a controller of rate num/den, its
-    accumulator at `acc` and capped at `cap`, makes from its next line at
-    `g` to before `end` to core `st`, its sole requester, which stepped at
-    `t`.  The core takes at most one grant a cycle, and each retires a
-    ready queue head, a read first; the controller waits for a head that
-    is not yet ready.  A core whose workload issues (unthrottled, or while
-    its interrupt is pending), stalled on a full queue, refills the slot
-    if its issue credit reaches a line.  One in its handler, or halted,
-    retires its heads with no refill, but a freed read slot takes a
-    pending kernel line.  Every grant of a train pulses alike, a refill, a
-    write-back or nothing, and the core changes no phase or level: the
-    regulator, within its `pulse_budget`, does not act, and `_hold` counts
-    the cycles as `_catch_up` does.  Returns the number of grants, the
-    last grant cycle and the accumulator after it."""
+# what a grant of a train pulses: a write-back as it retires, a refill as
+# the freed slot takes a line, both, or neither
+_WBK = 1
+_REFILL = 2
+
+
+class _Share:
+    """One core's part of a train, from its state at `t` + 1: its grants,
+    the cycle of the last, the lines it issued and its issue credit after
+    them, and its pulses.  These are of one kind, which the first pulsing
+    grant sets and asks the regulator's `pulse_budget` for.
+
+    A core takes a train's grants only in a phase whose only events are
+    grants (`_rides`): its workload issues, and it is stalled on a full
+    queue, or it drains, in its handler or halted.  A grant retires a
+    ready read first, else the write-back head.  A core whose workload
+    issues then issues a line from its credit if its queue is no longer
+    full; one in its handler fills a freed read slot with a pending kernel
+    line."""
+    __slots__ = ("st", "reads", "wb", "issue", "t", "last", "k", "lines",
+                 "room", "a", "ipc", "ipc_den", "ipc_stall", "rcap", "wcap",
+                 "refill", "kind", "hits", "budget", "pulses")
+
+    def __init__(self, st, t, issue):
+        self.st = st
+        self.reads = st.reads
+        self.wb = st.wb
+        self.issue = issue
+        self.t = self.last = t
+        self.k = self.lines = self.pulses = self.kind = self.hits = 0
+        if issue:
+            # the queues that the op fills, as `_queue_full` reads them
+            m = st.model
+            op = st.op
+            self.rcap = _BIG if op == OP_WRITE else m.read_outstanding
+            self.wcap = m.write_buffer_depth \
+                if op == OP_WRITE or op == OP_MODIFY else _BIG
+            self.refill = 0 if op == OP_WRITE else _REFILL
+            # the burst phase must not run out: its end is a step
+            self.room = st.lines_left - 1
+            self.a = st.ipc_acc
+            self.ipc = st.ipc
+            self.ipc_den = st.ipc_den
+            self.ipc_stall = st.ipc_stall
+        else:
+            # a freed read slot takes a kernel line, and no write-back
+            self.wcap = _BIG
+            self.room = st.kernel_pending if st.irq_phase >= _IRQ_ENTRY \
+                else 0
+
+    def take(self, g):
+        """Retire the grant at `g`, which finds a head ready, and what the
+        core does in that cycle, unless the grant would change more than
+        the share counts: a credit short of the line a freed slot needs,
+        the last line of the burst phase, a pulse of another kind or one
+        beyond the budget.  True if it took the grant."""
+        reads, wb = self.reads, self.wb
+        if reads and reads[0] <= g:
+            rd = True
+            nr, nw, kind = len(reads) - 1, len(wb), 0
+        else:
+            rd = False
+            nr, nw, kind = len(reads), len(wb) - 1, _WBK
+        issues = False
+        if self.issue:
+            # the credit as `_catch_up` and `_core_cycle` leave it: a core
+            # that held a whole line before g holds none after it
+            a = self.a + (g - self.last) * self.ipc
+            if nw >= self.wcap or nr >= self.rcap:
+                if a >= self.ipc_den:
+                    a = self.ipc_stall
+            else:
+                a -= self.ipc_den
+                if a < 0 or self.lines == self.room:
+                    return False
+                if a >= self.ipc:
+                    a = 0
+                issues = True
+                kind |= self.refill
+        elif rd and self.lines < self.room:
+            issues = True               # a pending kernel line
+            kind = _REFILL
+        if kind:
+            if kind != self.kind:
+                if self.kind or not self._budget(kind):
+                    return False
+            elif self.pulses == self.budget:
+                return False
+            self.pulses += 1
+        if rd:
+            del reads[0]
+        else:
+            del wb[0]
+        if self.issue:
+            self.a = a
+        if issues:
+            self.lines += 1
+            if kind & _REFILL:
+                reads.append(g + self.st.model.mem_latency_cycles)
+            if self.wcap != _BIG:
+                wb.append(g + 1)        # ready once it is buffered
+        self.last = g
+        self.k += 1
+        return True
+
+    def _budget(self, kind):
+        """Set the pulse kind of the share, and ask the regulator how many
+        such pulses it allows; True if at least one."""
+        st = self.st
+        pm = hits = 0
+        if kind & _WBK:
+            pm, hits = st.wbk_mask, st.wbk_hits
+        if kind & _REFILL:
+            pm |= st.refill_mask
+            hits += st.refill_hits
+        self.kind = kind
+        self.hits = hits
+        self.budget = st.reg.pulse_budget(st, pm, hits)
+        return self.budget > 0
+
+    def land(self):
+        """Leave the core as its steps at the grants would: the cycles to
+        the last grant held as `_catch_up` holds them, its counts, and its
+        regulator advanced across them."""
+        st = self.st
+        t = self.t
+        _hold(st, t + 1, self.last + 1)
+        st.completed_lines += self.k
+        lines = self.lines
+        st.issued_lines += lines
+        if self.issue:
+            st.ipc_acc = self.a
+            st.lines_left -= lines
+        else:
+            st.kernel_pending -= lines
+            st.kernel_lines += lines
+        hits = self.hits
+        if hits:
+            st.pmc_events += self.pulses * hits
+            st.tap_events += self.pulses
+        st.reg.advance(self.last - t, self.pulses, hits)
+
+
+def _train_alone(st: CoreState, t, g, end, acc, num, den, cap):
+    """`_train` in one short loop for core `st`, the sole requester, which
+    stepped at `t` with no other core due before `end`, when all its grants
+    retire one queue and pulse alike (a refill, a write-back or nothing): a
+    stalled workload that reads or writes, or a core that drains.  The head
+    of the other queue ends the train if it comes first.  Returns None for
+    a `modify` workload, or a writer with a read in flight; else the
+    number of grants (none for a core that `_rides` refuses), the last
+    grant cycle and the accumulator after it."""
+    issue = _rides(st)
+    if issue is None:
+        return 0, t, acc
     reads, wb = st.reads, st.wb
-    issue = st.irq_phase < _IRQ_ENTRY and not (st.prev_throttle
-                                               and st.reg.halts)
     lat = st.model.mem_latency_cycles
     if issue:
-        # a phase with lines left is not idle
-        if st.lines_left < 2 or st.op == OP_MODIFY or not _queue_full(st):
-            return 0, t, acc
+        if st.op == OP_MODIFY:
+            return None
         if st.op == OP_WRITE:
             if reads:                   # a read in flight is served first
-                return 0, t, acc
+                return None
             q, lat = wb, 1
         else:
             q = reads
@@ -1060,8 +1205,7 @@ def _train(st: CoreState, t, g, end, acc, num, den, cap):
         if g >= end:
             break
         if issue:
-            # the credit as `_catch_up` and `_core_cycle` leave it: a core
-            # that held a whole line before g holds none after it
+            # as in `_Share.take`
             c = a + (g - last) * ipc - ipc_den
             if c < 0:
                 break
@@ -1097,6 +1241,125 @@ def _train(st: CoreState, t, g, end, acc, num, den, cap):
     return k, last, acc
 
 
+def _rides(st: CoreState):
+    """Whether core `st`'s workload issues, if the core can take a train's
+    grants: it is stalled on a full queue with 2 lines left at least, or it
+    drains.  Else None, as a grant could let it issue later or end its
+    burst phase, which only a step does."""
+    issue = st.irq_phase < _IRQ_ENTRY and not (st.prev_throttle
+                                               and st.reg.halts)
+    # a phase with lines left is not idle
+    if issue and (st.lines_left < 2 or not _queue_full(st)):
+        return None
+    return issue
+
+
+def _head(s):
+    """The cycle that the first of share `s`'s queue heads comes ready."""
+    r, w = s.reads, s.wb
+    h = r[0] if r else _BIG
+    return w[0] if w and w[0] < h else h
+
+
+def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
+           rr):
+    """Apply in one hop the grants that a controller of rate num/den makes
+    to `cores` from its next line at `g` to before `end`, if each core
+    that requests can take them (`_rides`), else return None.  The
+    controller visited `t` last, and its accumulator holds `acc`, capped
+    at `cap`.
+
+    The controller makes one grant a cycle at most: to a sole requester on
+    any bus, and to several only on a bus of less than a line a cycle
+    (`num < den`).  Each goes to the first core in the round-robin order
+    `rings[rr]` whose head is ready, and `rr` moves on by one; the
+    controller waits for a head that is not yet ready.  A grant pulses its
+    core's train kind or nothing (`_Share`).  A core without requests steps
+    at its own deadline `due`, after that cycle's grant, as the loop would
+    step it.  The train ends before a grant that its core does not take
+    (`_Share.take`), at a requester's own deadline, or after a step that
+    leaves a request.  Each core it granted or stepped then holds its state
+    at `at` and its next step at `due`.  Returns the number of grants, the
+    last cycle the train covered, and the accumulator and `rr` after it."""
+    n = len(cores)
+    shares = [None] * n
+    for i in range(n):
+        st = cores[i]
+        if st.reads or st.wb:
+            issue = _rides(st)
+            if issue is None:
+                return None
+            shares[i] = _Share(st, at[i] - 1, issue)
+            if due[i] < end:
+                end = due[i]
+    heads = [_BIG if s is None else _head(s) for s in shares]
+    others = [i for i in range(n) if shares[i] is None]
+    step_at = min([due[i] for i in others], default=_BIG)
+    k = 0
+    last = t
+    while True:
+        first = _BIG
+        for i in rings[rr]:
+            h = heads[i]
+            if h < first:
+                first = h
+                pick = i
+                if h <= g:
+                    break
+        if first > g:                   # the controller waits for the head
+            g = first
+        if step_at < g and step_at < end:
+            # the cores without requests due now step, in the cycle that
+            # the last grant came in or after it
+            acc += (step_at - last) * num
+            if acc > cap:
+                acc = cap
+            last = step_at
+            requests = False
+            for i in others:
+                if due[i] == last:
+                    st = cores[i]
+                    if at[i] < last:
+                        _catch_up(st, at[i], last)
+                    _core_cycle(st, last, 0)
+                    d = at[i] = last + 1
+                    d += _core_span(st, d, duration - d)
+                    due[i] = d
+                    if st.reads or st.wb:
+                        requests = True
+            if requests:
+                break
+            step_at = min([due[i] for i in others])
+            continue
+        if g >= end:
+            break
+        s = shares[pick]
+        if not s.take(g):
+            break
+        heads[pick] = _head(s)
+        # the accumulator fills up to `cap` while the controller waits
+        acc += (g - 1 - last) * num
+        if acc > cap:
+            acc = cap
+        acc += num - den
+        if acc > cap:
+            acc = cap
+        last = g
+        k += 1
+        rr += 1
+        if rr == n:
+            rr = 0
+        g = last - (acc - den) // num if acc < den else last + 1
+    for i in range(n):
+        s = shares[i]
+        if s is not None and s.k:
+            s.land()
+            d = at[i] = s.last + 1
+            d += _core_span(s.st, d, duration - d)
+            due[i] = d
+    return k, last, acc, rr
+
+
 # =========================================================================
 # the system loop
 # =========================================================================
@@ -1122,6 +1385,8 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     win_end = window
     grants = [0] * n
     at = [0] * n        # the cycle each core's state is valid at
+    # the controller's round-robin order from each core
+    rings = [tuple(range(i, n)) + tuple(range(i)) for i in range(n)]
     due = [0] * n       # the next cycle each core must step
 
     cycle = 0
@@ -1190,24 +1455,52 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 queued += 1
                 sole = i
 
-        # ---- a sole requester that just stepped takes its next grants
-        # as one train, if its head and the controller's next line both
-        # come before nxt; the loop goes on from the last, where `ready`
-        # may be early, which costs a visit ----
-        if use_hops and queued == 1 and ready < nxt and at[sole] > cycle:
+        # ---- the requesters take their next grants as one train, if the
+        # controller's next line comes before nxt and each can take them
+        # without a step: one on any bus, several when the bus grants at
+        # most one line a cycle.  A sole requester that just stepped, with
+        # no other core due first, takes `_train_alone` where it applies.
+        # The loop goes on from the last cycle the train covered ----
+        if use_hops and queued and ready < nxt:
             g = cycle - (acc - den) // num if acc < den else cycle + 1
             if g < nxt:
-                st = cores[sole]
-                k, last, acc = _train(st, cycle, g, nxt, acc, num, den, cap)
-                if k:
-                    total_granted += k
-                    rr = (rr + k) % n
-                    cycle = last
-                    d = at[sole] = last + 1
-                    d += _core_span(st, d, duration - d)
-                    due[sole] = d
-                    if d < nxt:
-                        nxt = d
+                run = None
+                # no other core due first
+                if queued == 1 and at[sole] > cycle and (
+                        nxt == due[sole] or nxt == win_end or nxt == duration):
+                    run = _train_alone(cores[sole], cycle, g, nxt, acc, num,
+                                       den, cap)
+                if run is not None:
+                    k, last, acc = run
+                    if k:
+                        total_granted += k
+                        rr = (rr + k) % n
+                        cycle = last
+                        st = cores[sole]
+                        d = at[sole] = last + 1
+                        d += _core_span(st, d, duration - d)
+                        due[sole] = d
+                        if d < nxt:
+                            nxt = d
+                elif queued == 1 or num < den:
+                    edge = win_end if win_end < duration else duration
+                    run = _train(cores, at, due, rings, duration, cycle, g,
+                                 edge, acc, num, den, cap, rr)
+                    if run is not None and run[1] > cycle:
+                        k, cycle, acc, rr = run
+                        total_granted += k
+                        nxt = edge
+                        ready = _BIG
+                        for i in range(n):
+                            d = due[i]
+                            if d < nxt:
+                                nxt = d
+                            st = cores[i]
+                            r, w = st.reads, st.wb
+                            if r and r[0] < ready:
+                                ready = r[0]
+                            if w and w[0] < ready:
+                                ready = w[0]
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready

@@ -214,6 +214,16 @@ def test_experiment_config_rejects_a_non_finite_or_non_positive_value(
         small_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("design", [R.PR, R.MEMGUARD])
+def test_experiment_config_rejects_a_period_below_one_cycle(design):
+    # it constructed, and then every point failed with "period 0 cycles is
+    # below 1 cycle", so a sweep returned no rows
+    with pytest.raises(RangeError, match="period_us 0.0001 is 0 cycles at "
+                       "the zcu102 clock of 1200 MHz, below 1 cycle"):
+        H.ExperimentConfig(designs=(design,), targets_mbps=(200,),
+                           period_us=0.0001, duration_ms=0.05)
+
+
 # =========================================================================
 # calibration
 # =========================================================================

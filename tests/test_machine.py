@@ -527,6 +527,64 @@ def _diff_scenarios():
                                               issue_ipc_limit=0.0), mg),
          M.CoreSpec(zcu102.model, M.Burst(((M.OP_WRITE, 640, 20_000),),
                                           wfi_idle=True))), cap, 120_000)
+    # modify trains: a grant retires a read, with no pulse while the write
+    # buffer stays full, or a write-back, and a freed queue takes a line,
+    # whose refill pulses
+    for design in (None, R.PR, R.TB13, R.MEMGUARD, R.MEMPOL):
+        reg = None if design is None else H.regulator_for(design, zcu102,
+                                                          350.0, 5.0)
+        out["modify_%s" % design] = H.point_system(zcu102, reg, M.OP_MODIFY,
+                                                   0.05)
+    # a write buffer of two changes the pulse kind every few grants
+    out["modify_wb2_pr"] = M.SystemConfig(
+        (M.CoreSpec(dataclasses.replace(zcu102.model, write_buffer_depth=2),
+                    M.Synthetic(op=M.OP_MODIFY),
+                    H.regulator_for(R.PR, zcu102, 350.0, 5.0)),), cap, 60_000)
+    # contention trains: the controller grants one line a cycle at most, in
+    # round-robin order among the stalled cores
+    pr350 = H.regulator_for(R.PR, zcu102, 350.0, 5.0)
+    for n, dur in ((2, 60_000), (4, 40_000), (8, 20_000)):
+        out["pr350_read_x%d" % n] = M.SystemConfig(
+            (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ), pr350),) * n,
+            cap, dur)
+    out["mixed_modify_write_read"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_MODIFY), pr350),
+         M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_WRITE),
+                    H.regulator_for(R.MEMGUARD, zcu102, 350.0, 5.0)),
+         M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ))), cap, 60_000)
+    out["victim_pr150_writers"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ)),)
+        + (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_WRITE),
+                      H.regulator_for(R.PR, zcu102, 150.0, 5.0)),) * 3,
+        cap, 60_000)
+    # one core drains in its handler, its kernel lines waiting for read
+    # slots, while the other stalls on its write buffer
+    out["handler_drain_beside_stall"] = M.SystemConfig(
+        (M.CoreSpec(dataclasses.replace(zcu102.model,
+                                        handler_kernel_events=4),
+                    M.Synthetic(op=M.OP_READ),
+                    H.regulator_for(R.PR_STOP, zcu102, 350.0, 5.0)),
+         M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_WRITE))), cap, 60_000)
+    # a core without requests, here a replay whose records step it, steps
+    # inside the trains of the others
+    rng = random.Random(5)
+    replay = M.TraceReplay(tuple(
+        (rng.randint(0, 400),
+         frozenset(rng.sample((21, 22), rng.randint(1, 2))),
+         F.KERNEL if rng.random() < 0.15 else F.USER) for _ in range(300)))
+    out["bursty_four_core_replay"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Burst(((M.OP_READ, 64 * 60, 0),
+                                           (M.OP_MODIFY, 64 * 40, 2000))),
+                    pr350),
+         M.CoreSpec(zcu102.model, M.Burst(((M.OP_WRITE, 64 * 100, 500),),
+                                          wfi_idle=True),
+                    H.regulator_for(R.MEMGUARD, zcu102, 600.0, 10.0)),
+         M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_MODIFY,
+                                              issue_ipc_limit=0.5),
+                    H.regulator_for(R.MEMPOL, zcu102, 350.0, 5.0)),
+         M.CoreSpec(zcu102.model, replay,
+                    H.regulator_for(R.TB13, zcu102, 500.0, 2.5))),
+        cap, 60_000)
     return out
 
 
@@ -798,26 +856,59 @@ def test_a_lone_core_moves_a_line_a_cycle_on_a_wide_bus():
         39_992, 40_000, 39_993)
 
 
-# core-steps of 0.1 ms saturating `pr`@350 read systems on zcu102 while a
-# hop still had to suit every core at once: cores -> (core-steps, the
-# fraction of them still allowed)
-_CORE_STEPS_BEFORE = {1: (821, 1, 1), 2: (3_130, 3, 5), 4: (6_508, 1, 3),
-                      8: (12_856, 1, 5)}
+# core-steps of 0.1 ms saturating `pr`@350 read systems on zcu102, since
+# the grants to several requesters take one hop: cores -> core-steps.  While
+# a hop still had to suit every core at once they stepped 821, 3,130, 6,508
+# and 12,856 times, and with trains for a sole requester only 318, 1,628,
+# 1,768 and 1,936
+_CORE_STEPS = {1: 318, 2: 597, 4: 212, 8: 376}
 
 
-@pytest.mark.parametrize("n", sorted(_CORE_STEPS_BEFORE))
+@pytest.mark.parametrize("n", sorted(_CORE_STEPS))
 def test_idle_neighbours_do_not_step(monkeypatch, n):
-    # each core steps only at its own events and grants; the count repeats
-    # exactly, so it guards the gain against host noise
+    # each core steps only at its own events and outside trains; the count
+    # repeats exactly, so it guards the gain against host noise
     b = H.preset("zcu102")
     sc = H.point_system(b, H.regulator_for(R.PR, b, 350.0, 5.0),
                         M.OP_READ, 0.1)
     sc = dataclasses.replace(sc, cores=sc.cores * n)
     rec = _record_steps(monkeypatch)
     M.run_system(sc)
-    before, num, den = _CORE_STEPS_BEFORE[n]
     assert sc.duration_cycles == 120_000
-    assert rec.steps * den <= before * num
+    assert rec.steps <= _CORE_STEPS[n]
+
+
+# core-steps of 0.1 ms saturating zcu102 modify points at 350 MB/s, since a
+# modify core takes its grants as trains: design -> core-steps.  Each grant
+# stepped it before: 1,570, 442, 845 and 660
+_MODIFY_STEPS = {None: 9, R.PR: 337, R.MEMGUARD: 344, R.MEMPOL: 38}
+
+
+@pytest.mark.parametrize("design", sorted(_MODIFY_STEPS, key=str))
+def test_a_modify_core_takes_trains(monkeypatch, design):
+    # a grant retires a read with no pulse while the write buffer stays
+    # full, or a write-back, and then the core may issue a line whose
+    # refill pulses.  The count repeats exactly
+    b = H.preset("zcu102")
+    reg = None if design is None else H.regulator_for(design, b, 350.0, 5.0)
+    rec = _record_steps(monkeypatch)
+    M.run_system(H.point_system(b, reg, M.OP_MODIFY, 0.1))
+    assert rec.steps <= _MODIFY_STEPS[design]
+
+
+def test_a_victim_among_writers_takes_contention_trains(monkeypatch):
+    # an unregulated reader and three `pr`@150 writers on zcu102 for 0.2 ms:
+    # 5,405 core-steps while the grants to several stalled cores each
+    # stepped one.  The count repeats exactly
+    b = H.preset("zcu102")
+    writer = M.CoreSpec(b.model, M.Synthetic(op=M.OP_WRITE),
+                        H.regulator_for(R.PR, b, 150.0, 5.0))
+    sc = M.SystemConfig(
+        (M.CoreSpec(b.model, M.Synthetic(op=M.OP_READ)),) + (writer,) * 3,
+        b.cap_lines_per_cycle(), 240_000)
+    rec = _record_steps(monkeypatch)
+    M.run_system(sc)
+    assert rec.steps <= 2_492
 
 
 # ---------------------------------------------------------------------------
