@@ -71,16 +71,18 @@ pending kernel line.  A train serves one requester on any bus, as each
 core takes one line a cycle at most, and several on a bus of less than
 a line a cycle (`num < den`, as on every board preset), where the
 controller makes one grant a cycle at most: to the first core in
-round-robin order whose head is ready.  On a bus of a line a cycle or
-more, the grants to several requesters step one by one.  Each core's
-grants pulse its train's kind (a refill, a write-back, or both, as when
-a `modify` core's write-back retires and it issues) or nothing, which
-the regulator sees as a quiet cycle.  A core without requests steps
-inside the train at its own deadlines.  The train waits for heads not
-yet ready and ends before a grant of another kind, or when a credit
-falls short, a regulator's `pulse_budget` or a burst phase would run
-out, a requester, the window edge or the duration is due, or a core
-that stepped inside it now requests.  The loop goes on from the last.
+round-robin order whose head is ready.  The picked core takes grants in
+one loop while its head is the only one ready, so a lone requester's
+train is one such loop.  On a bus of a line a cycle or more, the grants
+to several requesters step one by one.  Each core's grants pulse its
+train's kind (a refill, a write-back, or both, as when a `modify` core's
+write-back retires and it issues) or nothing, which the regulator sees
+as a quiet cycle.  A core without requests steps inside the train at
+its own deadlines.  The train waits for heads not yet ready and ends
+before a grant of another kind, or when a credit falls short, a
+regulator's `pulse_budget` or a burst phase would run out, a requester,
+the window edge or the duration is due, or a core that stepped inside
+it now requests.  The loop goes on from the last.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 
@@ -1014,258 +1016,207 @@ _WBK = 1
 _REFILL = 2
 
 
-class _Share:
-    """One core's part of a train, from its state at `t` + 1: its grants,
-    the cycle of the last, the lines it issued and its issue credit after
-    them, and its pulses.  These are of one kind, which the first pulsing
-    grant sets and asks the regulator's `pulse_budget` for.
-
-    A core takes a train's grants only in a phase whose only events are
-    grants (`_rides`): its workload issues, and it is stalled on a full
-    queue, or it drains, in its handler or halted.  A grant retires a
-    ready read first, else the write-back head.  A core whose workload
-    issues then issues a line from its credit if its queue is no longer
-    full; one in its handler fills a freed read slot with a pending kernel
-    line."""
-    __slots__ = ("st", "reads", "wb", "issue", "t", "last", "k", "lines",
-                 "room", "a", "ipc", "ipc_den", "ipc_stall", "rcap", "wcap",
-                 "refill", "kind", "hits", "budget", "pulses")
-
-    def __init__(self, st, t, issue):
-        self.st = st
-        self.reads = st.reads
-        self.wb = st.wb
-        self.issue = issue
-        self.t = self.last = t
-        self.k = self.lines = self.pulses = self.kind = self.hits = 0
-        if issue:
-            # the queues that the op fills, as `_queue_full` reads them
-            m = st.model
-            op = st.op
-            self.rcap = _BIG if op == OP_WRITE else m.read_outstanding
-            self.wcap = m.write_buffer_depth \
-                if op == OP_WRITE or op == OP_MODIFY else _BIG
-            self.refill = 0 if op == OP_WRITE else _REFILL
-            # the burst phase must not run out: its end is a step
-            self.room = st.lines_left - 1
-            self.a = st.ipc_acc
-            self.ipc = st.ipc
-            self.ipc_den = st.ipc_den
-            self.ipc_stall = st.ipc_stall
-        else:
-            # a freed read slot takes a kernel line, and no write-back
-            self.wcap = _BIG
-            self.room = st.kernel_pending if st.irq_phase >= _IRQ_ENTRY \
-                else 0
-
-    def take(self, g):
-        """Retire the grant at `g`, which finds a head ready, and what the
-        core does in that cycle, unless the grant would change more than
-        the share counts: a credit short of the line a freed slot needs,
-        the last line of the burst phase, a pulse of another kind or one
-        beyond the budget.  True if it took the grant."""
-        reads, wb = self.reads, self.wb
-        if reads and reads[0] <= g:
-            rd = True
-            nr, nw, kind = len(reads) - 1, len(wb), 0
-        else:
-            rd = False
-            nr, nw, kind = len(reads), len(wb) - 1, _WBK
-        issues = False
-        if self.issue:
-            # the credit as `_catch_up` and `_core_cycle` leave it: a core
-            # that held a whole line before g holds none after it
-            a = self.a + (g - self.last) * self.ipc
-            if nw >= self.wcap or nr >= self.rcap:
-                if a >= self.ipc_den:
-                    a = self.ipc_stall
-            else:
-                a -= self.ipc_den
-                if a < 0 or self.lines == self.room:
-                    return False
-                if a >= self.ipc:
-                    a = 0
-                issues = True
-                kind |= self.refill
-        elif rd and self.lines < self.room:
-            issues = True               # a pending kernel line
-            kind = _REFILL
-        if kind:
-            if kind != self.kind:
-                if self.kind or not self._budget(kind):
-                    return False
-            elif self.pulses == self.budget:
-                return False
-            self.pulses += 1
-        if rd:
-            del reads[0]
-        else:
-            del wb[0]
-        if self.issue:
-            self.a = a
-        if issues:
-            self.lines += 1
-            if kind & _REFILL:
-                reads.append(g + self.st.model.mem_latency_cycles)
-            if self.wcap != _BIG:
-                wb.append(g + 1)        # ready once it is buffered
-        self.last = g
-        self.k += 1
-        return True
-
-    def _budget(self, kind):
-        """Set the pulse kind of the share, and ask the regulator how many
-        such pulses it allows; True if at least one."""
-        st = self.st
-        pm = hits = 0
-        if kind & _WBK:
-            pm, hits = st.wbk_mask, st.wbk_hits
-        if kind & _REFILL:
-            pm |= st.refill_mask
-            hits += st.refill_hits
-        self.kind = kind
-        self.hits = hits
-        self.budget = st.reg.pulse_budget(st, pm, hits)
-        return self.budget > 0
-
-    def land(self):
-        """Leave the core as its steps at the grants would: the cycles to
-        the last grant held as `_catch_up` holds them, its counts, and its
-        regulator advanced across them."""
-        st = self.st
-        t = self.t
-        _hold(st, t + 1, self.last + 1)
-        st.completed_lines += self.k
-        lines = self.lines
-        st.issued_lines += lines
-        if self.issue:
-            st.ipc_acc = self.a
-            st.lines_left -= lines
-        else:
-            st.kernel_pending -= lines
-            st.kernel_lines += lines
-        hits = self.hits
-        if hits:
-            st.pmc_events += self.pulses * hits
-            st.tap_events += self.pulses
-        st.reg.advance(self.last - t, self.pulses, hits)
-
-
-def _train_alone(st: CoreState, t, g, end, acc, num, den, cap):
-    """`_train` in one short loop for core `st`, the sole requester, which
-    stepped at `t` with no other core due before `end`, when all its grants
-    retire one queue and pulse alike (a refill, a write-back or nothing): a
-    stalled workload that reads or writes, or a core that drains.  The head
-    of the other queue ends the train if it comes first.  Returns None for
-    a `modify` workload, or a writer with a read in flight; else the
-    number of grants (none for a core that `_rides` refuses), the last
-    grant cycle and the accumulator after it."""
-    issue = _rides(st)
-    if issue is None:
-        return 0, t, acc
-    reads, wb = st.reads, st.wb
-    lat = st.model.mem_latency_cycles
-    if issue:
-        if st.op == OP_MODIFY:
-            return None
-        if st.op == OP_WRITE:
-            if reads:                   # a read in flight is served first
-                return None
-            q, lat = wb, 1
-        else:
-            q = reads
-        refill = True
-        room = st.lines_left - 1
-    else:
-        q = wb if wb and (not reads or max(g, wb[0]) < reads[0]) else reads
-        refill = q is reads and st.kernel_pending > 0
-        room = st.kernel_pending if refill else _BIG
-    if q is wb:
-        pm, hits, o = st.wbk_mask, st.wbk_hits, reads
-    elif refill:
-        pm, hits, o = st.refill_mask, st.refill_hits, wb
-    else:
-        pm, hits, o = 0, 0, wb
-    # the head of the other queue, which the train leaves alone: a read
-    # that comes ready is served first, and a write-back that comes ready
-    # before the read head does is served as it waits
-    o = o[0] if o else _BIG
-    if q is wb and o < end:
-        end = o
-    room = min(room, st.reg.pulse_budget(st, pm, hits))
-    ipc, ipc_den, a = st.ipc, st.ipc_den, st.ipc_acc
-    k = 0
-    last = t
-    while k < room and q:
-        h = q[0]
-        if h > g:                       # the controller waits for the head
-            if o < h:
-                break
-            g = h
-        if g >= end:
-            break
-        if issue:
-            # as in `_Share.take`
-            c = a + (g - last) * ipc - ipc_den
-            if c < 0:
-                break
-            a = c if c < ipc else 0
-        del q[0]
-        if refill:
-            q.append(g + lat)
-        # the accumulator fills up to `cap` while the controller waits
-        acc += (g - 1 - last) * num
-        if acc > cap:
-            acc = cap
-        acc += num - den
-        if acc > cap:
-            acc = cap
-        last = g
-        k += 1
-        g = last - (acc - den) // num if acc < den else last + 1
-    if k:
-        _hold(st, t + 1, last + 1)
-        st.completed_lines += k
-        if refill:
-            st.issued_lines += k
-            if issue:
-                st.ipc_acc = a
-                st.lines_left -= k
-            else:
-                st.kernel_pending -= k
-                st.kernel_lines += k
-        if hits:
-            st.pmc_events += k * hits
-            st.tap_events += k
-        st.reg.advance(last - t, k, hits)
-    return k, last, acc
-
-
-def _rides(st: CoreState):
-    """Whether core `st`'s workload issues, if the core can take a train's
-    grants: it is stalled on a full queue with 2 lines left at least, or it
-    drains.  Else None, as a grant could let it issue later or end its
-    burst phase, which only a step does."""
-    issue = st.irq_phase < _IRQ_ENTRY and not (st.prev_throttle
-                                               and st.reg.halts)
-    # a phase with lines left is not idle
-    if issue and (st.lines_left < 2 or not _queue_full(st)):
-        return None
-    return issue
-
-
-def _head(s):
-    """The cycle that the first of share `s`'s queue heads comes ready."""
-    r, w = s.reads, s.wb
+def _head(st: CoreState):
+    """The cycle that the first of core `st`'s queue heads comes ready."""
+    r, w = st.reads, st.wb
     h = r[0] if r else _BIG
     return w[0] if w and w[0] < h else h
+
+
+class _Share:
+    """One core's part of a train, from its state at `t` + 1: the cycle of
+    its last grant and its pulses.  These are of one kind, which the first
+    pulsing grant sets and asks the regulator's `pulse_budget` for.  Each
+    grant counts at once in the core's lines, queues and credit; `_train`
+    holds the cycles to the last grant and advances the regulator.
+
+    A core takes a train's grants only in a phase whose only events are
+    grants: it drains, in its handler or halted, or its workload issues
+    and it is stalled on a full queue with 2 lines left at least.  Else
+    `issue` is None, as a grant could let it issue later or end its burst
+    phase, which only a step does.  A grant retires a ready read first,
+    else the write-back head.  A core whose workload issues then issues a
+    line from its credit if its queue is no longer full; one in its
+    handler fills a freed read slot with a pending kernel line."""
+    __slots__ = ("st", "issue", "t", "last", "rcap", "wcap", "refill",
+                 "kind", "hits", "budget", "pulses")
+
+    def __init__(self, st, t):
+        self.st = st
+        self.t = self.last = t
+        self.pulses = self.kind = self.hits = 0
+        if st.irq_phase >= _IRQ_ENTRY or st.prev_throttle and st.reg.halts:
+            self.issue = False
+            return
+        # the queues that the op fills, as `_queue_full` reads them
+        m = st.model
+        op = st.op
+        rcap = self.rcap = _BIG if op == OP_WRITE else m.read_outstanding
+        wcap = self.wcap = (m.write_buffer_depth
+                            if op == OP_WRITE or op == OP_MODIFY else _BIG)
+        # a phase with lines left is not idle; it must not run out, as its
+        # end is a step
+        if st.lines_left < 2 or len(st.reads) < rcap and len(st.wb) < wcap:
+            self.issue = None
+        else:
+            self.issue = True
+            self.refill = 0 if op == OP_WRITE else _REFILL
+
+    def take(self, g, stop, last, acc, num, den, cap):
+        """Retire the grant at `g`, which finds a head ready, and what the
+        core does in that cycle; then the grants that a controller of rate
+        num/den makes next, while the core's head is the first one ready
+        and they come before `stop`.  The controller's accumulator holds
+        `acc` after the train's `last` cycle, capped at `cap`.  A grant that
+        would change more than the share counts ends the train: a credit
+        short of the line a freed slot needs, the last line of the burst
+        phase, a pulse of another kind or one beyond the budget.  Returns
+        the grants taken, the controller's next grant cycle (None if the
+        share refused it), the last cycle and the accumulator after them,
+        and the cycle that the core's first head comes ready."""
+        st = self.st
+        reads, wb = st.reads, st.wb
+        issue = self.issue
+        # at a rate of a line a cycle the credit stays 0
+        credit = issue and st.ipc < st.ipc_den
+        if credit:
+            ipc, ipc_den, a, s_last = st.ipc, st.ipc_den, st.ipc_acc, self.last
+        lat = st.model.mem_latency_cycles
+        k = 0
+        while True:
+            if k:
+                if g >= stop:
+                    break
+                h = reads[0] if reads else _BIG
+                if wb and wb[0] < h:
+                    h = wb[0]
+                if h > g:               # the controller waits for the head
+                    if h >= stop:
+                        break
+                    g = h
+            # a run of grants alike: each retires the head of one queue, a
+            # ready read first, else the write-back head, and then issues
+            # from the credit, or a pending kernel line, or nothing.  The
+            # share refuses the run's grant after `run`, and `fill` grants
+            # change it: its queue runs dry, or the other one fills up
+            if reads and reads[0] <= g:
+                q, o, kind = reads, _BIG, 0
+            else:
+                # a read that comes ready, or that the run issues, is first
+                q, o, kind = wb, reads[0] if reads else _BIG, _WBK
+            run, fill = _BIG, len(q)
+            radd = wadd = 0
+            if issue:
+                # the queue lengths after the grant
+                nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
+                if nr < self.rcap and nw < self.wcap:
+                    radd = self.refill
+                    wadd = self.wcap != _BIG
+                    kind |= radd
+                    run = st.lines_left - 1
+                    fill = self.rcap - nr if q is wb else self.wcap - nw
+                    if q is wb and radd and g + lat < o:
+                        o = g + lat
+            elif q is reads and st.irq_phase >= _IRQ_ENTRY \
+                    and st.kernel_pending:
+                # the reads after the last kernel line take none
+                kind = radd = _REFILL
+                fill = st.kernel_pending
+            if kind:
+                if kind != self.kind:
+                    if self.kind:
+                        g = None
+                        break
+                    # the share's pulse kind, and how many the regulator
+                    # allows
+                    pm = hits = 0
+                    if kind & _WBK:
+                        pm, hits = st.wbk_mask, st.wbk_hits
+                    if kind & _REFILL:
+                        pm |= st.refill_mask
+                        hits += st.refill_hits
+                    self.kind, self.hits = kind, hits
+                    self.budget = st.reg.pulse_budget(st, pm, hits)
+                x = self.budget - self.pulses
+                if x < run:
+                    run = x
+            if run < 1:
+                g = None
+                break
+            if stop < o:
+                o = stop
+            lim = run if run < fill else fill
+            issues = radd or wadd
+            # the accumulator fills up to `cap` while the controller waits;
+            # after a grant it waits for no head
+            over = acc + (g - 1 - last) * num - cap
+            if over > 0:
+                acc -= over
+            n = 0
+            while True:
+                if credit:
+                    # the credit as `_catch_up` and `_core_cycle` leave it:
+                    # a core that held a whole line before g holds none
+                    # after it
+                    c = a + (g - s_last) * ipc
+                    if issues:
+                        c -= ipc_den
+                        if c < 0:
+                            g = None
+                            break
+                        if c >= ipc:
+                            c = 0
+                    elif c >= ipc_den:
+                        c = st.ipc_stall
+                    a = c
+                    s_last = g
+                del q[0]
+                if radd:
+                    reads.append(g + lat)
+                if wadd:
+                    wb.append(g + 1)    # ready once it is buffered
+                n += 1
+                acc += (g - last) * num - den
+                if acc > cap:
+                    acc = cap
+                last = g
+                g = last - (acc - den) // num if acc < den else last + 1
+                if n == lim or g >= o or q[0] > g:
+                    break
+            k += n
+            st.completed_lines += n
+            if issues:
+                st.issued_lines += n
+                if issue:
+                    st.lines_left -= n
+                else:
+                    st.kernel_pending -= n
+                    st.kernel_lines += n
+            if kind:
+                self.pulses += n
+                if self.hits:
+                    st.pmc_events += n * self.hits
+                    st.tap_events += n
+            if g is None:
+                if not n and over > 0:
+                    acc += over
+                break
+            if n == run < fill and g < o and q[0] <= g:
+                g = None                # the next grant is one more of the run
+                break
+        if k:
+            if credit:
+                st.ipc_acc = a
+            self.last = last
+        h = reads[0] if reads else _BIG
+        return k, g, last, acc, wb[0] if wb and wb[0] < h else h
 
 
 def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
            rr):
     """Apply in one hop the grants that a controller of rate num/den makes
     to `cores` from its next line at `g` to before `end`, if each core
-    that requests can take them (`_rides`), else return None.  The
+    that requests can take them (`_Share`), else return None.  The
     controller visited `t` last, and its accumulator holds `acc`, capped
     at `cap`.
 
@@ -1273,39 +1224,48 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
     any bus, and to several only on a bus of less than a line a cycle
     (`num < den`).  Each goes to the first core in the round-robin order
     `rings[rr]` whose head is ready, and `rr` moves on by one; the
-    controller waits for a head that is not yet ready.  A grant pulses its
-    core's train kind or nothing (`_Share`).  A core without requests steps
-    at its own deadline `due`, after that cycle's grant, as the loop would
-    step it.  The train ends before a grant that its core does not take
-    (`_Share.take`), at a requester's own deadline, or after a step that
-    leaves a request.  Each core it granted or stepped then holds its state
-    at `at` and its next step at `due`.  Returns the number of grants, the
-    last cycle the train covered, and the accumulator and `rr` after it."""
+    controller waits for a head that is not yet ready.  The picked core
+    takes its grants in one `_Share.take` call for as long as its head is
+    the only one ready, so a sole requester's train is one call.  A core
+    without requests steps at its own deadline `due`, after that cycle's
+    grant, as the loop would step it.  The train ends before a grant that
+    its core does not take, at a requester's own deadline, or after a step
+    that leaves a request.  Each core it granted or stepped then holds its
+    state at `at` and its next step at `due`.  Returns the number of
+    grants, the last cycle the train covered, the accumulator and `rr`
+    after it, and the first step and queue head of any core after it."""
     n = len(cores)
     shares = [None] * n
-    for i in range(n):
+    heads = [_BIG] * n                  # the first head of each core
+    edge = end
+    step_at = _BIG                      # the next step of a core without
+    for i in range(n):                  # requests
         st = cores[i]
         if st.reads or st.wb:
-            issue = _rides(st)
-            if issue is None:
+            s = shares[i] = _Share(st, at[i] - 1)
+            if s.issue is None:
                 return None
-            shares[i] = _Share(st, at[i] - 1, issue)
             if due[i] < end:
                 end = due[i]
-    heads = [_BIG if s is None else _head(s) for s in shares]
-    others = [i for i in range(n) if shares[i] is None]
-    step_at = min([due[i] for i in others], default=_BIG)
+            heads[i] = _head(st)
+        elif due[i] < step_at:
+            step_at = due[i]
     k = 0
     last = t
     while True:
-        first = _BIG
+        # the first share in round-robin order whose head is ready at g,
+        # else the one whose head comes first; `other` is the first head
+        # of the rest
+        first = other = _BIG
         for i in rings[rr]:
             h = heads[i]
-            if h < first:
+            if h < first and first > g:
+                if first < other:
+                    other = first
                 first = h
                 pick = i
-                if h <= g:
-                    break
+            elif h < other:
+                other = h
         if first > g:                   # the controller waits for the head
             g = first
         if step_at < g and step_at < end:
@@ -1315,49 +1275,60 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             if acc > cap:
                 acc = cap
             last = step_at
+            step_at = _BIG
             requests = False
-            for i in others:
-                if due[i] == last:
-                    st = cores[i]
-                    if at[i] < last:
-                        _catch_up(st, at[i], last)
-                    _core_cycle(st, last, 0)
-                    d = at[i] = last + 1
-                    d += _core_span(st, d, duration - d)
-                    due[i] = d
-                    if st.reads or st.wb:
-                        requests = True
+            for i in range(n):
+                if shares[i] is None:
+                    d = due[i]
+                    if d == last:
+                        st = cores[i]
+                        if at[i] < last:
+                            _catch_up(st, at[i], last)
+                        _core_cycle(st, last, 0)
+                        d = at[i] = last + 1
+                        d += _core_span(st, d, duration - d)
+                        due[i] = d
+                        if st.reads or st.wb:
+                            heads[i] = _head(st)
+                            requests = True
+                    if d < step_at:
+                        step_at = d
             if requests:
                 break
-            step_at = min([due[i] for i in others])
             continue
         if g >= end:
             break
-        s = shares[pick]
-        if not s.take(g):
+        # a grant in the cycle that a core steps in comes before the step
+        stop = step_at + 1
+        if other < stop:
+            stop = other
+        if end < stop:
+            stop = end
+        taken, g, last, acc, heads[pick] = shares[pick].take(
+            g, stop, last, acc, num, den, cap)
+        k += taken
+        rr = (rr + taken) % n
+        if g is None or g >= end and step_at >= end:
             break
-        heads[pick] = _head(s)
-        # the accumulator fills up to `cap` while the controller waits
-        acc += (g - 1 - last) * num
-        if acc > cap:
-            acc = cap
-        acc += num - den
-        if acc > cap:
-            acc = cap
-        last = g
-        k += 1
-        rr += 1
-        if rr == n:
-            rr = 0
-        g = last - (acc - den) // num if acc < den else last + 1
-    for i in range(n):
+    # each core granted holds its state from its last grant on: the cycles
+    # to it held as `_catch_up` holds them, and its regulator advanced
+    # across them.  The loop goes on to the first step or head of any core
+    nxt = edge if edge < step_at else step_at
+    ready = _BIG
+    for i in range(n if last > t else 0):
         s = shares[i]
-        if s is not None and s.k:
-            s.land()
-            d = at[i] = s.last + 1
-            d += _core_span(s.st, d, duration - d)
-            due[i] = d
-    return k, last, acc, rr
+        if s is not None:
+            if s.last > s.t:
+                st = s.st
+                d = at[i] = s.last + 1
+                _hold(st, s.t + 1, d)
+                st.reg.advance(d - 1 - s.t, s.pulses, s.hits)
+                due[i] = d + _core_span(st, d, duration - d)
+            if due[i] < nxt:
+                nxt = due[i]
+        if heads[i] < ready:
+            ready = heads[i]
+    return k, last, acc, rr, nxt, ready
 
 
 # =========================================================================
@@ -1425,7 +1396,8 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
 
         # ---- 2+3. the cores due now or given a grant, and their
         # regulators; each core first catches up from its own time ----
-        nxt = win_end if win_end < duration else duration
+        edge = win_end if win_end < duration else duration
+        nxt = edge
         ready = _BIG
         queued = 0
         for i in range(n):
@@ -1453,54 +1425,20 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 ready = w[0]
             if r or w:
                 queued += 1
-                sole = i
 
         # ---- the requesters take their next grants as one train, if the
         # controller's next line comes before nxt and each can take them
         # without a step: one on any bus, several when the bus grants at
-        # most one line a cycle.  A sole requester that just stepped, with
-        # no other core due first, takes `_train_alone` where it applies.
-        # The loop goes on from the last cycle the train covered ----
-        if use_hops and queued and ready < nxt:
+        # most one line a cycle.  The loop goes on from the last cycle the
+        # train covered, with the next step and head that it leaves ----
+        if use_hops and ready < nxt and (queued == 1 or num < den):
             g = cycle - (acc - den) // num if acc < den else cycle + 1
             if g < nxt:
-                run = None
-                # no other core due first
-                if queued == 1 and at[sole] > cycle and (
-                        nxt == due[sole] or nxt == win_end or nxt == duration):
-                    run = _train_alone(cores[sole], cycle, g, nxt, acc, num,
-                                       den, cap)
-                if run is not None:
-                    k, last, acc = run
-                    if k:
-                        total_granted += k
-                        rr = (rr + k) % n
-                        cycle = last
-                        st = cores[sole]
-                        d = at[sole] = last + 1
-                        d += _core_span(st, d, duration - d)
-                        due[sole] = d
-                        if d < nxt:
-                            nxt = d
-                elif queued == 1 or num < den:
-                    edge = win_end if win_end < duration else duration
-                    run = _train(cores, at, due, rings, duration, cycle, g,
-                                 edge, acc, num, den, cap, rr)
-                    if run is not None and run[1] > cycle:
-                        k, cycle, acc, rr = run
-                        total_granted += k
-                        nxt = edge
-                        ready = _BIG
-                        for i in range(n):
-                            d = due[i]
-                            if d < nxt:
-                                nxt = d
-                            st = cores[i]
-                            r, w = st.reads, st.wb
-                            if r and r[0] < ready:
-                                ready = r[0]
-                            if w and w[0] < ready:
-                                ready = w[0]
+                run = _train(cores, at, due, rings, duration, cycle, g, edge,
+                             acc, num, den, cap, rr)
+                if run is not None and run[1] > cycle:
+                    k, cycle, acc, rr, nxt, ready = run
+                    total_granted += k
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready
