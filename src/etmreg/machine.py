@@ -44,9 +44,10 @@ stalls, idle phases, compute-bound spans, a saturating core waiting on
 the bus) are skipped per core.  One rule, `_core_span`, says how far: to
 the first deadline the core or its regulator states.  A core's deadlines
 are its interrupt phase end, trace record and idle end, and its next
-issue, which the exact credit gives in closed form.  A core whose queue
-is full cannot issue before a grant, and a handler poll that finds the
-throttle level held only reschedules itself, so neither is a deadline.
+issue, which the exact credit gives in closed form, unless the issue
+falls inside a run (below).  A core whose queue is full cannot issue
+before a grant, and a handler poll that finds the throttle level held
+only reschedules itself, so neither is a deadline.
 The regulator then bounds the span with its own answer: MemGuard its
 next timer refill, MemPol its next poll, and the fabric the stretch in
 which its counters only count down, found by probing one pulse-free
@@ -83,6 +84,13 @@ before a grant of another kind, or when a credit falls short, a
 regulator's `pulse_budget` or a burst phase would run out, a requester,
 the window edge or the duration is due, or a core that stepped inside
 it now requests.  The loop goes on from the last.
+A core that refills its free queue slots, after its handler exits or at
+a burst start, takes those issues as a run, in one hop (`_issue_run`), if
+it steps and is due again the next cycle, outside its handler, neither
+about to raise an interrupt nor halted: its own issues are then its only
+events.  The runs come after every core due in the cycle has stepped and
+before the train, and end before the controller's next possible grant,
+which counts their own first heads.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 
@@ -636,6 +644,8 @@ _CONSTANTS = (
     "ipc", "ipc_den", "ipc_stall", "wfi_idle", "trace_recs",
     # pulse masks, and the monitored events of one line's pulse
     "refill_mask", "wbk_mask", "tap_mask", "refill_hits", "wbk_hits",
+    # each op's queue limits
+    "caps",
 )
 
 # what a core carries from one cycle to the next, beside its regulator
@@ -669,6 +679,11 @@ class CoreState:
         self.wb = []
         self.refill_mask = F._signal_mask(m.refill_signals)
         self.wbk_mask = F._signal_mask(m.wb_signals)
+        # the read-slot and write-buffer limits of the queues that each op
+        # fills, `_BIG` for a queue it does not fill
+        r, w = m.read_outstanding, m.write_buffer_depth
+        self.caps = {OP_READ: (r, _BIG), OP_PREFETCH: (r, _BIG),
+                     OP_WRITE: (_BIG, w), OP_MODIFY: (r, w)}
 
         w = spec.workload
         self.phase = 0
@@ -917,14 +932,10 @@ def _core_cycle(st: CoreState, cycle, grants):
 # =========================================================================
 
 def _queue_full(st: CoreState):
-    """True when the queue that core `st`'s workload op fills is full, so
+    """True when a queue that core `st`'s workload op fills is full, so
     its issue stage stalls."""
-    m = st.model
-    if st.op == OP_WRITE:
-        return len(st.wb) >= m.write_buffer_depth
-    if st.op == OP_MODIFY and len(st.wb) >= m.write_buffer_depth:
-        return True
-    return len(st.reads) >= m.read_outstanding
+    rcap, wcap = st.caps[st.op]
+    return len(st.reads) >= rcap or len(st.wb) >= wcap
 
 
 def _core_span(st: CoreState, cycle, limit):
@@ -938,7 +949,9 @@ def _core_span(st: CoreState, cycle, limit):
     A core whose queue is full cannot issue until a grant frees the queue,
     and a handler poll that sees the throttle level held only reschedules
     itself: the catch-up in `_catch_up` advances both without a
-    deadline."""
+    deadline.  A core whose next issue is due within 2 cycles steps the
+    next cycle, unless `run_system` takes that cycle and the issues after
+    it as a run (`_issue_run`)."""
     reg = st.reg
     phase = st.irq_phase
     req = st.prev_throttle
@@ -1048,19 +1061,14 @@ class _Share:
         if st.irq_phase >= _IRQ_ENTRY or st.prev_throttle and st.reg.halts:
             self.issue = False
             return
-        # the queues that the op fills, as `_queue_full` reads them
-        m = st.model
-        op = st.op
-        rcap = self.rcap = _BIG if op == OP_WRITE else m.read_outstanding
-        wcap = self.wcap = (m.write_buffer_depth
-                            if op == OP_WRITE or op == OP_MODIFY else _BIG)
+        rcap, wcap = self.rcap, self.wcap = st.caps[st.op]
         # a phase with lines left is not idle; it must not run out, as its
         # end is a step
         if st.lines_left < 2 or len(st.reads) < rcap and len(st.wb) < wcap:
             self.issue = None
         else:
             self.issue = True
-            self.refill = 0 if op == OP_WRITE else _REFILL
+            self.refill = 0 if st.op == OP_WRITE else _REFILL
 
     def take(self, g, stop, last, acc, num, den, cap):
         """Retire the grant at `g`, which finds a head ready, and what the
@@ -1210,6 +1218,82 @@ class _Share:
             self.last = last
         h = reads[0] if reads else _BIG
         return k, g, last, acc, wb[0] if wb and wb[0] < h else h
+
+
+def _issue_run(st, t, end, grant_at, ready):
+    """Apply in one hop the lines that core `st`, outside its handler,
+    neither about to raise an interrupt nor halted, issues from `t` on
+    from its credit into its free queue slots, with their queue entries,
+    counts and refill pulses, at the cycles of the credit's closed form.
+    Returns the cycle the core's state then holds at, or 0 if it takes no
+    line.  The run leaves the burst phase's last line to a step, and ends
+    before `end` and the interrupt's entry, within the regulator's
+    `quiet_span` and `pulse_budget`, and before the controller's next
+    possible grant: the later of `grant_at`, when its accumulator holds a
+    line, and the first of the heads `ready` and the run's own.  A core
+    whose workload issues replays no trace records."""
+    if st.idle_until > t or not st.ipc:
+        return 0
+    reads, wb = st.reads, st.wb
+    rcap, wcap = st.caps[st.op]
+    n = min(rcap - len(reads), wcap - len(wb), st.lines_left - 1)
+    if n < 1:
+        return 0
+    ipc, den, acc = st.ipc, st.ipc_den, st.ipc_acc
+    op = st.op
+    lat = st.model.mem_latency_cycles
+    # the k-th issue comes at t - 1 - (acc - k * den) // ipc; the run's
+    # first head is the first issue's write-back, ready the cycle after,
+    # or its read, ready `lat` cycles after, whichever comes first
+    head = t - 1 - (acc - den) // ipc
+    head += 1 if op == OP_WRITE or op == OP_MODIFY and lat else lat
+    if ready < head:
+        head = ready
+    if head < grant_at:
+        head = grant_at
+    if head < end:
+        end = head
+    if st.irq_at < end:
+        end = st.irq_at
+    # these checks need no probe of the regulator, whose answers cost a
+    # fabric step each
+    k = (acc + (end - t) * ipc) // den
+    if k > n:
+        k = n
+    if k < 1:
+        return 0
+    reg = st.reg
+    q = t + reg.quiet_span(st, t)
+    if q < end:
+        end = q
+        k = min(k, (acc + (end - t) * ipc) // den)
+    # a read, prefetch or modify issue pulses a refill; a write, nothing
+    refills = op != OP_WRITE
+    hits = st.refill_hits if refills else 0
+    if refills and k:
+        k = min(k, reg.pulse_budget(st, st.refill_mask, hits))
+    if k < 1:
+        return 0
+    # the issue cycles; at a line a cycle the credit stays 0
+    issued = (range(t, t + k) if ipc == den else
+              [t - 1 - (acc - j * den) // ipc for j in range(1, k + 1)])
+    if k < (acc + (end - t) * ipc) // den:
+        end = issued[-1] + 1
+    if refills:
+        reads += [c + lat for c in issued]
+        if hits:
+            st.pmc_events += k * hits
+            st.tap_events += k
+    if op == OP_WRITE or op == OP_MODIFY:
+        wb += [c + 1 for c in issued]   # ready once it is buffered
+    span = end - t
+    st.ipc_acc = acc + span * ipc - k * den
+    st.issued_lines += k
+    st.lines_left -= k
+    if st.prev_throttle:                # the level held while pending
+        st.throttled_cycles += span
+    reg.advance(span, k if refills else 0, hits)
+    return end
 
 
 def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
@@ -1400,6 +1484,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         nxt = edge
         ready = _BIG
         queued = 0
+        ramps = ()
         for i in range(n):
             st = cores[i]
             g = grants[i]
@@ -1414,6 +1499,12 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 at[i] = d
                 if use_hops:
                     d += _core_span(st, d, duration - d)
+                    # a core due next cycle may issue a run there: one
+                    # outside its handler whose level raises no interrupt
+                    # and halts nothing, or whose interrupt is pending
+                    if d == at[i] and (st.irq_phase == _IRQ_PENDING or not (
+                            st.irq_phase or st.prev_throttle)):
+                        ramps += (i,)
                 due[i] = d
             if d < nxt:
                 nxt = d
@@ -1426,14 +1517,32 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             if r or w:
                 queued += 1
 
-        # ---- the requesters take their next grants as one train, if the
-        # controller's next line comes before nxt and each can take them
-        # without a step: one on any bus, several when the bus grants at
-        # most one line a cycle.  The loop goes on from the last cycle the
-        # train covered, with the next step and head that it leaves ----
-        if use_hops and ready < nxt and (queued == 1 or num < den):
+        if use_hops and (ramps or ready < nxt):
+            # the controller's next line
             g = cycle - (acc - den) // num if acc < den else cycle + 1
-            if g < nxt:
+            # ---- each core due next cycle takes the lines it issues into
+            # its free queue slots as one run, before that line or a queue
+            # head ----
+            if ramps:
+                for i in ramps:
+                    st = cores[i]
+                    empty = not (st.reads or st.wb)
+                    d = _issue_run(st, cycle + 1, edge, g, ready)
+                    if d:
+                        at[i] = d
+                        due[i] = d + _core_span(st, d, duration - d)
+                        h = _head(st)
+                        if h < ready:
+                            ready = h
+                        queued += empty
+                nxt = min(min(due), edge)
+            # ---- the requesters take their next grants as one train, if
+            # the controller's next line comes before nxt and each can take
+            # them without a step: one on any bus, several when the bus
+            # grants at most one line a cycle.  The loop goes on from the
+            # last cycle the train covered, with the next step and head
+            # that it leaves ----
+            if ready < nxt and g < nxt and (queued == 1 or num < den):
                 run = _train(cores, at, due, rings, duration, cycle, g, edge,
                              acc, num, den, cap, rr)
                 if run is not None and run[1] > cycle:

@@ -605,6 +605,64 @@ def _diff_scenarios():
          M.CoreSpec(zcu102.model, replay,
                     H.regulator_for(R.TB13, zcu102, 500.0, 2.5))),
         cap, 60_000)
+    # issue runs: a core refilling its free queue slots takes those issues
+    # in one hop.  A `pr` read core refills its read slots after each
+    # handler exit
+    out["ramp_pr_read_after_handler"] = H.point_system(
+        zcu102, H.regulator_for(R.PR, zcu102, 350.0, 5.0), M.OP_READ, 0.05)
+    # a write burst starts on an accumulator that holds a line, so its first
+    # write-back is granted the cycle after it issues
+    out["ramp_write_full_accumulator"] = one_core(
+        M.Burst(((M.OP_WRITE, 64 * 30, 3000),)), pr, cap=0.05, dur=60_000)
+    # a `pr` budget of 5 events, below the 8 read slots: the counter fires
+    # mid-ramp
+    pr5 = R.build_config(R.RegulatorSpec(design=R.PR, budget_events=5,
+                                         period_cycles=6000))
+    out["ramp_cut_by_pulse_budget"] = one_core(M.Synthetic(op="read"), pr5,
+                                               dur=60_000)
+    # the level held while the interrupt is pending: the ramp goes on into
+    # 16 read slots once MemGuard's budget runs out, which it no longer
+    # charges, and the handler's entry, 12 cycles on, ends it
+    out["ramp_while_pending"] = one_core(
+        M.Synthetic(op="read"),
+        R.MemGuardConfig(budget_events=5, period_cycles=6000),
+        model=dict(ZCU, irq_latency_cycles=12, read_outstanding=16),
+        dur=60_000)
+    # MemGuard's `remaining` budget ends a ramp
+    out["ramp_cut_by_memguard_budget"] = one_core(
+        M.Burst(((M.OP_READ, 64 * 40, 2000),)),
+        R.MemGuardConfig(budget_events=5, period_cycles=6000), dur=60_000)
+    # a MemPol poll every 5 cycles, the regulator's `quiet_span`, ends a
+    # ramp
+    out["ramp_cut_by_quiet_span"] = one_core(
+        M.Burst(((M.OP_READ, 64 * 40, 2000),)),
+        R.MemPolConfig(budget_events=50, poll_cycles=5), dur=60_000)
+    # two cores whose bursts start runs in the same cycle
+    out["ramps_in_one_cycle"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Burst(((M.OP_READ, 64 * 24, 1500),)),
+                    pr350),) * 2, cap, 60_000)
+    # a window edge every 13 cycles falls inside the ramps
+    out["ramp_window_13"] = dataclasses.replace(
+        out["ramp_pr_read_after_handler"], window_cycles=13)
+    # one read slot whose read is ready the cycle it issues; a credit of
+    # 0.6 leaves the slot free after some grants
+    for cap_ in (0.05, 0.5):
+        out["ramp_latency_0_one_slot_%s" % cap_] = one_core(
+            M.Synthetic(op="read", issue_ipc_limit=0.6), pr,
+            model=dict(ZCU, mem_latency_cycles=0, read_outstanding=1),
+            dur=60_000, cap=cap_)
+    # on a bus of two lines a cycle, a run that fills an empty single read
+    # slot makes the core a second requester beside a stalled reader, so
+    # their grants step, as the controller may serve both in one cycle
+    out["ramp_from_empty_beside_requester"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ)),
+         M.CoreSpec(dataclasses.replace(zcu102.model, read_outstanding=1,
+                                        mem_latency_cycles=3),
+                    M.Synthetic(op=M.OP_READ, issue_ipc_limit=0.6))),
+        2.0, 20_000)
+    # a fractional credit issues at the cycles of its closed form
+    out["ramp_ipc_0.6_modify"] = one_core(
+        M.Synthetic(op="modify", issue_ipc_limit=0.6), pr5, dur=60_000)
     return out
 
 
@@ -775,6 +833,16 @@ def test_random_fabric_configs_hop_exactly(monkeypatch):
         _assert_hops_exactly(monkeypatch, sc)
 
 
+def test_the_per_cycle_run_steps_every_core_every_cycle(monkeypatch):
+    # the differential trusts the run without hops to step each core at
+    # each cycle, so no hop, train or issue run may slip into it
+    sc = dataclasses.replace(_DIFF["ramps_in_one_cycle"],
+                             duration_cycles=20_000)
+    rec = _record_steps(monkeypatch)
+    M.run_system(sc, use_hops=False)
+    assert rec.steps == len(sc.cores) * sc.duration_cycles
+
+
 # cycles each 0.1 ms single-core scenario stepped while the hop rule still
 # refused any queued traffic: (board, design, target MB/s, op) -> cycles
 _STEPPED_BEFORE = {
@@ -790,20 +858,21 @@ _STEPPED_BEFORE = {
 
 
 # and since a sole requester takes its grants as trains in every phase
-# whose only events are grants.  Each stepped one grant at a time before
+# whose only events are grants, and a core refilling its free queue slots
+# takes those issues as a run.  Each stepped one grant at a time before
 # trains: 1,570, 821, 1,100, 1,761, 1,803, 864, 675 and 659 in this order.
 # Trains outside interrupt phases and throttles alone stepped 8, 537,
-# 1,037, 537, 446, 524, 52 and 159, and while a lone core's train took
-# the grants of one queue and one pulse kind only 8, 318, 596, 318, 284,
-# 302, 35 and 139
+# 1,037, 537, 446, 524, 52 and 159; while a lone core's train took the
+# grants of one queue and one pulse kind only 8, 318, 596, 318, 284, 302,
+# 35 and 139; and before issue runs 8, 298, 576, 298, 264, 282, 35 and 139
 _STEPPED_WITH_TRAINS = {
-    ("zcu102", None, 0.0, M.OP_READ): 8,
-    ("zcu102", R.PR, 350.0, M.OP_READ): 298,
-    ("zcu102", R.PR, 350.0, M.OP_WRITE): 576,
-    ("zcu102", R.PR, 950.0, M.OP_READ): 298,
-    ("zcu102", R.TB13, 1000.0, M.OP_READ): 264,
-    ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 282,
-    ("zcu102", R.MEMPOL, 350.0, M.OP_READ): 35,
+    ("zcu102", None, 0.0, M.OP_READ): 1,
+    ("zcu102", R.PR, 350.0, M.OP_READ): 158,
+    ("zcu102", R.PR, 350.0, M.OP_WRITE): 196,
+    ("zcu102", R.PR, 950.0, M.OP_READ): 158,
+    ("zcu102", R.TB13, 1000.0, M.OP_READ): 158,
+    ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 142,
+    ("zcu102", R.MEMPOL, 350.0, M.OP_READ): 20,
     ("ideal", R.PR, 350.0, M.OP_READ): 139,
 }
 
@@ -826,25 +895,26 @@ def test_saturating_runs_step_a_tenth_of_their_cycles(monkeypatch, board,
 
 def test_a_floor_search_near_the_cap_steps_few_cores(monkeypatch):
     # its probes are bus-bound runs, whose grants go one by one to a lone
-    # core: 2,088 core-steps before trains, 986 before drain trains, and
-    # 608 while a lone core's train took the grants of one queue and one
-    # pulse kind only.  The count repeats exactly, so it guards the trains
-    # against host noise
+    # core: 2,088 core-steps before trains, 986 before drain trains, 608
+    # while a lone core's train took the grants of one queue and one pulse
+    # kind only, and 570 before issue runs.  The count repeats exactly, so
+    # it guards the trains and runs against host noise
     rec = _record_steps(monkeypatch)
     H.calibrate_safe_floor("zcu102", R.MEMGUARD, 2.5, duration_ms=0.015)
-    assert rec.steps <= 570
+    assert rec.steps <= 338
 
 
 @pytest.mark.parametrize("design,op,ms,steps", [
-    # a user's sweep point: 53,997 core-steps before drain trains, and
-    # 31,998 while a lone core's train took the grants of one queue and
-    # one pulse kind only
-    (R.PR, M.OP_READ, 10.0, 29_998),
+    # a user's sweep point: 53,997 core-steps before drain trains, 31,998
+    # while a lone core's train took the grants of one queue and one pulse
+    # kind only, and 29,998 before issue runs
+    (R.PR, M.OP_READ, 10.0, 15_998),
     # the handler's fetch is kernel mode, which `pr-user` does not count:
     # 1,038 core-steps before drain trains, 1,017 when the pulse budget
-    # probed a user-mode fetch, and 597 while a lone core's train took the
-    # grants of one queue and one pulse kind only
-    (R.PR_USER, M.OP_WRITE, 0.1, 577),
+    # probed a user-mode fetch, 597 while a lone core's train took the
+    # grants of one queue and one pulse kind only, and 577 before issue
+    # runs
+    (R.PR_USER, M.OP_WRITE, 0.1, 197),
 ], ids=["pr-read-10ms", "pr-user-write-0.1ms"])
 def test_a_throttled_core_drains_in_trains(monkeypatch, design, op, ms,
                                            steps):
@@ -860,7 +930,8 @@ def test_a_throttled_core_drains_in_trains(monkeypatch, design, op, ms,
 
 def test_a_lone_core_on_a_full_bus_takes_trains(monkeypatch):
     # a bus of a line a cycle granted a lone reader one line a step:
-    # 24,000 core-steps.  It now steps in the eight cycles that issue its
+    # 24,000 core-steps, and 8 while it stepped in each cycle that issued
+    # its first reads.  It now steps once: a run issues the rest of its
     # first reads, and one train, which waits for each read to come ready,
     # takes every grant after them
     b = H.preset("zcu102")
@@ -869,7 +940,7 @@ def test_a_lone_core_on_a_full_bus_takes_trains(monkeypatch):
         (M.CoreSpec(b.model, M.Synthetic(op=M.OP_READ)),), 1.0,
         120_000)).stats[0]
     assert st.completed_lines == 23_992
-    assert rec.steps <= 8
+    assert rec.steps <= 1
 
 
 def test_a_lone_core_moves_a_line_a_cycle_on_a_wide_bus():
@@ -885,12 +956,13 @@ def test_a_lone_core_moves_a_line_a_cycle_on_a_wide_bus():
 
 
 # core-steps of 0.1 ms saturating `pr`@350 read systems on zcu102, since
-# the grants to several requesters take one hop: cores -> core-steps.  While
-# a hop still had to suit every core at once they stepped 821, 3,130, 6,508
-# and 12,856 times, with trains for a sole requester only 318, 1,628,
-# 1,768 and 1,936, and a lone core 318 while its train took the grants of
-# one queue and one pulse kind only
-_CORE_STEPS = {1: 298, 2: 597, 4: 212, 8: 376}
+# the grants to several requesters take one hop and each core's refill of
+# its read slots one run: cores -> core-steps.  While a hop still had to
+# suit every core at once they stepped 821, 3,130, 6,508 and 12,856 times,
+# with trains for a sole requester only 318, 1,628, 1,768 and 1,936, a
+# lone core 318 while its train took the grants of one queue and one pulse
+# kind only, and 298, 597, 212 and 376 before issue runs
+_CORE_STEPS = {1: 158, 2: 317, 4: 184, 8: 320}
 
 
 @pytest.mark.parametrize("n", sorted(_CORE_STEPS))
@@ -908,10 +980,11 @@ def test_idle_neighbours_do_not_step(monkeypatch, n):
 
 
 # core-steps of 0.1 ms saturating zcu102 modify points at 350 MB/s, since a
-# modify core takes its grants as trains: design -> core-steps.  Each grant
-# stepped it before: 1,570, 442, 845 and 660, and 9, 337, 344 and 38 while
-# its drain in a train took the grants of one queue and one pulse kind only
-_MODIFY_STEPS = {None: 9, R.PR: 317, R.MEMGUARD: 324, R.MEMPOL: 37}
+# modify core takes its grants as trains and its refills as runs: design ->
+# core-steps.  Each grant stepped it before: 1,570, 442, 845 and 660; 9,
+# 337, 344 and 38 while its drain in a train took the grants of one queue
+# and one pulse kind only; and 9, 317, 324 and 37 before issue runs
+_MODIFY_STEPS = {None: 2, R.PR: 198, R.MEMGUARD: 203, R.MEMPOL: 23}
 
 
 @pytest.mark.parametrize("design", sorted(_MODIFY_STEPS, key=str))
@@ -929,7 +1002,7 @@ def test_a_modify_core_takes_trains(monkeypatch, design):
 def test_a_victim_among_writers_takes_contention_trains(monkeypatch):
     # an unregulated reader and three `pr`@150 writers on zcu102 for 0.2 ms:
     # 5,405 core-steps while the grants to several stalled cores each
-    # stepped one.  The count repeats exactly
+    # stepped one, and 2,492 before issue runs.  The count repeats exactly
     b = H.preset("zcu102")
     writer = M.CoreSpec(b.model, M.Synthetic(op=M.OP_WRITE),
                         H.regulator_for(R.PR, b, 150.0, 5.0))
@@ -938,7 +1011,7 @@ def test_a_victim_among_writers_takes_contention_trains(monkeypatch):
         b.cap_lines_per_cycle(), 240_000)
     rec = _record_steps(monkeypatch)
     M.run_system(sc)
-    assert rec.steps <= 2_492
+    assert rec.steps <= 1_255
 
 
 # ---------------------------------------------------------------------------
