@@ -65,25 +65,40 @@ request becomes ready: a read's after the memory latency, a write-back's
 the cycle after it is buffered.  A window edge needs no core step, as a
 core's event count moves only at its stepped cycles.  The grants to the
 cores that request run as a train, in one hop (`_train`), while each is
-in a phase whose only events are grants: a stalled core whose workload
-issues refills each freed slot from its issue credit, and a core in its
-handler, or halted, drains its queues, a freed read slot taking only a
-pending kernel line.  A train serves one requester on any bus, as each
-core takes one line a cycle at most, and several on a bus of less than
-a line a cycle (`num < den`, as on every board preset), where the
-controller makes one grant a cycle at most: to the first core in
-round-robin order whose head is ready.  The picked core takes grants in
-one loop while its head is the only one ready, so a lone requester's
-train is one such loop.  On a bus of a line a cycle or more, the grants
-to several requesters step one by one.  Each core's grants pulse its
-train's kind (a refill, a write-back, or both, as when a `modify` core's
-write-back retires and it issues) or nothing, which the regulator sees
-as a quiet cycle.  A core without requests steps inside the train at
-its own deadlines.  The train waits for heads not yet ready and ends
-before a grant of another kind, or when a credit falls short, a
-regulator's `pulse_budget` or a burst phase would run out, a requester,
-the window edge or the duration is due, or a core that stepped inside
-it now requests.  The loop goes on from the last.
+in a phase whose only events are grants.  A stalled core whose workload
+issues refills each freed slot from its issue credit; a core in its
+handler, halted, in an idle burst phase, or whose workload issues
+nothing drains its queues, a freed read slot taking only a pending
+kernel line in its handler.  An idle core's cycles count as idle ones,
+and under `wfi_idle` its frozen fabric sees none of its pulses.  A train
+serves one requester on any bus, as each core takes one line a cycle at
+most, and several on a bus of less than a line a cycle (`num < den`, as
+on every board preset), where the controller makes one grant a cycle at
+most: to the first core in round-robin order from its pointer whose
+head is ready, and the pointer moves on by one per grant.  So the cores
+whose heads are ready at a grant take the grants after it, at the
+controller's closed-form grant cycles, in a rotation: the first core
+from the pointer takes them until the pointer passes its place in the
+ring, then each next ready core until it passes that core's place.  A
+lone requester is a rotation of one, for which the controller waits.
+Each grant retires a ready read first, else the write-back head.  A read
+grant that then issues and pulses nothing is silent: a drainer's,
+unless its handler has kernel lines to issue, and a stalled core's while
+its write buffer is full.  The other grants come in runs alike, which a
+core sets up once and keeps from one turn to the next: each retires the
+head of one queue, then issues from the credit, a kernel line, or
+nothing, and pulses the core's one kind for the train (a refill, a
+write-back, or both, as when a `modify` core's write-back retires and it
+issues) or nothing, which the regulator sees as a quiet cycle.  The
+rotation ends at a turn whose core is not ready, before a grant at or
+after the head of a core that was not ready at its start, or when a core
+without requests is due: that core steps inside the train at its own
+deadline, after that cycle's grant.  The train ends before a grant that
+its core refuses (one of another kind, or when a credit falls short, or
+a regulator's `pulse_budget` or a burst phase would run out), when a
+requester, the window edge or the duration is due, or after a step that
+leaves a request.  On a bus of a line a cycle or more, the grants to
+several requesters step one by one.  The loop goes on from the last.
 A core that refills its free queue slots, after its handler exits or at
 a burst start, takes those issues as a run, in one hop (`_issue_run`), if
 it steps and is due again the next cycle, outside its handler, neither
@@ -425,10 +440,11 @@ class _Unregulated:
         them."""
         return _BIG
 
-    def pulse_budget(self, st, pm, hits):
+    def pulse_budget(self, st, cycle, pm, hits):
         """How many of the quiet cycles that the last `quiet_span` call
-        allowed core `st` may instead pulse `pm`, `hits` monitored events
-        a cycle, while this regulator neither acts nor changes a level."""
+        allowed core `st`, whose state holds at `cycle`, may instead pulse
+        `pm`, `hits` monitored events a cycle, while this regulator neither
+        acts nor changes a level."""
         return _BIG
 
     def advance(self, span, pulses=0, hits=0):
@@ -515,13 +531,18 @@ class _Fabric(_Unregulated):
         # a counter counting down from a fires a - 1 cycles after the probe
         return min(a - 1 if self.d0 else _BIG, b - 1 if self.d1 else _BIG)
 
-    def pulse_budget(self, st, pm, hits):
+    def pulse_budget(self, st, cycle, pm, hits):
         """A one-cycle probe with the pulses `pm` from the state that
         `quiet_span` probed gives the counters' slopes under pulses.  A
         counter that only pulses move fires at its value-th pulse.  At its
         reload value, the kind of cycle that seems to hold a counter the
         other kind moves may instead reload it, which no slope describes:
-        a second probe one count lower tells a reload from a held value."""
+        a second probe one count lower tells a reload from a held value.
+        A sleeping core's pulses do not reach the frozen fabric."""
+        if st.wfi_idle and st.idle_until > cycle \
+                and st.irq_phase < _IRQ_ENTRY:
+            self.e0 = self.e1 = 0
+            return _BIG
         s = self.state
         cm = self.cm
         p = self._probe(s, pm, cm)
@@ -597,7 +618,7 @@ class _MemGuard(_Unregulated):
     def quiet_span(self, st, cycle):
         return self.state.next_boundary - cycle
 
-    def pulse_budget(self, st, pm, hits):
+    def pulse_budget(self, st, cycle, pm, hits):
         # the budget must stay above zero; a throttled core is not charged
         s = self.state
         return (s.remaining - 1) // hits if hits and not s.throttled else _BIG
@@ -1027,6 +1048,9 @@ def _catch_up(st: CoreState, start, end):
 # the freed slot takes a line, both, or neither
 _WBK = 1
 _REFILL = 2
+# a share's `run` while none is open: its queue, adds, limit, fill, grants
+# and pulse kind
+_CLOSED = (None, 0, 0, 0, 0, 0, 0)
 
 
 def _head(st: CoreState):
@@ -1039,185 +1063,113 @@ def _head(st: CoreState):
 class _Share:
     """One core's part of a train, from its state at `t` + 1: the cycle of
     its last grant and its pulses.  These are of one kind, which the first
-    pulsing grant sets and asks the regulator's `pulse_budget` for.  Each
-    grant counts at once in the core's lines, queues and credit; `_train`
-    holds the cycles to the last grant and advances the regulator.
+    pulsing grant sets and asks the regulator's `pulse_budget` for.  The
+    grants count in the core as each run ends (`count`); `_train` holds
+    the cycles to the last grant, idle ones counted as `_catch_up` counts
+    them, and advances the regulator.
 
     A core takes a train's grants only in a phase whose only events are
-    grants: it drains, in its handler or halted, or its workload issues
-    and it is stalled on a full queue with 2 lines left at least.  Else
-    `issue` is None, as a grant could let it issue later or end its burst
-    phase, which only a step does.  A grant retires a ready read first,
-    else the write-back head.  A core whose workload issues then issues a
-    line from its credit if its queue is no longer full; one in its
-    handler fills a freed read slot with a pending kernel line."""
+    grants.  It drains (`issue` False) in its handler, halted, in an idle
+    burst phase, or when its workload does not issue: a grant only
+    retires a line, but a freed read slot in the handler takes a pending
+    kernel line.  Idle, its cycles count as idle ones, and under
+    `wfi_idle` its fabric stays frozen.  Or its workload issues (`issue`
+    True), stalled on a full queue with a line left at least: a grant
+    that frees the queue then issues a line from its credit.  Else
+    `issue` is None, as a grant could let the core issue later or end its
+    burst phase, which only a step does.
+
+    A grant retires a ready read first, else the write-back head.  A read
+    grant that then issues nothing and pulses nothing is silent: a
+    drainer's, unless its handler has kernel lines to issue, and a stalled
+    core's while its write buffer is full.  Silent grants need no set-up.
+    The others come in runs alike (`open`), which `run` holds from one
+    turn to the next: each grant retires the head of one queue and then
+    issues from the credit, a pending kernel line, or nothing."""
     __slots__ = ("st", "issue", "t", "last", "rcap", "wcap", "refill",
-                 "kind", "hits", "budget", "pulses")
+                 "kind", "hits", "budget", "run", "pulses")
 
     def __init__(self, st, t):
         self.st = st
         self.t = self.last = t
-        self.pulses = self.kind = self.hits = 0
-        if st.irq_phase >= _IRQ_ENTRY or st.prev_throttle and st.reg.halts:
+        self.kind = self.hits = self.pulses = 0
+        self.run = _CLOSED
+        if st.irq_phase >= _IRQ_ENTRY or st.prev_throttle and st.reg.halts \
+                or st.idle_until > t + 1 or not st.ipc:
             self.issue = False
             return
         rcap, wcap = self.rcap, self.wcap = st.caps[st.op]
         # a phase with lines left is not idle; it must not run out, as its
         # end is a step
-        if st.lines_left < 2 or len(st.reads) < rcap and len(st.wb) < wcap:
+        if st.lines_left < 1 or len(st.reads) < rcap and len(st.wb) < wcap:
             self.issue = None
         else:
             self.issue = True
             self.refill = 0 if st.op == OP_WRITE else _REFILL
 
-    def take(self, g, stop, last, acc, num, den, cap):
-        """Retire the grant at `g`, which finds a head ready, and what the
-        core does in that cycle; then the grants that a controller of rate
-        num/den makes next, while the core's head is the first one ready
-        and they come before `stop`.  The controller's accumulator holds
-        `acc` after the train's `last` cycle, capped at `cap`.  A grant that
-        would change more than the share counts ends the train: a credit
-        short of the line a freed slot needs, the last line of the burst
-        phase, a pulse of another kind or one beyond the budget.  Returns
-        the grants taken, the controller's next grant cycle (None if the
-        share refused it), the last cycle and the accumulator after them,
-        and the cycle that the core's first head comes ready."""
+    def open(self, q):
+        """Set up the run whose grants retire the head of queue `q`.  The
+        share refuses the grant after the run's limit: the last line of
+        the burst phase, a pulse of another kind or one beyond the budget.
+        Returns the run's read and write-back adds, its limit, its fill
+        (when its queue runs dry or the other one fills up) and its pulse
+        kind, or None if the share refuses its first grant."""
         st = self.st
         reads, wb = st.reads, st.wb
-        issue = self.issue
-        # at a rate of a line a cycle the credit stays 0
-        credit = issue and st.ipc < st.ipc_den
-        if credit:
-            ipc, ipc_den, a, s_last = st.ipc, st.ipc_den, st.ipc_acc, self.last
-        lat = st.model.mem_latency_cycles
-        k = 0
-        while True:
-            if k:
-                if g >= stop:
-                    break
-                h = reads[0] if reads else _BIG
-                if wb and wb[0] < h:
-                    h = wb[0]
-                if h > g:               # the controller waits for the head
-                    if h >= stop:
-                        break
-                    g = h
-            # a run of grants alike: each retires the head of one queue, a
-            # ready read first, else the write-back head, and then issues
-            # from the credit, or a pending kernel line, or nothing.  The
-            # share refuses the run's grant after `run`, and `fill` grants
-            # change it: its queue runs dry, or the other one fills up
-            if reads and reads[0] <= g:
-                q, o, kind = reads, _BIG, 0
+        kind = 0 if q is reads else _WBK
+        run, fill = _BIG, len(q)
+        radd = wadd = 0
+        if self.issue:
+            # the queue lengths after the grant
+            nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
+            if nr < self.rcap and nw < self.wcap:
+                radd = self.refill
+                wadd = self.wcap != _BIG
+                kind |= radd
+                run = st.lines_left - 1
+                fill = self.rcap - nr if q is wb else self.wcap - nw
+        elif q is reads and st.irq_phase >= _IRQ_ENTRY \
+                and st.kernel_pending:
+            # the reads after the last kernel line take none
+            kind = radd = _REFILL
+            fill = st.kernel_pending
+        if kind:
+            if kind != self.kind:
+                if self.kind:
+                    return None
+                # the share's pulse kind, and how many the regulator allows
+                pm = hits = 0
+                if kind & _WBK:
+                    pm, hits = st.wbk_mask, st.wbk_hits
+                if kind & _REFILL:
+                    pm |= st.refill_mask
+                    hits += st.refill_hits
+                self.kind, self.hits = kind, hits
+                self.budget = st.reg.pulse_budget(st, self.t + 1, pm, hits)
+            x = self.budget - self.pulses
+            if x < run:
+                run = x
+        if run < 1:
+            return None
+        return radd, wadd, run, fill, kind
+
+    def count(self, n, issues, kind):
+        """Count in the core the `n` grants of a run that issue if `issues`
+        and pulse if `kind`, as its queues already hold them."""
+        st = self.st
+        st.completed_lines += n
+        if issues:
+            st.issued_lines += n
+            if self.issue:
+                st.lines_left -= n
             else:
-                # a read that comes ready, or that the run issues, is first
-                q, o, kind = wb, reads[0] if reads else _BIG, _WBK
-            run, fill = _BIG, len(q)
-            radd = wadd = 0
-            if issue:
-                # the queue lengths after the grant
-                nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
-                if nr < self.rcap and nw < self.wcap:
-                    radd = self.refill
-                    wadd = self.wcap != _BIG
-                    kind |= radd
-                    run = st.lines_left - 1
-                    fill = self.rcap - nr if q is wb else self.wcap - nw
-                    if q is wb and radd and g + lat < o:
-                        o = g + lat
-            elif q is reads and st.irq_phase >= _IRQ_ENTRY \
-                    and st.kernel_pending:
-                # the reads after the last kernel line take none
-                kind = radd = _REFILL
-                fill = st.kernel_pending
-            if kind:
-                if kind != self.kind:
-                    if self.kind:
-                        g = None
-                        break
-                    # the share's pulse kind, and how many the regulator
-                    # allows
-                    pm = hits = 0
-                    if kind & _WBK:
-                        pm, hits = st.wbk_mask, st.wbk_hits
-                    if kind & _REFILL:
-                        pm |= st.refill_mask
-                        hits += st.refill_hits
-                    self.kind, self.hits = kind, hits
-                    self.budget = st.reg.pulse_budget(st, pm, hits)
-                x = self.budget - self.pulses
-                if x < run:
-                    run = x
-            if run < 1:
-                g = None
-                break
-            if stop < o:
-                o = stop
-            lim = run if run < fill else fill
-            issues = radd or wadd
-            # the accumulator fills up to `cap` while the controller waits;
-            # after a grant it waits for no head
-            over = acc + (g - 1 - last) * num - cap
-            if over > 0:
-                acc -= over
-            n = 0
-            while True:
-                if credit:
-                    # the credit as `_catch_up` and `_core_cycle` leave it:
-                    # a core that held a whole line before g holds none
-                    # after it
-                    c = a + (g - s_last) * ipc
-                    if issues:
-                        c -= ipc_den
-                        if c < 0:
-                            g = None
-                            break
-                        if c >= ipc:
-                            c = 0
-                    elif c >= ipc_den:
-                        c = st.ipc_stall
-                    a = c
-                    s_last = g
-                del q[0]
-                if radd:
-                    reads.append(g + lat)
-                if wadd:
-                    wb.append(g + 1)    # ready once it is buffered
-                n += 1
-                acc += (g - last) * num - den
-                if acc > cap:
-                    acc = cap
-                last = g
-                g = last - (acc - den) // num if acc < den else last + 1
-                if n == lim or g >= o or q[0] > g:
-                    break
-            k += n
-            st.completed_lines += n
-            if issues:
-                st.issued_lines += n
-                if issue:
-                    st.lines_left -= n
-                else:
-                    st.kernel_pending -= n
-                    st.kernel_lines += n
-            if kind:
-                self.pulses += n
-                if self.hits:
-                    st.pmc_events += n * self.hits
-                    st.tap_events += n
-            if g is None:
-                if not n and over > 0:
-                    acc += over
-                break
-            if n == run < fill and g < o and q[0] <= g:
-                g = None                # the next grant is one more of the run
-                break
-        if k:
-            if credit:
-                st.ipc_acc = a
-            self.last = last
-        h = reads[0] if reads else _BIG
-        return k, g, last, acc, wb[0] if wb and wb[0] < h else h
+                st.kernel_pending -= n
+                st.kernel_lines += n
+        if kind:
+            self.pulses += n
+            if self.hits:
+                st.pmc_events += n * self.hits
+                st.tap_events += n
 
 
 def _issue_run(st, t, end, grant_at, ready):
@@ -1271,7 +1223,7 @@ def _issue_run(st, t, end, grant_at, ready):
     refills = op != OP_WRITE
     hits = st.refill_hits if refills else 0
     if refills and k:
-        k = min(k, reg.pulse_budget(st, st.refill_mask, hits))
+        k = min(k, reg.pulse_budget(st, t, st.refill_mask, hits))
     if k < 1:
         return 0
     # the issue cycles; at a line a cycle the credit stays 0
@@ -1307,17 +1259,23 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
     The controller makes one grant a cycle at most: to a sole requester on
     any bus, and to several only on a bus of less than a line a cycle
     (`num < den`).  Each goes to the first core in the round-robin order
-    `rings[rr]` whose head is ready, and `rr` moves on by one; the
-    controller waits for a head that is not yet ready.  The picked core
-    takes its grants in one `_Share.take` call for as long as its head is
-    the only one ready, so a sole requester's train is one call.  A core
-    without requests steps at its own deadline `due`, after that cycle's
-    grant, as the loop would step it.  The train ends before a grant that
-    its core does not take, at a requester's own deadline, or after a step
-    that leaves a request.  Each core it granted or stepped then holds its
-    state at `at` and its next step at `due`.  Returns the number of
-    grants, the last cycle the train covered, the accumulator and `rr`
-    after it, and the first step and queue head of any core after it."""
+    `rings[rr]` whose head is ready, and `rr` moves on by one.  So the
+    shares ready at a grant take the grants after it in a rotation: the
+    first takes them up to its place in the ring, and each next one from
+    the place after the one before it up to its own; a sole share takes
+    them all, and the controller waits for its head.  At its turn a
+    share takes silent read grants without a run, and the others as one
+    more of its run, or of a run it sets up (`_Share.open`) when the
+    grant is not.  The rotation ends at a turn whose share is not ready,
+    before a grant at or after the first head of a share that was not
+    ready at its start, or when a core without requests is due: it steps
+    at its own deadline `due`, after that cycle's grant, as the loop
+    would step it.  The train ends before a grant that its share
+    refuses, at a requester's own deadline, or after a step that leaves
+    a request.  Each core it granted or stepped then holds its state at
+    `at` and its next step at `due`.  Returns the number of grants, the
+    last cycle the train covered, the accumulator and `rr` after it, and
+    the first step and queue head of any core after it."""
     n = len(cores)
     shares = [None] * n
     heads = [_BIG] * n                  # the first head of each core
@@ -1337,20 +1295,8 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
     k = 0
     last = t
     while True:
-        # the first share in round-robin order whose head is ready at g,
-        # else the one whose head comes first; `other` is the first head
-        # of the rest
-        first = other = _BIG
-        for i in rings[rr]:
-            h = heads[i]
-            if h < first and first > g:
-                if first < other:
-                    other = first
-                first = h
-                pick = i
-            elif h < other:
-                other = h
-        if first > g:                   # the controller waits for the head
+        first = min(heads)
+        if first > g:                   # the controller waits for a head
             g = first
         if step_at < g and step_at < end:
             # the cores without requests due now step, in the cycle that
@@ -1382,14 +1328,158 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             continue
         if g >= end:
             break
-        # a grant in the cycle that a core steps in comes before the step
-        stop = step_at + 1
-        if other < stop:
-            stop = other
-        if end < stop:
-            stop = end
-        taken, g, last, acc, heads[pick] = shares[pick].take(
-            g, stop, last, acc, num, den, cap)
+        # the rotation of the shares ready at g, in round-robin order; a
+        # grant in the cycle that a core steps in comes before the step
+        stop = step_at + 1 if step_at < end else end
+        turns = ()
+        for i in rings[rr]:
+            h = heads[i]
+            if h <= g:
+                turns += (i,)
+            elif h < stop:
+                stop = h
+        m = len(turns)
+        # the first share's turn lasts up to its place in the ring, each
+        # next one's from the place after the one before it; a sole share
+        # takes every grant, and the controller waits for its head
+        left = (turns[0] - rr) % n + 1 if m > 1 else _BIG
+        taken = j = 0
+        s = None
+        # the accumulator fills up to `cap` while the controller waits;
+        # after a grant it waits for no head
+        over = acc + (g - 1 - last) * num - cap
+        if over > 0:
+            acc -= over
+        while g < stop:
+            if s is None:
+                # the share whose turn it is, and its open run
+                s = shares[turns[j]]
+                st = s.st
+                reads, wb = st.reads, st.wb
+                issue = s.issue
+                # at a rate of a line a cycle the credit stays 0
+                credit = issue and st.ipc < st.ipc_den
+                if credit:
+                    ipc, ipc_den, stall = st.ipc, st.ipc_den, st.ipc_stall
+                    a, s_last = st.ipc_acc, s.last
+                lat = st.model.mem_latency_cycles
+                rq, radd, wadd, run, fill, rn, kind = s.run
+            silent = False
+            if reads and reads[0] <= g:
+                q = reads
+                silent = len(wb) >= s.wcap if issue else not (
+                    st.kernel_pending and st.irq_phase >= _IRQ_ENTRY)
+            elif wb and wb[0] <= g:
+                q = wb
+            else:
+                if m > 1:
+                    break               # not ready at its turn
+                h = reads[0] if reads else _BIG
+                if wb and wb[0] < h:
+                    h = wb[0]
+                if h >= stop:
+                    break
+                g = h                   # the controller waits for the head
+                over = acc + (g - 1 - last) * num - cap
+                if over > 0:
+                    acc -= over
+                continue
+            if silent:
+                qa = qw = first = 0
+                lim = len(reads)
+            else:
+                lim = run if run < fill else fill
+                if rq is not q or rn == lim:
+                    if rq is q and rn == run < fill:
+                        g = None        # one more of the run, past its limit
+                        break
+                    if rn:              # the run ends: count its grants
+                        s.count(rn, radd or wadd, kind)
+                        rn = 0
+                    opened = s.open(q)
+                    if opened is None:
+                        rq = None
+                        g = None
+                        break
+                    radd, wadd, run, fill, kind = opened
+                    rq = q
+                    lim = run if run < fill else fill
+                qa, qw, first = radd, wadd, rn
+            issues = qa or qw
+            # a write-back run ends before a read comes ready
+            o = stop
+            if q is wb:
+                h = reads[0] if reads else g + lat if qa else _BIG
+                if h < o:
+                    o = h
+            top = first + left
+            if lim < top:
+                top = lim
+            done = first
+            while True:
+                if credit:
+                    # the credit as `_catch_up` and `_core_cycle` leave it: a
+                    # core that held a whole line before g holds none after
+                    c = a + (g - s_last) * ipc
+                    if issues:
+                        c -= ipc_den
+                        if c < 0:
+                            g = None
+                            break
+                        if c >= ipc:
+                            c = 0
+                    elif c >= ipc_den:
+                        c = stall
+                    a = c
+                    s_last = g
+                del q[0]
+                if qa:
+                    reads.append(g + lat)
+                if qw:
+                    wb.append(g + 1)    # ready once it is buffered
+                done += 1
+                acc += (g - last) * num - den
+                if acc > cap:
+                    acc = cap
+                last = g
+                g = last - (acc - den) // num if acc < den else last + 1
+                if done == top or g >= o or q[0] > g:
+                    break
+            done -= first
+            if done:
+                over = 0
+                taken += done
+                left -= done
+                s.last = last
+                if credit:
+                    st.ipc_acc = a
+                if not silent:
+                    rn += done
+                else:
+                    st.completed_lines += done
+                    if rq is wb and radd:
+                        fill += done    # each frees a read slot
+            if g is None:
+                break
+            if not left:
+                # the turn passes on: the share keeps its run
+                s.run = rq, radd, wadd, run, fill, rn, kind
+                s = None
+                j = j + 1 if j + 1 < m else 0
+                left = (turns[j] - turns[j - 1]) % n
+        if s is not None:
+            s.run = rq, radd, wadd, run, fill, rn, kind
+        if over > 0:                    # no grant since the wait
+            acc += over
+        if m > 1:
+            for i in turns:
+                st = cores[i]
+                reads, wb = st.reads, st.wb
+                h = reads[0] if reads else _BIG
+                heads[i] = wb[0] if wb and wb[0] < h else h
+        else:                           # the sole share's queues
+            h = reads[0] if reads else _BIG
+            heads[turns[0]] = wb[0] if wb and wb[0] < h else h
         k += taken
         rr = (rr + taken) % n
         if g is None or g >= end and step_at >= end:
@@ -1403,9 +1493,13 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
         s = shares[i]
         if s is not None:
             if s.last > s.t:
+                _q, radd, wadd, _run, _fill, rn, kind = s.run
+                if rn:                  # the run still open counts too
+                    s.count(rn, radd or wadd, kind)
                 st = s.st
                 d = at[i] = s.last + 1
-                _hold(st, s.t + 1, d)
+                if _hold(st, s.t + 1, d) and st.idle_until > s.t + 1:
+                    st.idle_cycles += d - 1 - s.t
                 st.reg.advance(d - 1 - s.t, s.pulses, s.hits)
                 due[i] = d + _core_span(st, d, duration - d)
             if due[i] < nxt:

@@ -663,6 +663,56 @@ def _diff_scenarios():
     # a fractional credit issues at the cycles of its closed form
     out["ramp_ipc_0.6_modify"] = one_core(
         M.Synthetic(op="modify", issue_ipc_limit=0.6), pr5, dur=60_000)
+    # rotations: the stalled cores whose heads are ready take the grants in
+    # round-robin turns, each keeping its run from one turn to the next.  A
+    # saturating burst reader and a writer alternate
+    writer = M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_WRITE))
+    out["rotation_burst_read_write"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Burst(((M.OP_READ, 64 * 2000, 0),))),
+         writer), cap, 60_000)
+    # a share whose credit gains half a line a cycle
+    out["rotation_credit_0.5"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_MODIFY,
+                                              issue_ipc_limit=0.5), pr350),
+         M.CoreSpec(zcu102.model, M.Burst(((M.OP_WRITE, 64 * 2000, 0),)))),
+        cap, 60_000)
+    # the single read slot of a third core, with a shorter memory latency,
+    # comes ready between the turns of two stalled writers
+    out["rotation_cut_by_head"] = M.SystemConfig(
+        (writer,
+         M.CoreSpec(dataclasses.replace(zcu102.model, read_outstanding=1,
+                                        mem_latency_cycles=25),
+                    M.Synthetic(op=M.OP_READ)),
+         writer), cap, 60_000)
+    # a `pr` budget of 5 events ends one share's run inside a rotation
+    out["rotation_cut_by_pulse_budget"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ), pr5), writer),
+        cap, 60_000)
+    # idle drains: a burst core's write-backs drain in its idle phase
+    # beside a stalled reader, on a bus of half a line a cycle, its fabric
+    # frozen under `wfi_idle`.  A 50-cycle idle phase mostly ends before
+    # they drain, where the train would go on, and the next phase's issues
+    # end it; a 5000-cycle one outlasts the drain
+    for idle in (50, 5000):
+        for wfi_ in (False, True):
+            out["idle_drain_%d_wfi_%s" % (idle, wfi_)] = M.SystemConfig(
+                (M.CoreSpec(zcu102.model,
+                            M.Burst(((M.OP_WRITE, 64 * 40, idle),
+                                     (M.OP_READ, 64 * 8, 0)), wfi_idle=wfi_),
+                            pr350),
+                 M.CoreSpec(zcu102.model, M.Synthetic(op=M.OP_READ))),
+                0.5, 60_000)
+    # a sole share's single read slot comes ready long after the controller
+    # holds a line: the train waits for the head, the accumulator capped
+    out["sole_share_waits_for_head"] = one_core(
+        M.Synthetic(op="read"), model=dict(ZCU, read_outstanding=1),
+        dur=60_000, cap=0.05)
+    # MemGuard charges an idle core's write-back pulses, frozen or not
+    out["idle_drain_memguard"] = M.SystemConfig(
+        (M.CoreSpec(zcu102.model, M.Burst(((M.OP_MODIFY, 64 * 40, 400),),
+                                          wfi_idle=True),
+                    R.MemGuardConfig(budget_events=12, period_cycles=3000)),
+         writer), cap, 60_000)
     return out
 
 
@@ -815,6 +865,33 @@ def test_many_lagging_cores_hop_exactly(monkeypatch):
                 _RATES + (rng.uniform(0.005, 2.0),)),
             duration_cycles=rng.randint(2000, 20_000))
         _assert_hops_exactly(monkeypatch, sc)
+
+
+def test_random_contention_hops_exactly(monkeypatch):
+    # 2-4 saturating burst and synthetic cores under random designs share
+    # the zcu102 controller, so their grants go in rotations
+    rng = random.Random(7)
+    b = H.preset("zcu102")
+    ops = (M.OP_READ, M.OP_WRITE, M.OP_MODIFY)
+    for _ in range(30):
+        cores = []
+        for _ in range(rng.randint(2, 4)):
+            design = rng.choice(R.ALL_DESIGNS + (None,))
+            reg = None if design is None else H.regulator_for(
+                design, b, rng.choice((150.0, 350.0, 700.0)),
+                rng.choice((2.5, 5.0)))
+            if rng.random() < 0.5:
+                w = M.Synthetic(rng.choice(ops), issue_ipc_limit=rng.choice(
+                    (1.0, 0.5, 0.3)))
+            else:
+                w = M.Burst(tuple(
+                    (rng.choice(ops), 64 * rng.randint(8, 300),
+                     rng.choice((0, 50, 2000)))
+                    for _ in range(rng.randint(1, 2))),
+                    wfi_idle=rng.random() < 0.5)
+            cores.append(M.CoreSpec(b.model, w, reg))
+        _assert_hops_exactly(monkeypatch, M.SystemConfig(
+            tuple(cores), b.cap_lines_per_cycle(), rng.randint(8000, 20_000)))
 
 
 def test_random_fabric_configs_hop_exactly(monkeypatch):
@@ -1012,6 +1089,46 @@ def test_a_victim_among_writers_takes_contention_trains(monkeypatch):
     rec = _record_steps(monkeypatch)
     M.run_system(sc)
     assert rec.steps <= 1_255
+
+
+# runs set up (`_Share.open` calls) per system, since several shares take
+# their grants in rotations, each keeping its run from turn to turn, and
+# silent read grants need none: scenario -> set-ups.  While each contention
+# pick called `_Share.take`, which set up a run, they called it 737, 781
+# and 780 times
+_SETUPS = {"bursty_four_core_replay": 193, "rotation_burst_read_write": 2,
+           "rotation_credit_0.5": 26}
+
+
+@pytest.mark.parametrize("name", sorted(_SETUPS))
+def test_rotations_set_up_few_runs(monkeypatch, name):
+    # the count repeats exactly, so it guards the rotations against host
+    # noise
+    opened = []
+    opener = M._Share.open
+
+    def counting(share, q):
+        opened.append(q)
+        return opener(share, q)
+
+    monkeypatch.setattr(M._Share, "open", counting)
+    M.run_system(_DIFF[name])
+    assert len(opened) <= _SETUPS[name]
+
+
+# core-steps, since a core in an idle burst phase drains in trains:
+# scenario -> core-steps.  While each grant to it stepped they stepped 469
+# and 305 times
+_DRAIN_STEPS = {"drain_beside_idle_cores": 302,
+                "ramp_write_full_accumulator": 152}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAIN_STEPS))
+def test_idle_phases_drain_in_trains(monkeypatch, name):
+    # the count repeats exactly
+    rec = _record_steps(monkeypatch)
+    M.run_system(_DIFF[name])
+    assert rec.steps <= _DRAIN_STEPS[name]
 
 
 # ---------------------------------------------------------------------------
