@@ -25,9 +25,17 @@ Within a cycle:
 When the core is idle the state is frozen bit-identically; returned output
 levels reflect the frozen sequencer with all pulses low.
 
-`compile_fabric` turns a config into a generated step function over a
-plain state tuple; it is the one way to step the fabric.  The test suite
-checks it against an independent interpretive reference.  A chained
+`compile_fabric` turns a config into generated functions over a plain
+state tuple: `step`, the one way to step the fabric; `probe` and the
+pulse-free `quiet_probe`, one step that answers only how far each
+counter drops if nothing else changes, which the machine's hops ask;
+and `idle_out`.  The code is generated
+per config shape: the config's constants (reload values, tap and
+comparator masks) are names bound per config, so the configs of one
+shape share one compile.  The generator folds constants as it builds the
+source, and resolves the sequencer's selectors for each latched state.
+The test suite checks the functions against an independent interpretive
+reference.  A chained
 counter 0 is one 32-bit counter: the state holds its whole value in
 `cv0`, and `cv1` stays 0.  Only the register program (`regprog`) splits
 it over the two 16-bit value registers.
@@ -377,7 +385,7 @@ def validate_config(config: EtmConfig) -> ResourceReport:
 
 
 # =========================================================================
-# compiled stepper (per-config generated code)
+# compiled stepper (per-shape generated code, constants bound per config)
 # =========================================================================
 
 def reset_fabric(config: EtmConfig) -> tuple:
@@ -396,188 +404,393 @@ def _signal_mask(signals):
     return m
 
 
-class _ExprGen:
-    """Builds python expressions for slot values in a given evaluation context.
+# Expressions are python source strings; "True" and "False" are the
+# constants that the helpers below fold.
 
-    Contexts differ in which counter-zero variables and sequencer variable
-    they read: counter inputs see the previous cycle ('z0p','z1p', latched
-    'seq'); triggers and transitions see this cycle ('pz0','pz1' before
-    trigger reloads apply, latched 'seq'); outputs see final signals and the
-    new state ('nz0','nz1', 'ns'); idle outputs see no pulses and only the
-    persisting counter-zero levels.
+def _not(e):
+    if e == "True":
+        return "False"
+    if e == "False":
+        return "True"
+    return "(not %s)" % e
+
+
+def _join(a, op, b):
+    """`a op b` for op 'and' or 'or'."""
+    zero, unit = ("False", "True") if op == "and" else ("True", "False")
+    if a == zero or b == zero:
+        return zero
+    if a == unit or a == b:
+        return b
+    if b == unit:
+        return a
+    return "(%s %s %s)" % (a, op, b)
+
+
+def _pick(c, a, b):
+    """The conditional expression `a if c else b`."""
+    if c == "True" or a == b:
+        return a
+    if c == "False":
+        return b
+    return "(%s if %s else %s)" % (a, c, b)
+
+
+def _differs(a, b):
+    """`a != b` for two booleans."""
+    if a == "False":
+        return b
+    if a == "True":
+        return _not(b)
+    return "(%s != %s)" % (a, b)
+
+
+def _shape_of(config):
+    """What the generated code of `config` depends on: the config without
+    its constants (reload values, tap signals, comparator ranges)."""
+    return (config.selectors,
+            tuple((c.index, c.input, c.self_reload, c.reload_event)
+                  for c in config.counters),
+            config.sequencer, config.outputs)
+
+
+def _constants(config, names):
+    """The values in `config` of the constants `names`: counter n's reload
+    value `Rn`, and selector i's tap mask `Pi` or comparator-pair mask
+    `Ci`."""
+    values = []
+    for name in names:
+        i = int(name[1:])
+        if name[0] == "R":
+            values.append(config.counter(i).reload_value)
+            continue
+        members = config.selectors[i].members
+        if name[0] == "P":
+            values.append(_signal_mask({s for t in members
+                                        for s in config.inputs[t].monitored}))
+        else:
+            values.append(_signal_mask(members))
+    return values
+
+
+class _Kernel:
+    """Builds the source of one fabric shape, folding as it goes.
+
+    Each slot value is an expression in an evaluation context
+    (z, seq, p, cm): the counter-zero expressions that it reads, the
+    sequencer state (a variable, or a state the code has resolved), and
+    the pulse and comparator masks, None where they are 0.  Counter
+    inputs see the previous cycle's signals ('z0p', 'z1p') and the latched
+    'seq'; reload triggers see this cycle's signals before the triggers
+    apply; transitions see the final signals and the latched state,
+    resolved to each of its values; outputs see the final signals and the
+    new state.  Idle outputs see no pulses and only the persisting
+    counter-zero levels.
+
+    Config constants appear as names (`names`), which `_constants` binds
+    to a config's values.
     """
 
-    def __init__(self, config):
-        self.config = config
-        self.input_masks = [_signal_mask(t.monitored) for t in config.inputs]
+    def __init__(self, shape):
+        self.selectors, counters, self.sequencer, self.outputs = shape
+        # counter index -> (input, self_reload, reload_event)
+        self.counters = {c[0]: c[1:] for c in counters}
+        self.names = set()
+        self.lines = []
 
-    def base(self, i, zvars, seqvar):
-        s = self.config.selectors[i]
-        if s.source == CONST_TRUE:
+    def let(self, name, e):
+        """Bind `e` to `name`, unless it is a constant or a name itself,
+        which the code then reads in place of `name`."""
+        if e.isidentifier():
+            return e
+        self.lines.append("%s = %s" % (name, e))
+        return name
+
+    # --- selectors ---------------------------------------------------
+
+    def base(self, i, ctx):
+        z, seq, p, cm = ctx
+        s = self.selectors[i]
+        src = s.source
+        if src == CONST_TRUE:
             e = "True"
-        elif s.source == CONST_FALSE:
+        elif src == CONST_FALSE:
             e = "False"
-        elif s.source == EXTERNAL_INPUTS:
-            mask = 0
-            for t in s.members:
-                mask |= self.input_masks[t]
-            e = "((p & %d) != 0)" % mask
-        elif s.source == COUNTER_ZERO:
-            e = "(" + " or ".join(zvars[c] for c in sorted(s.members)) + ")"
-        elif s.source == SEQUENCER_STATE:
-            mask = sum(1 << st for st in s.members)
-            e = "(((%d >> %s) & 1) != 0)" % (mask, seqvar)
-        elif s.source == ADDRESS_RANGE:
-            mask = sum(1 << pi for pi in s.members)
-            e = "((cm & %d) != 0)" % mask
+        elif src == COUNTER_ZERO:
+            e = "False"
+            for c in sorted(s.members):
+                e = _join(e, "or", z[c])
+        elif src == SEQUENCER_STATE:
+            if isinstance(seq, int):
+                e = "True" if seq in s.members else "False"
+            elif len(s.members) == SEQ_STATES:
+                e = "True"
+            elif len(s.members) == 1:
+                e = "(%s == %d)" % (seq, min(s.members))
+            else:
+                e = "(%s in %r)" % (seq, tuple(sorted(s.members)))
+        elif src == EXTERNAL_INPUTS or src == ADDRESS_RANGE:
+            var = p if src == EXTERNAL_INPUTS else cm
+            name = ("P%d" if src == EXTERNAL_INPUTS else "C%d") % i
+            self.names.add(name)
+            e = "((%s & %s) != 0)" % (var, name) if var else "False"
         else:
-            raise ValueError(s.source)
-        if s.invert:
-            e = "(not %s)" % e
+            raise ValueError(src)
+        return _not(e) if s.invert else e
+
+    def slot(self, i, ctx):
+        e = self.base(i, ctx)
+        pair = self.selectors[i].paired_with
+        if pair is not None:
+            e = _join(e, pair[1], self.base(pair[0], ctx))
         return e
 
-    def slot(self, i, zvars, seqvar):
-        e = self.base(i, zvars, seqvar)
-        s = self.config.selectors[i]
-        if s.paired_with is not None:
-            other, op = s.paired_with
-            e = "(%s %s %s)" % (e, op, self.base(other, zvars, seqvar))
-        return e
-
-    def event(self, ev, zvars, seqvar):
-        a = self.slot(ev.sel_a, zvars, seqvar)
+    def event(self, ev, ctx):
+        a = self.slot(ev.sel_a, ctx)
         if ev.invert_a:
-            a = "(not %s)" % a
+            a = _not(a)
         if ev.sel_b is None:
             return a
-        b = self.slot(ev.sel_b, zvars, seqvar)
+        b = self.slot(ev.sel_b, ctx)
         if ev.invert_b:
-            b = "(not %s)" % b
-        return "(%s %s %s)" % (a, ev.op, b)
+            b = _not(b)
+        return _join(a, ev.op, b)
+
+    def outputs_of(self, z, seq, p, cm):
+        """The output mask: a table by state where only the state decides
+        it, else an or of the outputs' levels."""
+        def levels(state):
+            m, terms = 0, []
+            for o in self.outputs:
+                e = self.slot(o.selector, (z, state, p, cm))
+                if e == "True":
+                    m |= 1 << o.output_index
+                elif e != "False":
+                    terms.append("(%d if %s else 0)" % (1 << o.output_index,
+                                                        e))
+            return m, terms
+
+        by_state = [levels(k) for k in range(SEQ_STATES)]
+        if not any(terms for _, terms in by_state):
+            table = tuple(m for m, _ in by_state)
+            if min(table) == max(table):
+                return str(table[0])
+            return "%r[%s]" % (table, seq)
+        m, terms = levels(seq)
+        return " | ".join(terms + [str(m)] if m else terms)
+
+    # --- one cycle ---------------------------------------------------
+
+    def counters_of(self, p, probe):
+        """Emit the counters' decrement phase and reload triggers.  In a
+        probe, a fire returns None.  Returns each counter's next value,
+        fire, zero signal and, in a probe, drop, and the probe's checks
+        that a counter a trigger may reload drops by 0 or 1."""
+        prev = ("z0p", "z1p")
+        nv, f, pz, dec = ["cv0", "cv1"], ["False"] * 2, ["False"] * 2, \
+            ["False"] * 2
+        for n, (inp, self_reload, _) in sorted(self.counters.items()):
+            cv = "cv%d" % n
+            self.names.add("R%d" % n)
+            inp = self.let("in%d" % n, self.event(inp, (prev, "seq", p, "cm")))
+            fire = _join(inp, "and", "(%s == 1)" % cv)
+            dec[n] = _join(inp, "and", "(%s > 0)" % cv)
+            if probe:
+                if fire != "False":
+                    self.lines.append("if %s: return None" % fire)
+            else:
+                f[n] = self.let("f%d" % n, fire)
+            down = _pick(dec[n], "%s - 1" % cv, cv)
+            if self_reload:
+                nv[n] = _pick(f[n], "R%d" % n, down)
+                pz[n] = f[n]
+            else:
+                nv[n] = self.let("nv%d" % n, down)
+                pz[n] = self.let("pz%d" % n, "(%s == 0)" % nv[n])
+        nz = list(pz)
+        d = [_pick(dec[n], "1", "0") for n in (0, 1)]
+        checks = []
+        for n, (_, self_reload, trigger) in sorted(self.counters.items()):
+            e = "False"
+            if trigger is not None:
+                e = self.event(trigger, (tuple(pz), "seq", p, "cm"))
+            if e != "False":
+                nv[n] = self.let("nv%d" % n, _pick(e, "R%d" % n, nv[n]))
+                if probe:
+                    d[n] = self.let("d%d" % n, "cv%d - %s" % (n, nv[n]))
+                    checks.append("%s not in (0, 1)" % d[n])
+                if not self_reload:
+                    nz[n] = self.let("nz%d" % n, "(%s == 0)" % nv[n])
+            elif not probe:
+                nv[n] = self.let("nv%d" % n, nv[n])
+        return nv, f, tuple(nz), d, checks
+
+    def transitions(self, nz, p, k):
+        """The sequencer's selectors at latched state k: reset, forward
+        and backward."""
+        ctx = (nz, k, p, "cm")
+        sq = self.sequencer
+        return (self.slot(sq.reset, ctx),
+                [self.slot(i, ctx) for i in sq.forward],
+                [self.slot(i, ctx) for i in sq.backward])
+
+    def next_state(self, nz, p, k):
+        """The state that latched state k moves to: resets beat forward
+        moves, which beat backward moves, and each link of a chain
+        re-checks its selector against the latched levels."""
+        reset, fwd, bwd = self.transitions(nz, p, k)
+
+        def pick(c, known, then, other):
+            # `known` holds the selector values that the branches taken
+            # so far decided
+            c = known.get(c, c)
+            if c == "True":
+                return then(known)
+            if c == "False":
+                return other(known)
+            return _pick(c, then({**known, c: "True"}),
+                         other({**known, c: "False"}))
+
+        def up(j, known):
+            if j == SEQ_STATES - 1:
+                return str(j)
+            return pick(fwd[j], known, lambda kn: up(j + 1, kn),
+                        lambda kn: str(j))
+
+        def down(j, known):
+            if j == 0:
+                return "0"
+            return pick(bwd[j - 1], known, lambda kn: down(j - 1, kn),
+                        lambda kn: str(j))
+
+        def rest(known):
+            if k == SEQ_STATES - 1:
+                return down(k, known)
+            return pick(fwd[k], known, lambda kn: up(k + 1, kn),
+                        lambda kn: down(k, kn))
+
+        return pick(reset, {}, lambda kn: "0", rest)
+
+    def moves(self, nz, p, k):
+        """Whether latched state k moves."""
+        reset, fwd, bwd = self.transitions(nz, p, k)
+        if k == 0:
+            return _join(_not(reset), "and", fwd[0])
+        m = reset if k == SEQ_STATES - 1 else _join(reset, "or", fwd[k])
+        return _join(m, "or", bwd[k - 1])
+
+    def step(self):
+        self.lines = []
+        nv, f, nz, _, _ = self.counters_of("p", False)
+        cases = [(k, self.next_state(nz, "p", k)) for k in range(SEQ_STATES)]
+        cases = [(k, e) for k, e in cases if e != str(k)]
+        ns = "seq"
+        if cases:
+            ns = "ns"
+            every = len(cases) == SEQ_STATES
+            for j, (k, e) in enumerate(cases):
+                if every and j == SEQ_STATES - 1:
+                    self.lines.append("else: ns = %s" % e)
+                else:
+                    self.lines.append("%s seq == %d: ns = %s"
+                                      % ("elif" if j else "if", k, e))
+            if not every:
+                self.lines.append("else: ns = seq")
+        self.lines.append("return (%s, %s, %s, %s, %s, %s, %s, %s)" % (
+            nv[0], nv[1], ns, nz[0], nz[1], f[0], f[1],
+            self.outputs_of(nz, ns, "p", "cm")))
+        return self.lines
+
+    def probe(self, p):
+        self.lines = []
+        _, _, nz, d, checks = self.counters_of(p, True)
+        moved = "False"
+        for k in range(SEQ_STATES):
+            moved = _join(moved, "or", _join("(seq == %d)" % k, "and",
+                                             self.moves(nz, p, k)))
+        for e in [moved, _differs(nz[0], "z0p"), _differs(nz[1], "z1p"),
+                  "%s != out" % self.outputs_of(nz, "seq", p, "cm")] + checks:
+            if e != "False":
+                self.lines.append("if %s: return None" % e)
+        self.lines.append("return (cv0, cv1, %s, %s)" % tuple(d))
+        return self.lines
+
+    def idle_out(self):
+        z = tuple("False" if self.counters.get(n, (0, True))[1]
+                  else "z%dp" % n for n in (0, 1))
+        return ["return %s" % self.outputs_of(z, "seq", None, None)]
 
 
-_PREV = {0: "z0p", 1: "z1p"}
-_PROV = {0: "pz0", 1: "pz1"}
-_NOW = {0: "nz0", 1: "nz1"}
+@lru_cache(maxsize=256)
+def _generate_kernel(shape):
+    """The source of a config shape (`_shape_of`) and the names of its
+    constants.
 
+    The source defines `_fabric(*constants)`, which returns the shape's
+    functions with the constants bound:
 
-def _generate_step(config: EtmConfig):
-    """Emit a specialized step function for this config.
+      step(cv0, cv1, seq, z0p, z1p, p, cm) ->
+          (cv0', cv1', seq', nz0, nz1, f0, f1, out_mask)
+      probe(cv0, cv1, seq, z0p, z1p, p, cm, out) -> None or
+          (cv0, cv1, d0, d1)
+      quiet_probe(cv0, cv1, seq, z0p, z1p, cm, out): probe with p = 0
+      idle_out(seq, z0p, z1p) -> out_mask
 
-    Signature: step(cv0, cv1, seq, z0p, z1p, p, cm) ->
-               (cv0', cv1', seq', nz0, nz1, f0, f1, out_mask)
-    where p is the pulsing-signal bitmask, cm the comparator-pair bitmask.
+    where p is the pulsing-signal bitmask and cm the comparator-pair
+    bitmask.  A probe steps the state once and returns how far each
+    counter drops, or None if a counter fires or drops by other than 0
+    or 1, or the sequencer, a counter-zero signal or the output mask
+    (`out` before the cycle) changes.
     """
-    g = _ExprGen(config)
-    L = []
-    emit = L.append
-    emit("def _step(cv0, cv1, seq, z0p, z1p, p, cm):")
+    g = _Kernel(shape)
+    bodies = (("step(cv0, cv1, seq, z0p, z1p, p, cm)", g.step()),
+              ("probe(cv0, cv1, seq, z0p, z1p, p, cm, out)", g.probe("p")),
+              ("quiet_probe(cv0, cv1, seq, z0p, z1p, cm, out)",
+               g.probe(None)),
+              ("idle_out(seq, z0p, z1p)", g.idle_out()))
+    names = tuple(sorted(g.names))
+    lines = ["def _fabric(%s):" % ", ".join(names)]
+    for head, body in bodies:
+        lines.append("    def %s:" % head)
+        lines.extend("        " + ln for ln in body)
+    lines.append("    return step, probe, quiet_probe, idle_out")
+    return "\n".join(lines), names
 
-    c0 = config.counter(0)
-    c1 = config.counter(1)
 
-    # --- counters: decrement phase (inputs see previous-cycle zero signals)
-    for c, nm in ((c0, 0), (c1, 1)):
-        if c is None:
-            emit("    f%d = False" % nm)
-            emit("    pz%d = False" % nm)
-            emit("    nv%d = cv%d" % (nm, nm))
-            continue
-        emit("    in%d = %s" % (nm, g.event(c.input, _PREV, "seq")))
-        emit("    f%d = in%d and cv%d == 1" % (nm, nm, nm))
-        if c.self_reload:
-            emit("    nv%d = %d if f%d else (cv%d - 1 if (in%d and cv%d > 0) else cv%d)"
-                 % (nm, c.reload_value, nm, nm, nm, nm, nm))
-            emit("    pz%d = f%d" % (nm, nm))
-        else:
-            emit("    nv%d = cv%d - 1 if (in%d and cv%d > 0) else cv%d"
-                 % (nm, nm, nm, nm, nm))
-            emit("    pz%d = nv%d == 0" % (nm, nm))
-
-    # --- reload triggers (see this cycle's pre-trigger zero signals)
-    for c, nm in ((c0, 0), (c1, 1)):
-        if c is None:
-            emit("    nz%d = False" % nm)
-            continue
-        if c.reload_event is not None:
-            emit("    if %s:" % g.event(c.reload_event, _PROV, "seq"))
-            emit("        nv%d = %d" % (nm, c.reload_value))
-        emit("    nz%d = %s" % (nm, ("pz%d" % nm) if c.self_reload else ("(nv%d == 0)" % nm)))
-
-    # --- sequencer (transitions see final zero signals, latched state)
-    sq = config.sequencer
-    emit("    F0 = %s" % g.slot(sq.forward[0], _NOW, "seq"))
-    emit("    F1 = %s" % g.slot(sq.forward[1], _NOW, "seq"))
-    emit("    F2 = %s" % g.slot(sq.forward[2], _NOW, "seq"))
-    emit("    B0 = %s" % g.slot(sq.backward[0], _NOW, "seq"))
-    emit("    B1 = %s" % g.slot(sq.backward[1], _NOW, "seq"))
-    emit("    B2 = %s" % g.slot(sq.backward[2], _NOW, "seq"))
-    emit("    if %s:" % g.slot(sq.reset, _NOW, "seq"))
-    emit("        ns = 0")
-    emit("    else:")
-    emit("        ns = seq")
-    emit("        moved = False")
-    emit("        if ns == 0 and F0: ns = 1; moved = True")
-    emit("        if ns == 1 and F1: ns = 2; moved = True")
-    emit("        if ns == 2 and F2: ns = 3; moved = True")
-    emit("        if not moved:")
-    emit("            if ns == 3 and B2: ns = 2")
-    emit("            if ns == 2 and B1: ns = 1")
-    emit("            if ns == 1 and B0: ns = 0")
-
-    # --- outputs (levels of the post-update cycle)
-    out_terms = []
-    for o in config.outputs:
-        out_terms.append("(%d if %s else 0)" % (1 << o.output_index,
-                                                g.slot(o.selector, _NOW, "ns")))
-    emit("    out = %s" % (" | ".join(out_terms) if out_terms else "0"))
-    emit("    return (nv0, nv1, ns, nz0, nz1, bool(f0), bool(f1), out)")
-
+@lru_cache(maxsize=256)
+def _compile_kernel(source):
+    """The `_fabric` function of `source`: each shape compiles once."""
     ns = {}
-    exec(compile("\n".join(L), "<fabric-step>", "exec"), ns)
-    return ns["_step"]
-
-
-def _generate_idle_out(config: EtmConfig):
-    """Output mask during idle cycles: no signal or comparator pulses, and
-    of the counter-zero signals only the levels of trigger-reloaded
-    counters persist."""
-    g = _ExprGen(config)
-    zvars = {}
-    for c in (0, 1):
-        cfg = config.counter(c)
-        zvars[c] = _PREV[c] if cfg is not None and not cfg.self_reload \
-            else "False"
-    L = ["def _idle_out(seq, z0p, z1p):", "    p = cm = 0"]
-    out_terms = []
-    for o in config.outputs:
-        out_terms.append("(%d if %s else 0)" % (1 << o.output_index,
-                                                g.slot(o.selector, zvars,
-                                                       "seq")))
-    L.append("    return %s" % (" | ".join(out_terms) if out_terms else "0"))
-    ns = {}
-    exec(compile("\n".join(L), "<fabric-idle>", "exec"), ns)
-    return ns["_idle_out"]
+    exec(compile(source, "<fabric>", "exec"), ns)
+    return ns["_fabric"]
 
 
 class CompiledFabric:
-    """Config compiled to its step function, its idle-output function and
+    """Config compiled to its step, probe and idle-output functions and
     its comparator mask; the state is a plain (cv0, cv1, seq, z0, z1)
     tuple, in which a chained counter 0 holds its 32-bit value in cv0
-    and cv1 stays 0.
+    and cv1 stays 0.  The functions are its shape's code, compiled once
+    per shape, with this config's constants bound.
 
     step(cv0, cv1, seq, z0, z1, p, cm) takes the pulsing-signal mask `p`
     and the comparator-pair mask `cm` and returns the next state followed
-    by (fired0, fired1, out_mask).  idle_out(seq, z0, z1) is the output
-    mask of an idle cycle, which leaves the state as it is."""
+    by (fired0, fired1, out_mask).  probe(cv0, cv1, seq, z0, z1, p, cm,
+    out) is one step from a cycle whose output mask was `out`: it returns
+    (cv0, cv1, d0, d1), how far each counter drops, or None if a counter
+    fires or drops by other than 0 or 1, or a level changes.
+    quiet_probe(cv0, cv1, seq, z0, z1, cm, out) is probe with p = 0.
+    idle_out(seq, z0, z1) is the output mask of an idle cycle, which
+    leaves the state as it is."""
 
-    __slots__ = ("config", "step", "idle_out", "_cmp_table")
+    __slots__ = ("config", "step", "probe", "quiet_probe", "idle_out",
+                 "_cmp_table")
 
     def __init__(self, config: EtmConfig):
         validate_config(config)
         self.config = config
-        self.step = _generate_step(config)
-        self.idle_out = _generate_idle_out(config)
+        source, names = _generate_kernel(_shape_of(config))
+        self.step, self.probe, self.quiet_probe, self.idle_out = \
+            _compile_kernel(source)(*_constants(config, names))
         self._cmp_table = tuple(
             (c.pair_index, c.lo, c.hi, c.match_user, c.match_kernel)
             for c in config.comparators)

@@ -457,10 +457,15 @@ class _Unregulated:
 
 class _Fabric(_Unregulated):
     """The trace-unit fabric; its throttle outputs raise an interrupt on
-    the core, whose handler polls the level."""
+    the core, whose handler polls the level.
+
+    Its constants include its config's generated functions
+    (`fabric.CompiledFabric`): `step` steps a cycle, `idle_out` gives an
+    idle cycle's outputs, and the one-step probes answer the hops:
+    `quiet_span` asks `quiet_probe`, `pulse_budget` asks `probe`."""
     # `periods` is the list that each closed period's record joins
-    _CONSTANTS = ("step", "idle_out", "cm_user", "cm_kernel", "reload",
-                  "periods")
+    _CONSTANTS = ("step", "probe", "quiet_probe", "idle_out", "cm_user",
+                  "cm_kernel", "reload", "periods")
     _STATE = ("state", "out", "pmc_mark", "tap_mark", "period_throttled")
     # the fetch and counter slopes that `quiet_span` and `pulse_budget`
     # find are a cache, not state: they rewrite them before each call that
@@ -472,6 +477,8 @@ class _Fabric(_Unregulated):
     def __init__(self, cfg, st):
         cf = F.compile_fabric(cfg)
         self.step = cf.step
+        self.probe = cf.probe
+        self.quiet_probe = cf.quiet_probe
         self.idle_out = cf.idle_out
         # the core fetches from one user and one kernel address
         self.cm_user = cf.cmp_mask(_USER_FETCH_ADDR, True)
@@ -523,8 +530,9 @@ class _Fabric(_Unregulated):
         if not kernel and st.wfi_idle and st.idle_until > cycle:
             self.d0 = self.d1 = 0
             return _BIG
-        self.cm = self.cm_kernel if kernel else self.cm_user
-        p = self._probe(self.state, 0, self.cm)
+        cm = self.cm = self.cm_kernel if kernel else self.cm_user
+        s = self.state
+        p = self.quiet_probe(s[0], s[1], s[2], s[3], s[4], cm, self.out)
         if p is None:
             return 0
         a, b, self.d0, self.d1 = p
@@ -545,37 +553,25 @@ class _Fabric(_Unregulated):
             return _BIG
         s = self.state
         cm = self.cm
-        p = self._probe(s, pm, cm)
+        out = self.out
+        probe = self.probe
+        p = probe(s[0], s[1], s[2], s[3], s[4], pm, cm, out)
         if p is None:
             return 0
         a, b, e0, e1 = p
         r0, r1 = self.reload
         if a == r0 and e0 != self.d0:
-            q = self._probe((a - 1,) + s[1:], 0 if e0 else pm, cm)
+            q = probe(a - 1, b, s[2], s[3], s[4], 0 if e0 else pm, cm, out)
             if q is None or q[2]:
                 return 0
         if b == r1 and e1 != self.d1:
-            q = self._probe((a, b - 1) + s[2:], 0 if e1 else pm, cm)
+            q = probe(a, b - 1, s[2], s[3], s[4], 0 if e1 else pm, cm, out)
             if q is None or q[3]:
                 return 0
         self.e0 = e0
         self.e1 = e1
         return min(a - 1 if e0 > self.d0 else _BIG,
                    b - 1 if e1 > self.d1 else _BIG)
-
-    def _probe(self, s, pm, cm):
-        """Step the state `s` once on the pulses `pm`: the counter values
-        as the state holds them (counter 0 holds all 32 bits of the joined
-        pair, counter 1 then stays at 0) and how far each drops, or None
-        if a counter fires or jumps or a level changes."""
-        cur = self.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
-        if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
-                or cur[5] or cur[6] or cur[7] != self.out):
-            return None
-        d0, d1 = s[0] - cur[0], s[1] - cur[1]
-        if d0 not in (0, 1) or d1 not in (0, 1):
-            return None
-        return s[0], s[1], d0, d1
 
     def advance(self, span, pulses=0, hits=0):
         s = self.state

@@ -5,11 +5,14 @@ random differential tests check the generated stepper against the naive
 reference interpreter on both config families.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 import etmreg.fabric as F
+import etmreg.harness as H
+import etmreg.regulators as R
 from reference_fabric import (
     eval_slot,
     random_config,
@@ -496,3 +499,99 @@ def test_public_step_matches_reference_with_comparators():
             ref = reference_step(cfg, ref, ps, cmp_hits(cfg, addr, mode), idle)
             want.append(ref)
         assert drive(cfg, cycles, fetches) == want
+
+
+# ---------------------------------------------------------------------------
+# the generated kernel: probes and the shape cache
+# ---------------------------------------------------------------------------
+
+def _step_probe(cf, s, pm, cm, out):
+    """A probe from one step: the counter values as the state holds them
+    and how far each drops, or None if a counter fires or drops by other
+    than 0 or 1, or the sequencer, a counter-zero signal or the output
+    mask `out` changes."""
+    cur = cf.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
+    if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
+            or cur[5] or cur[6] or cur[7] != out):
+        return None
+    d0, d1 = s[0] - cur[0], s[1] - cur[1]
+    if d0 not in (0, 1) or d1 not in (0, 1):
+        return None
+    return s[0], s[1], d0, d1
+
+
+@pytest.mark.parametrize("family", [random_config_small, random_config])
+def test_probes_match_one_step(family):
+    # counters at 0, 1, their reload value and one above it, which no run
+    # reaches, in every state of the sequencer and the zero signals
+    rng = random.Random(31 if family is random_config else 32)
+    answers = set()
+    for _ in range(40):
+        cfg = family(rng)
+        cf = F.compile_fabric(cfg)
+        pal = stream_palette(rng, cfg)
+        values = []
+        for n in (0, 1):
+            c = cfg.counter(n)
+            r = c.reload_value if c is not None else 1
+            values.append(sorted({0, 1, r, r + 1}))
+        for _ in range(150):
+            s = (rng.choice(values[0]), rng.choice(values[1]),
+                 rng.randrange(F.SEQ_STATES), rng.random() < 0.3,
+                 rng.random() < 0.3)
+            pm = rng.choice(pal)[3]
+            cm = rng.randrange(1 << F.NUM_COMPARATOR_PAIRS)
+            # the level before the cycle: mostly the one the cycle keeps
+            out = (cf.idle_out(s[2], s[3], s[4]) if rng.random() < 0.8
+                   else rng.randrange(1 << F.NUM_OUTPUTS))
+            for want, got in (
+                    (_step_probe(cf, s, pm, cm, out),
+                     cf.probe(s[0], s[1], s[2], s[3], s[4], pm, cm, out)),
+                    (_step_probe(cf, s, 0, cm, out),
+                     cf.quiet_probe(s[0], s[1], s[2], s[3], s[4], cm,
+                                    out))):
+                assert got == want, (cfg, s, pm, cm, out)
+                answers.add(None if want is None else want[2:])
+    # both kinds of answer, and drops of 0 and 1, came up
+    assert None in answers and (0, 0) in answers
+    assert {(1, 0), (0, 1), (1, 1)} & answers
+
+
+def _with_reloads(cfg, rng):
+    """`cfg` with other reload values in each counter."""
+    return dataclasses.replace(cfg, counters=tuple(
+        dataclasses.replace(c, reload_value=rng.randint(
+            1, F.CHAINED_MAX if c.chained else F.COUNTER_MAX))
+        for c in cfg.counters))
+
+
+@pytest.mark.parametrize("family", [random_config_small, random_config])
+def test_configs_of_one_shape_share_their_code(family):
+    rng = random.Random(41 if family is random_config else 42)
+    for _ in range(10):
+        cfg = family(rng)
+        twin = _with_reloads(cfg, rng)
+        assert twin != cfg
+        a, b = F.compile_fabric(cfg), F.compile_fabric(twin)
+        for fn in ("step", "probe", "quiet_probe", "idle_out"):
+            assert getattr(a, fn).__code__ is getattr(b, fn).__code__
+        # and each steps with its own reload values
+        for c in (cfg, twin):
+            pal = stream_palette(rng, c)
+            stream = [pal[i] for i in rng.choices(range(len(pal)), k=300)]
+            assert _compiled_trace(c, stream) == run_reference(
+                c, [(ps, cs, idle) for ps, cs, idle, pm, cm in stream])
+
+
+def test_sweep_compiles_one_kernel_per_design():
+    # every fabric design at four targets: one kernel compile per design,
+    # where compiling each config's step took 24 (6 designs x 4 targets)
+    F.compile_fabric.cache_clear()
+    F._generate_kernel.cache_clear()
+    F._compile_kernel.cache_clear()
+    H.run_sweep(H.ExperimentConfig(
+        board="zcu102", designs=R.ETM_DESIGNS,
+        targets_mbps=(100.0, 350.0, 600.0, 900.0), period_us=2.5,
+        duration_ms=0.01))
+    assert F.compile_fabric.cache_info().misses == 24
+    assert F._compile_kernel.cache_info().misses == 6

@@ -707,6 +707,14 @@ def _diff_scenarios():
     out["sole_share_waits_for_head"] = one_core(
         M.Synthetic(op="read"), model=dict(ZCU, read_outstanding=1),
         dur=60_000, cap=0.05)
+    # and a head bunched right behind the one it waits for: a 3-line
+    # modify burst drains its write-backs, then the controller waits for
+    # the first read, 100 cycles after its issue.  Capped at one line
+    # while it waits, the accumulator holds the next line only after the
+    # idle phase ends, though the second read is ready the next cycle
+    out["sole_share_waits_then_bunched_head"] = one_core(
+        M.Burst(((M.OP_MODIFY, 64 * 3, 108),)),
+        model=dict(ZCU, mem_latency_cycles=100), dur=20_000, cap=0.05)
     # MemGuard charges an idle core's write-back pulses, frozen or not
     out["idle_drain_memguard"] = M.SystemConfig(
         (M.CoreSpec(zcu102.model, M.Burst(((M.OP_MODIFY, 64 * 40, 400),),
