@@ -28,9 +28,9 @@ levels reflect the frozen sequencer with all pulses low.
 `compile_fabric` turns a config into generated functions over a plain
 state tuple: `step`, the one way to step the fabric; `probe` and the
 pulse-free `quiet_probe`, one step that answers only how far each
-counter drops if nothing else changes, which the machine's hops ask;
-and `idle_out`.  The code is generated
-per config shape: the config's constants (reload values, tap and
+counter drops if nothing else changes, and which counter-zero latches it
+leaves, which the machine's hops ask; and `idle_out`.  The code is
+generated per config shape: the config's constants (reload values, tap and
 comparator masks) are names bound per config, so the configs of one
 shape share one compile.  The generator folds constants as it builds the
 source, and resolves the sequencer's selectors for each latched state.
@@ -701,18 +701,32 @@ class _Kernel:
             self.outputs_of(nz, ns, "p", "cm")))
         return self.lines
 
-    def probe(self, p):
+    def reads_latch(self):
+        """Whether a counter input or the idle output reads the latched
+        counter-zero signals.  Where neither does, a cycle that changes
+        them behaves as the cycles after it, which a probe may then
+        accept."""
+        prev = ("z0p", "z1p")
+        exprs = [self.event(c[0], (prev, "seq", "p", "cm"))
+                 for c in self.counters.values()] + self.idle_out()
+        return any(z in e for e in exprs for z in prev)
+
+    def probe(self, p, latched):
         self.lines = []
         _, _, nz, d, checks = self.counters_of(p, True)
         moved = "False"
         for k in range(SEQ_STATES):
             moved = _join(moved, "or", _join("(seq == %d)" % k, "and",
                                              self.moves(nz, p, k)))
-        for e in [moved, _differs(nz[0], "z0p"), _differs(nz[1], "z1p"),
-                  "%s != out" % self.outputs_of(nz, "seq", p, "cm")] + checks:
+        tests = [moved]
+        if latched:
+            tests += [_differs(nz[0], "z0p"), _differs(nz[1], "z1p")]
+        tests.append("%s != out" % self.outputs_of(nz, "seq", p, "cm"))
+        for e in tests + checks:
             if e != "False":
                 self.lines.append("if %s: return None" % e)
-        self.lines.append("return (cv0, cv1, %s, %s)" % tuple(d))
+        self.lines.append("return (cv0, cv1, %s, %s, %s, %s)"
+                          % (tuple(d) + nz))
         return self.lines
 
     def idle_out(self):
@@ -732,21 +746,26 @@ def _generate_kernel(shape):
       step(cv0, cv1, seq, z0p, z1p, p, cm) ->
           (cv0', cv1', seq', nz0, nz1, f0, f1, out_mask)
       probe(cv0, cv1, seq, z0p, z1p, p, cm, out) -> None or
-          (cv0, cv1, d0, d1)
+          (cv0, cv1, d0, d1, z0, z1)
       quiet_probe(cv0, cv1, seq, z0p, z1p, cm, out): probe with p = 0
       idle_out(seq, z0p, z1p) -> out_mask
 
     where p is the pulsing-signal bitmask and cm the comparator-pair
     bitmask.  A probe steps the state once and returns how far each
-    counter drops, or None if a counter fires or drops by other than 0
-    or 1, or the sequencer, a counter-zero signal or the output mask
-    (`out` before the cycle) changes.
+    counter drops and the counter-zero latches the step leaves, or None
+    if a counter fires or drops by other than 0 or 1, or the sequencer or
+    the output mask (`out` before the cycle) changes.  It refuses a latch
+    change only where a counter input or the idle output reads the
+    latches (`_Kernel.reads_latch`): elsewhere, as in every paper design,
+    the steps after one that clears a latch behave as it does.
     """
     g = _Kernel(shape)
+    latched = g.reads_latch()
     bodies = (("step(cv0, cv1, seq, z0p, z1p, p, cm)", g.step()),
-              ("probe(cv0, cv1, seq, z0p, z1p, p, cm, out)", g.probe("p")),
+              ("probe(cv0, cv1, seq, z0p, z1p, p, cm, out)",
+               g.probe("p", latched)),
               ("quiet_probe(cv0, cv1, seq, z0p, z1p, cm, out)",
-               g.probe(None)),
+               g.probe(None, latched)),
               ("idle_out(seq, z0p, z1p)", g.idle_out()))
     names = tuple(sorted(g.names))
     lines = ["def _fabric(%s):" % ", ".join(names)]
@@ -776,8 +795,10 @@ class CompiledFabric:
     and the comparator-pair mask `cm` and returns the next state followed
     by (fired0, fired1, out_mask).  probe(cv0, cv1, seq, z0, z1, p, cm,
     out) is one step from a cycle whose output mask was `out`: it returns
-    (cv0, cv1, d0, d1), how far each counter drops, or None if a counter
-    fires or drops by other than 0 or 1, or a level changes.
+    (cv0, cv1, d0, d1, z0', z1'), how far each counter drops and the
+    counter-zero latches the step leaves, or None if a counter fires or
+    drops by other than 0 or 1, or a level changes, or a latch changes
+    where a counter input or the idle output reads it.
     quiet_probe(cv0, cv1, seq, z0, z1, cm, out) is probe with p = 0.
     idle_out(seq, z0, z1) is the output mask of an idle cycle, which
     leaves the state as it is."""

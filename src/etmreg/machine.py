@@ -21,14 +21,16 @@ once a cycle at most.  It issues at its workload's exact rate: its issue
 credit counts 1/den lines and grows by the rate's numerator in each
 cycle the workload may issue.  Cores stall on read_outstanding /
 write_buffer_depth backpressure, and a stall banks at most one cycle's
-credit.  A throttle level raises an interrupt after
-irq_latency_cycles; the handler charges an entry cost, issues its own
-kernel-mode memory traffic, polls the throttle level every
-handler_poll_cycles, and pays an exit cost once the level drops.  The
-workload issues nothing from handler entry to handler exit, but
-in-flight transactions keep draining and keep pulsing — the gap between
-"throttle asserted" and "traffic actually stops" is the point of the
-model.  Timer-replenished regulators additionally run their handler at
+credit.  A throttle level raises an interrupt in the cycle it rises,
+pending from the next cycle for irq_latency_cycles; the handler charges
+an entry cost, issues its own kernel-mode memory traffic, polls the
+throttle level every handler_poll_cycles, and pays an exit cost once the
+level drops.  Each interrupt phase moves in the first cycle at or after
+its end, and never in the cycle it began, so a phase of 0 cycles lasts
+one.  The workload issues nothing from handler entry to handler exit,
+but in-flight transactions keep draining and keep pulsing — the gap
+between "throttle asserted" and "traffic actually stops" is the point of
+the model.  Timer-replenished regulators additionally run their handler at
 every period boundary, throttled or not.
 
 Each core's regulator is one runtime object, built once per run: none, the
@@ -43,17 +45,20 @@ outside a train (below).  The inert stretches between (throttle
 stalls, idle phases, compute-bound spans, a saturating core waiting on
 the bus) are skipped per core.  One rule, `_core_span`, says how far: to
 the first deadline the core or its regulator states.  A core's deadlines
-are its interrupt phase end, trace record and idle end, and its next
-issue, which the exact credit gives in closed form, unless the issue
-falls inside a run (below).  A core whose queue is full cannot issue
-before a grant, and a handler poll that finds the throttle level held
-only reschedules itself, so neither is a deadline.
+are its interrupt's entry, the cycle its handler returns to the workload
+with the level held, its trace record and idle end, and its next issue,
+which the exact credit gives in closed form, unless the issue falls
+inside a run (below).  A core whose queue is full cannot issue before a
+grant, so that is no deadline; nor are the handler's moves that only
+relabel it (its entry's end, its polls, and the poll or wake-up that
+finds the level low), which `_hold` applies in closed form.
 The regulator then bounds the span with its own answer: MemGuard its
 next timer refill, MemPol its next poll, and the fabric the stretch in
 which its counters only count down, found by probing one pulse-free
-cycle.  Before a lagging core steps, `_catch_up` advances it across the
-cycles it skipped, its issue credit and poll instant included, and at
-the end every core is caught up to the duration.
+cycle, which may clear a counter-zero latch that nothing reads.  Before
+a lagging core steps, `_catch_up` advances it across the cycles it
+skipped, its issue credit and handler included, and at the end every
+core is caught up to the duration.
 
 The controller is the only thing that couples cores, and it reads only
 their queue heads, which change only at a cycle that core steps.  So the
@@ -101,11 +106,11 @@ leaves a request.  On a bus of a line a cycle or more, the grants to
 several requesters step one by one.  The loop goes on from the last.
 A core that refills its free queue slots, after its handler exits or at
 a burst start, takes those issues as a run, in one hop (`_issue_run`), if
-it steps and is due again the next cycle, outside its handler, neither
-about to raise an interrupt nor halted: its own issues are then its only
-events.  The runs come after every core due in the cycle has stepped and
-before the train, and end before the controller's next possible grant,
-which counts their own first heads.
+it steps and is due again the next cycle, outside its handler and not
+halted: its own issues are then its only events.  The runs come after
+every core due in the cycle has stepped and before the train, and end
+before the controller's next possible grant, which counts their own
+first heads.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 
@@ -462,15 +467,18 @@ class _Fabric(_Unregulated):
     Its constants include its config's generated functions
     (`fabric.CompiledFabric`): `step` steps a cycle, `idle_out` gives an
     idle cycle's outputs, and the one-step probes answer the hops:
-    `quiet_span` asks `quiet_probe`, `pulse_budget` asks `probe`."""
+    `quiet_span` asks `quiet_probe`, `pulse_budget` asks `probe`.  A
+    probe may accept a cycle that clears a counter-zero latch, the cycle
+    after a counter fires, where no counter input or idle output reads
+    it; `advance` writes the latches the probe found."""
     # `periods` is the list that each closed period's record joins
     _CONSTANTS = ("step", "probe", "quiet_probe", "idle_out", "cm_user",
                   "cm_kernel", "reload", "periods")
     _STATE = ("state", "out", "pmc_mark", "tap_mark", "period_throttled")
-    # the fetch and counter slopes that `quiet_span` and `pulse_budget`
-    # find are a cache, not state: they rewrite them before each call that
-    # reads them, and a run without hops never sets them
-    _PROBES = ("cm", "d0", "d1", "e0", "e1")
+    # the fetch, counter slopes and latches that `quiet_span` and
+    # `pulse_budget` find are a cache, not state: they rewrite them before
+    # each call that reads them, and a run without hops never sets them
+    _PROBES = ("cm", "d0", "d1", "e0", "e1", "z0", "z1")
     __slots__ = _CONSTANTS + _STATE + _PROBES
     irq_on_throttle = True
 
@@ -489,6 +497,7 @@ class _Fabric(_Unregulated):
         self.out = 0
         self.d0 = self.d1 = 0           # counter slopes found by quiet_span
         self.e0 = self.e1 = 0           # and under pulses, by pulse_budget
+        self.z0 = self.z1 = False       # the latches that quiet_span found
         # the core's event counts at the last period boundary
         self.pmc_mark = self.tap_mark = 0
         self.period_throttled = False
@@ -525,17 +534,20 @@ class _Fabric(_Unregulated):
         """A one-cycle probe without pulses: the span is how long the
         counters keep counting down by at most one a cycle without firing
         and without any level changing, with the fetch of the core's phase.
-        A sleeping core freezes the fabric, so nothing changes at all."""
+        The probed cycle leaves the counter-zero latches of all of them.  A
+        sleeping core freezes the fabric, so nothing changes at all, its
+        latches included."""
         kernel = st.irq_phase >= _IRQ_ENTRY
+        s = self.state
         if not kernel and st.wfi_idle and st.idle_until > cycle:
             self.d0 = self.d1 = 0
+            self.z0, self.z1 = s[3:]
             return _BIG
         cm = self.cm = self.cm_kernel if kernel else self.cm_user
-        s = self.state
         p = self.quiet_probe(s[0], s[1], s[2], s[3], s[4], cm, self.out)
         if p is None:
             return 0
-        a, b, self.d0, self.d1 = p
+        a, b, self.d0, self.d1, self.z0, self.z1 = p
         # a counter counting down from a fires a - 1 cycles after the probe
         return min(a - 1 if self.d0 else _BIG, b - 1 if self.d1 else _BIG)
 
@@ -558,7 +570,7 @@ class _Fabric(_Unregulated):
         p = probe(s[0], s[1], s[2], s[3], s[4], pm, cm, out)
         if p is None:
             return 0
-        a, b, e0, e1 = p
+        a, b, e0, e1, _z0, _z1 = p
         r0, r1 = self.reload
         if a == r0 and e0 != self.d0:
             q = probe(a - 1, b, s[2], s[3], s[4], 0 if e0 else pm, cm, out)
@@ -578,7 +590,7 @@ class _Fabric(_Unregulated):
         quiet = span - pulses
         self.state = (s[0] - self.d0 * quiet - self.e0 * pulses,
                       s[1] - self.d1 * quiet - self.e1 * pulses,
-                      s[2], s[3], s[4])
+                      s[2], self.z0, self.z1)
 
 
 class _MemGuard(_Unregulated):
@@ -608,7 +620,7 @@ class _MemGuard(_Unregulated):
                 and st.irq_phase == _IRQ_NONE:
             # replenishment timer interrupt: the handler runs every period
             st.irq_phase = _IRQ_PENDING
-            st.irq_at = cycle + st.model.irq_latency_cycles
+            st.irq_at = cycle + (st.model.irq_latency_cycles or 1)
         return throttled
 
     def quiet_span(self, st, cycle):
@@ -847,38 +859,27 @@ def _core_cycle(st: CoreState, cycle, grants):
         hits += st.wbk_hits
 
     # ---- interrupt machine ----
-    phase = st.irq_phase
+    # `irq_at` is the cycle the phase moves in, never the one it began in
     req = st.prev_throttle
-    if phase == _IRQ_NONE:
-        if req and reg.irq_on_throttle:
-            st.irq_phase = _IRQ_PENDING
-            st.irq_at = cycle + m.irq_latency_cycles
-    elif phase == _IRQ_PENDING:
-        if cycle >= st.irq_at:
+    if cycle >= st.irq_at:
+        phase = st.irq_phase
+        if phase == _IRQ_PENDING:
             st.irq_phase = _IRQ_ENTRY
-            st.irq_at = cycle + m.handler_entry_cycles
+            st.irq_at = cycle + (m.handler_entry_cycles or 1)
             st.irq_count += 1
             st.kernel_pending += m.handler_kernel_events
-    elif phase == _IRQ_ENTRY:
-        if cycle >= st.irq_at:
+        elif phase == _IRQ_ENTRY:
+            # the handler reads the level at each poll, or, asleep until
+            # it drops, in every cycle from the next
             st.irq_phase = _IRQ_WAIT
-            if reg.sleeps:
-                st.irq_at = _BIG        # sleeps until the level drops
-            else:
-                st.irq_at = cycle + m.handler_poll_cycles
-    elif phase == _IRQ_WAIT:
-        if reg.sleeps:
-            if not req:                 # level dropped: wake & exit
+            st.irq_at = cycle + (1 if reg.sleeps else m.handler_poll_cycles)
+        elif phase == _IRQ_WAIT:
+            if not req:                 # level dropped: exit
                 st.irq_phase = _IRQ_EXIT
-                st.irq_at = cycle + m.handler_exit_cycles
-        elif cycle >= st.irq_at:        # poll instant
-            if req:
+                st.irq_at = cycle + (m.handler_exit_cycles or 1)
+            elif not reg.sleeps:
                 st.irq_at = cycle + m.handler_poll_cycles
-            else:
-                st.irq_phase = _IRQ_EXIT
-                st.irq_at = cycle + m.handler_exit_cycles
-    else:                               # _IRQ_EXIT
-        if cycle >= st.irq_at:
+        else:                           # _IRQ_EXIT
             st.irq_phase = _IRQ_NONE
             st.irq_at = _BIG
 
@@ -941,6 +942,10 @@ def _core_cycle(st: CoreState, cycle, grants):
         st.throttled_cycles += 1
         if not req:
             st.throttle_entries += 1
+        if not st.irq_phase and reg.irq_on_throttle:
+            # the level raises the interrupt, pending from the next cycle
+            st.irq_phase = _IRQ_PENDING
+            st.irq_at = cycle + 1 + (m.irq_latency_cycles or 1)
     st.prev_throttle = throttled
 
 
@@ -961,29 +966,41 @@ def _core_span(st: CoreState, cycle, limit):
     changes no queue and reaches no deadline in them.  Below 2 it steps
     the next cycle instead.
 
-    The deadlines are the interrupt phase end, the trace record, the idle
-    end, the workload's next issue and the regulator's own `quiet_span`.
-    A core whose queue is full cannot issue until a grant frees the queue,
-    and a handler poll that sees the throttle level held only reschedules
-    itself: the catch-up in `_catch_up` advances both without a
-    deadline.  A core whose next issue is due within 2 cycles steps the
-    next cycle, unless `run_system` takes that cycle and the issues after
-    it as a run (`_issue_run`)."""
+    The deadlines are the interrupt's entry, the cycle the handler
+    returns to the workload with the level held, the trace record, the
+    idle end, the workload's next issue and the regulator's own
+    `quiet_span`.  A core whose queue is full cannot issue until a grant
+    frees the queue, and the handler's other moves only relabel it: the
+    catch-up in `_catch_up` advances both without a deadline.  A core
+    whose next issue is due within 2 cycles steps the next cycle, unless
+    `run_system` takes that cycle and the issues after it as a run
+    (`_issue_run`)."""
     reg = st.reg
     phase = st.irq_phase
     req = st.prev_throttle
-    if phase == _IRQ_NONE:
-        if req and reg.irq_on_throttle:
-            return 0                    # interrupt about to be raised
-    elif phase == _IRQ_WAIT and reg.sleeps and not req:
-        return 0                        # handler about to wake up
-    d = st.irq_at if phase != _IRQ_WAIT or not req else _BIG
-    if st.trace_next < d:
-        d = st.trace_next
+    d = st.trace_next
     if phase >= _IRQ_ENTRY:
-        if st.kernel_pending and len(st.reads) < st.model.read_outstanding:
+        m = st.model
+        if st.kernel_pending and len(st.reads) < m.read_outstanding:
             return 0                    # the handler issues a kernel line
+        # the cycle the handler returns to the workload: its exit's end.
+        # Held high, the level keeps it waiting; held low, its wait ends
+        # at its first read of the level
+        t = st.irq_at
+        if phase != _IRQ_EXIT:
+            if req:
+                t = _BIG
+            else:
+                if phase == _IRQ_ENTRY:
+                    t += 1 if reg.sleeps else m.handler_poll_cycles
+                elif t < cycle:
+                    t = cycle           # asleep, it wakes now
+                t += m.handler_exit_cycles or 1
+        if t < d:
+            d = t
     elif not (req and reg.halts):
+        if st.irq_at < d:
+            d = st.irq_at               # a pending interrupt's entry
         if st.idle_until > cycle:
             if st.idle_until < d:
                 d = st.idle_until
@@ -1009,25 +1026,40 @@ def _core_span(st: CoreState, cycle, limit):
 
 def _hold(st: CoreState, start, end):
     """Count the cycles from `start` to `end` in which core `st` holds its
-    interrupt phase and throttle level: its throttled and handler cycles,
-    and its held-level polls, on to the first at or after `end`.  True if
+    throttle level: its throttled and handler cycles.  In its handler,
+    apply the moves those cycles make: the end of its entry, its polls
+    that find the level high, on to the first at or after `end`, and the
+    poll or wake-up that finds it low, which starts its exit.  True if
     its workload may issue in them."""
     span = end - start
-    if st.prev_throttle:
+    req = st.prev_throttle
+    if req:
         st.throttled_cycles += span
-    if st.irq_phase >= _IRQ_ENTRY:
-        st.handler_cycles += span
-        if st.irq_at < end:
+    phase = st.irq_phase
+    if phase < _IRQ_ENTRY:
+        return not (req and st.reg.halts)
+    st.handler_cycles += span
+    t = st.irq_at
+    if phase == _IRQ_ENTRY and t < end:
+        phase = st.irq_phase = _IRQ_WAIT
+        t += 1 if st.reg.sleeps else st.model.handler_poll_cycles
+    if phase == _IRQ_WAIT and t < end:
+        if not req:
+            if t < start:
+                t = start               # asleep, it wakes now
+            st.irq_phase = _IRQ_EXIT
+            t += st.model.handler_exit_cycles or 1
+        elif not st.reg.sleeps:
             p = st.model.handler_poll_cycles
-            st.irq_at += -(-(end - st.irq_at) // p) * p
-        return False
-    return not (st.prev_throttle and st.reg.halts)
+            t += -(-(end - t) // p) * p
+    st.irq_at = t
+    return False
 
 
 def _catch_up(st: CoreState, start, end):
     """Advance core `st` from `start` to `end` across cycles that
     `_core_span` found quiet at `start`: its cycle counts, its issue
-    credit, its held-level poll instant and its regulator."""
+    credit, its handler's moves and its regulator."""
     span = end - start
     if _hold(st, start, end):
         if st.idle_until > start:
@@ -1169,10 +1201,10 @@ class _Share:
 
 
 def _issue_run(st, t, end, grant_at, ready):
-    """Apply in one hop the lines that core `st`, outside its handler,
-    neither about to raise an interrupt nor halted, issues from `t` on
-    from its credit into its free queue slots, with their queue entries,
-    counts and refill pulses, at the cycles of the credit's closed form.
+    """Apply in one hop the lines that core `st`, outside its handler and
+    not halted, issues from `t` on from its credit into its free queue
+    slots, with their queue entries, counts and refill pulses, at the
+    cycles of the credit's closed form.
     Returns the cycle the core's state then holds at, or 0 if it takes no
     line.  The run leaves the burst phase's last line to a step, and ends
     before `end` and the interrupt's entry, within the regulator's
@@ -1590,10 +1622,9 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 if use_hops:
                     d += _core_span(st, d, duration - d)
                     # a core due next cycle may issue a run there: one
-                    # outside its handler whose level raises no interrupt
-                    # and halts nothing, or whose interrupt is pending
-                    if d == at[i] and (st.irq_phase == _IRQ_PENDING or not (
-                            st.irq_phase or st.prev_throttle)):
+                    # outside its handler and not halted
+                    if d == at[i] and st.irq_phase < _IRQ_ENTRY and not (
+                            st.prev_throttle and st.reg.halts):
                         ramps += (i,)
                 due[i] = d
             if d < nxt:

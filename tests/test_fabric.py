@@ -505,19 +505,26 @@ def test_public_step_matches_reference_with_comparators():
 # the generated kernel: probes and the shape cache
 # ---------------------------------------------------------------------------
 
-def _step_probe(cf, s, pm, cm, out):
-    """A probe from one step: the counter values as the state holds them
-    and how far each drops, or None if a counter fires or drops by other
-    than 0 or 1, or the sequencer, a counter-zero signal or the output
-    mask `out` changes."""
+def _reads_latch(cfg):
+    """Whether a counter input or the idle output of `cfg`'s shape reads
+    the latched counter-zero signals, as its kernel's code does."""
+    return F._Kernel(F._shape_of(cfg)).reads_latch()
+
+
+def _step_probe(cf, s, pm, cm, out, latched):
+    """A probe from one step: the counter values as the state holds them,
+    how far each drops and the counter-zero latches that the step leaves,
+    or None if a counter fires or drops by other than 0 or 1, or the
+    sequencer or the output mask `out` changes, or a latch changes in a
+    shape that reads them (`latched`)."""
     cur = cf.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
-    if (cur[2] != s[2] or cur[3] != s[3] or cur[4] != s[4]
-            or cur[5] or cur[6] or cur[7] != out):
+    if (cur[2] != s[2] or cur[5] or cur[6] or cur[7] != out
+            or latched and (cur[3] != s[3] or cur[4] != s[4])):
         return None
     d0, d1 = s[0] - cur[0], s[1] - cur[1]
     if d0 not in (0, 1) or d1 not in (0, 1):
         return None
-    return s[0], s[1], d0, d1
+    return s[0], s[1], d0, d1, cur[3], cur[4]
 
 
 @pytest.mark.parametrize("family", [random_config_small, random_config])
@@ -526,9 +533,12 @@ def test_probes_match_one_step(family):
     # reaches, in every state of the sequencer and the zero signals
     rng = random.Random(31 if family is random_config else 32)
     answers = set()
+    cleared = shapes = 0
     for _ in range(40):
         cfg = family(rng)
         cf = F.compile_fabric(cfg)
+        latched = _reads_latch(cfg)
+        shapes += latched
         pal = stream_palette(rng, cfg)
         values = []
         for n in (0, 1):
@@ -545,16 +555,74 @@ def test_probes_match_one_step(family):
             out = (cf.idle_out(s[2], s[3], s[4]) if rng.random() < 0.8
                    else rng.randrange(1 << F.NUM_OUTPUTS))
             for want, got in (
-                    (_step_probe(cf, s, pm, cm, out),
+                    (_step_probe(cf, s, pm, cm, out, latched),
                      cf.probe(s[0], s[1], s[2], s[3], s[4], pm, cm, out)),
-                    (_step_probe(cf, s, 0, cm, out),
+                    (_step_probe(cf, s, 0, cm, out, latched),
                      cf.quiet_probe(s[0], s[1], s[2], s[3], s[4], cm,
                                     out))):
                 assert got == want, (cfg, s, pm, cm, out)
-                answers.add(None if want is None else want[2:])
-    # both kinds of answer, and drops of 0 and 1, came up
+                answers.add(None if want is None else want[2:4])
+                cleared += want is not None and want[4:] != s[3:]
+    # both kinds of answer, and drops of 0 and 1, came up, as did shapes
+    # that read the latches and accepted steps that change them
     assert None in answers and (0, 0) in answers
     assert {(1, 0), (0, 1), (1, 1)} & answers
+    assert 0 < shapes < 40 and cleared
+
+
+@pytest.mark.parametrize("family", [random_config_small, random_config])
+def test_a_shape_that_reads_no_latch_steps_alike_under_any(family):
+    # what lets a probe accept a step that changes the latches: where the
+    # shape reads none, a step and the idle output are the same under any
+    # latches, so the steps after it behave as it does
+    rng = random.Random(33 if family is random_config else 34)
+    free = 0
+    for _ in range(60):
+        cfg = family(rng)
+        if _reads_latch(cfg):
+            continue
+        free += 1
+        cf = F.compile_fabric(cfg)
+        pal = stream_palette(rng, cfg)
+        for _ in range(50):
+            cv = [0, 0]
+            for c in cfg.counters:
+                cv[c.index] = rng.choice((0, 1, 2, c.reload_value))
+            seq = rng.randrange(F.SEQ_STATES)
+            pm = rng.choice(pal)[3]
+            cm = rng.randrange(1 << F.NUM_COMPARATOR_PAIRS)
+            runs = {(cf.step(cv[0], cv[1], seq, z0, z1, pm, cm),
+                     cf.idle_out(seq, z0, z1))
+                    for z0 in (False, True) for z1 in (False, True)}
+            assert len(runs) == 1, (cfg, cv, seq, pm, cm)
+    assert free
+
+
+def test_the_designs_accept_a_latch_clear():
+    # in each paper design, the cycle after a counter fires clears its
+    # latch and needs no step; a counter whose input is the other's zero
+    # signal reads the latch, so there the clear is a step
+    b = H.preset("zcu102")
+    for design in R.ETM_DESIGNS:
+        cfg = H.regulator_for(design, b, 350.0, 5.0)
+        cf = F.compile_fabric(cfg)
+        assert not _reads_latch(cfg), design
+        r0, r1 = F.reset_fabric(cfg)[:2]
+        for z0, z1 in ((True, False), (False, True)):
+            s = (r0, r1, 0, z0, z1)
+            out = cf.idle_out(0, z0, z1)
+            p = cf.quiet_probe(*s, 0, out)
+            assert p is not None and p[4:] == (False, False), design
+    zero = F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({0}))
+    cfg = F.EtmConfig(
+        selectors=F.HARDWIRED + (zero,),
+        counters=(F.CounterConfig(0, 100, F.EventSpec(F.TRUE_SEL)),
+                  F.CounterConfig(1, 5, F.EventSpec(2))))
+    cf = F.compile_fabric(cfg)
+    assert _reads_latch(cfg)
+    assert cf.quiet_probe(50, 3, 0, True, False, 0, 0) is None
+    assert cf.quiet_probe(50, 3, 0, False, False, 0, 0) == (
+        50, 3, 1, 0, False, False)
 
 
 def _with_reloads(cfg, rng):

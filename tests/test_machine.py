@@ -721,6 +721,37 @@ def _diff_scenarios():
                                           wfi_idle=True),
                     R.MemGuardConfig(budget_events=12, period_cycles=3000)),
          writer), cap, 60_000)
+    # silent core-steps ride in hops: the interrupt machine's moves inside
+    # the handler and the fabric's latch clears.  A handler whose entry
+    # and exit take no cycles still moves a cycle after each began
+    out["handler_entry_exit_0"] = one_core(
+        M.Synthetic(op="read"), pr, dur=60_000,
+        model=dict(ZCU, handler_entry_cycles=0, handler_exit_cycles=0))
+    out["handler_poll_1"] = one_core(
+        M.Synthetic(op="read"), pr, dur=60_000,
+        model=dict(ZCU, handler_poll_cycles=1))
+    # the period ends during a handler entry longer than it: the level
+    # drops there, and the first poll finds it low
+    out["level_drops_in_entry"] = one_core(
+        M.Synthetic(op="read"), mkreg(R.PR, 350.0, period_us=2.5)[0],
+        model=dict(ZCU, handler_entry_cycles=4000), dur=60_000)
+    # MemGuard's handler sleeps until the timer's refill drops the level
+    out["memguard_woken_by_refill"] = H.point_system(
+        zcu102, H.regulator_for(R.MEMGUARD, zcu102, 350.0, 5.0), M.OP_READ,
+        0.05)
+    # a cycle counter fires in the cycle before each idle phase, and the
+    # frozen fabric holds the latch that it set across the phase
+    ticker = F.EtmConfig(counters=(F.CounterConfig(0, 14, F.EventSpec(
+        F.TRUE_SEL)),))
+    out["wfi_idle_holds_latch"] = one_core(
+        M.Burst(((M.OP_READ, 64 * 7, 3000),), wfi_idle=True), ticker,
+        dur=40_000)
+    # a counter whose input reads a zero signal: there a cycle that
+    # changes the latch steps
+    latched = random_config(random.Random(196))
+    assert F._Kernel(F._shape_of(latched)).reads_latch()
+    out["random_config_reads_latch"] = one_core(M.Synthetic(op="read"),
+                                                latched, dur=20_000)
     return out
 
 
@@ -949,16 +980,18 @@ _STEPPED_BEFORE = {
 # Trains outside interrupt phases and throttles alone stepped 8, 537,
 # 1,037, 537, 446, 524, 52 and 159; while a lone core's train took the
 # grants of one queue and one pulse kind only 8, 318, 596, 318, 284, 302,
-# 35 and 139; and before issue runs 8, 298, 576, 298, 264, 282, 35 and 139
+# 35 and 139; before issue runs 8, 298, 576, 298, 264, 282, 35 and 139;
+# and while the interrupt machine's moves in the handler and the fabric's
+# latch clears each stepped 1, 158, 196, 158, 158, 142, 20 and 139
 _STEPPED_WITH_TRAINS = {
     ("zcu102", None, 0.0, M.OP_READ): 1,
-    ("zcu102", R.PR, 350.0, M.OP_READ): 158,
-    ("zcu102", R.PR, 350.0, M.OP_WRITE): 196,
-    ("zcu102", R.PR, 950.0, M.OP_READ): 158,
-    ("zcu102", R.TB13, 1000.0, M.OP_READ): 158,
-    ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 142,
+    ("zcu102", R.PR, 350.0, M.OP_READ): 80,
+    ("zcu102", R.PR, 350.0, M.OP_WRITE): 119,
+    ("zcu102", R.PR, 950.0, M.OP_READ): 80,
+    ("zcu102", R.TB13, 1000.0, M.OP_READ): 80,
+    ("zcu102", R.MEMGUARD, 350.0, M.OP_READ): 81,
     ("zcu102", R.MEMPOL, 350.0, M.OP_READ): 20,
-    ("ideal", R.PR, 350.0, M.OP_READ): 139,
+    ("ideal", R.PR, 350.0, M.OP_READ): 119,
 }
 
 
@@ -982,24 +1015,26 @@ def test_a_floor_search_near_the_cap_steps_few_cores(monkeypatch):
     # its probes are bus-bound runs, whose grants go one by one to a lone
     # core: 2,088 core-steps before trains, 986 before drain trains, 608
     # while a lone core's train took the grants of one queue and one pulse
-    # kind only, and 570 before issue runs.  The count repeats exactly, so
-    # it guards the trains and runs against host noise
+    # kind only, 570 before issue runs, and 338 while the handler's moves
+    # each stepped.  The count repeats exactly, so it guards the trains
+    # and runs against host noise
     rec = _record_steps(monkeypatch)
     H.calibrate_safe_floor("zcu102", R.MEMGUARD, 2.5, duration_ms=0.015)
-    assert rec.steps <= 338
+    assert rec.steps <= 191
 
 
 @pytest.mark.parametrize("design,op,ms,steps", [
     # a user's sweep point: 53,997 core-steps before drain trains, 31,998
     # while a lone core's train took the grants of one queue and one pulse
-    # kind only, and 29,998 before issue runs
-    (R.PR, M.OP_READ, 10.0, 15_998),
+    # kind only, 29,998 before issue runs, and 15,998 while the handler's
+    # moves and the fabric's latch clears each stepped
+    (R.PR, M.OP_READ, 10.0, 8_000),
     # the handler's fetch is kernel mode, which `pr-user` does not count:
     # 1,038 core-steps before drain trains, 1,017 when the pulse budget
     # probed a user-mode fetch, 597 while a lone core's train took the
-    # grants of one queue and one pulse kind only, and 577 before issue
-    # runs
-    (R.PR_USER, M.OP_WRITE, 0.1, 197),
+    # grants of one queue and one pulse kind only, 577 before issue runs,
+    # and 197 while the handler's moves each stepped
+    (R.PR_USER, M.OP_WRITE, 0.1, 119),
 ], ids=["pr-read-10ms", "pr-user-write-0.1ms"])
 def test_a_throttled_core_drains_in_trains(monkeypatch, design, op, ms,
                                            steps):
@@ -1046,8 +1081,9 @@ def test_a_lone_core_moves_a_line_a_cycle_on_a_wide_bus():
 # suit every core at once they stepped 821, 3,130, 6,508 and 12,856 times,
 # with trains for a sole requester only 318, 1,628, 1,768 and 1,936, a
 # lone core 318 while its train took the grants of one queue and one pulse
-# kind only, and 298, 597, 212 and 376 before issue runs
-_CORE_STEPS = {1: 158, 2: 317, 4: 184, 8: 320}
+# kind only, 298, 597, 212 and 376 before issue runs, and 158, 317, 184
+# and 320 while the handler's moves and the latch clears each stepped
+_CORE_STEPS = {1: 80, 2: 160, 4: 96, 8: 168}
 
 
 @pytest.mark.parametrize("n", sorted(_CORE_STEPS))
@@ -1068,8 +1104,10 @@ def test_idle_neighbours_do_not_step(monkeypatch, n):
 # modify core takes its grants as trains and its refills as runs: design ->
 # core-steps.  Each grant stepped it before: 1,570, 442, 845 and 660; 9,
 # 337, 344 and 38 while its drain in a train took the grants of one queue
-# and one pulse kind only; and 9, 317, 324 and 37 before issue runs
-_MODIFY_STEPS = {None: 2, R.PR: 198, R.MEMGUARD: 203, R.MEMPOL: 23}
+# and one pulse kind only; 9, 317, 324 and 37 before issue runs; and 2,
+# 198, 203 and 23 while the handler's moves and the latch clears each
+# stepped
+_MODIFY_STEPS = {None: 2, R.PR: 120, R.MEMGUARD: 142, R.MEMPOL: 23}
 
 
 @pytest.mark.parametrize("design", sorted(_MODIFY_STEPS, key=str))
@@ -1087,7 +1125,8 @@ def test_a_modify_core_takes_trains(monkeypatch, design):
 def test_a_victim_among_writers_takes_contention_trains(monkeypatch):
     # an unregulated reader and three `pr`@150 writers on zcu102 for 0.2 ms:
     # 5,405 core-steps while the grants to several stalled cores each
-    # stepped one, and 2,492 before issue runs.  The count repeats exactly
+    # stepped one, 2,492 before issue runs, and 1,255 while the handler's
+    # moves and the latch clears each stepped.  The count repeats exactly
     b = H.preset("zcu102")
     writer = M.CoreSpec(b.model, M.Synthetic(op=M.OP_WRITE),
                         H.regulator_for(R.PR, b, 150.0, 5.0))
@@ -1096,15 +1135,15 @@ def test_a_victim_among_writers_takes_contention_trains(monkeypatch):
         b.cap_lines_per_cycle(), 240_000)
     rec = _record_steps(monkeypatch)
     M.run_system(sc)
-    assert rec.steps <= 1_255
+    assert rec.steps <= 702
 
 
 # runs set up (`_Share.open` calls) per system, since several shares take
 # their grants in rotations, each keeping its run from turn to turn, and
 # silent read grants need none: scenario -> set-ups.  While each contention
 # pick called `_Share.take`, which set up a run, they called it 737, 781
-# and 780 times
-_SETUPS = {"bursty_four_core_replay": 193, "rotation_burst_read_write": 2,
+# and 780 times, and the first 193 while the handler's moves each stepped
+_SETUPS = {"bursty_four_core_replay": 191, "rotation_burst_read_write": 2,
            "rotation_credit_0.5": 26}
 
 
@@ -1126,9 +1165,10 @@ def test_rotations_set_up_few_runs(monkeypatch, name):
 
 # core-steps, since a core in an idle burst phase drains in trains:
 # scenario -> core-steps.  While each grant to it stepped they stepped 469
-# and 305 times
-_DRAIN_STEPS = {"drain_beside_idle_cores": 302,
-                "ramp_write_full_accumulator": 152}
+# and 305 times, and 302 and 152 while the handler's moves and the latch
+# clears each stepped
+_DRAIN_STEPS = {"drain_beside_idle_cores": 185,
+                "ramp_write_full_accumulator": 114}
 
 
 @pytest.mark.parametrize("name", sorted(_DRAIN_STEPS))
@@ -1137,6 +1177,22 @@ def test_idle_phases_drain_in_trains(monkeypatch, name):
     rec = _record_steps(monkeypatch)
     M.run_system(_DIFF[name])
     assert rec.steps <= _DRAIN_STEPS[name]
+
+
+# core-steps, since the handler's moves that only relabel its core (its
+# entry's end, its polls and the poll or wake-up that finds the level low)
+# ride in hops: scenario -> core-steps.  While each moved in a step of its
+# own they stepped 78, 69, 121 and 72 times
+_HANDLER_STEPS = {"handler_entry_exit_0": 41, "handler_poll_1": 40,
+                  "level_drops_in_entry": 62, "memguard_woken_by_refill": 41}
+
+
+@pytest.mark.parametrize("name", sorted(_HANDLER_STEPS))
+def test_handler_moves_ride_in_hops(monkeypatch, name):
+    # the count repeats exactly
+    rec = _record_steps(monkeypatch)
+    M.run_system(_DIFF[name])
+    assert rec.steps <= _HANDLER_STEPS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -1211,6 +1267,49 @@ def test_overshoot_monotone_in_irq_latency():
 # ---------------------------------------------------------------------------
 # interrupt-cost contrasts between designs
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lat,entry,poll,exit_", [
+    (81, 30, 20, 20), (0, 0, 1, 0), (1, 1, 3, 1), (5, 0, 7, 0)])
+def test_interrupt_phases_move_on_time(monkeypatch, lat, entry, poll, exit_):
+    # a replay's pulse on signal 21 at cycle 100 fires counter 0, which
+    # moves the sequencer to the throttling state, and one on 22 at 400
+    # fires counter 1, which moves it back.  The level raises the
+    # interrupt at 100, pending from 101; each phase moves in the first
+    # cycle at or after its end and never in the one it began, so a phase
+    # of 0 cycles lasts one; the first poll after 400 finds the level low
+    sel = F.ResourceSelectorConfig
+    cfg = F.EtmConfig(
+        inputs=(F.ExternalInputSelector({21}), F.ExternalInputSelector({22})),
+        selectors=F.HARDWIRED + (
+            sel(F.EXTERNAL_INPUTS, {0}), sel(F.EXTERNAL_INPUTS, {1}),
+            sel(F.COUNTER_ZERO, {0}), sel(F.COUNTER_ZERO, {1}),
+            sel(F.SEQUENCER_STATE, {1})),
+        counters=(F.CounterConfig(0, 1, F.EventSpec(2)),
+                  F.CounterConfig(1, 1, F.EventSpec(3))),
+        sequencer=F.SequencerConfig(forward=(4, 1, 1), backward=(5, 1, 1)),
+        outputs=(F.ExternalOutputConfig(1, 6),))
+    sc = one_core(M.TraceReplay(((100, {21}, F.USER), (300, {22}, F.USER))),
+                  cfg, dur=1000, model=dict(
+                      ZCU, irq_latency_cycles=lat, handler_entry_cycles=entry,
+                      handler_poll_cycles=poll, handler_exit_cycles=exit_))
+    moves = {}
+    core_cycle = M._core_cycle
+
+    def recording(st, cycle, grants):
+        phase = st.irq_phase
+        core_cycle(st, cycle, grants)
+        if st.irq_phase != phase:
+            moves[cycle] = st.irq_phase
+
+    monkeypatch.setattr(M, "_core_cycle", recording)
+    M.run_system(sc, use_hops=False)
+    enter = 101 + max(lat, 1)
+    wait = enter + max(entry, 1)
+    leave = wait + -(-(401 - wait) // poll) * poll
+    assert moves == {100: M._IRQ_PENDING, enter: M._IRQ_ENTRY,
+                     wait: M._IRQ_WAIT, leave: M._IRQ_EXIT,
+                     leave + max(exit_, 1): M._IRQ_NONE}
+
 
 def test_memguard_timer_fires_every_period_even_when_quiet():
     mg = R.MemGuardConfig(budget_events=27, period_cycles=1_200_000)
