@@ -56,7 +56,11 @@ def _preset(name, cap, **kw):
 
 
 PRESETS = {p.name: p for p in (
-    # loss-free reference: no interrupt latency, single-entry queues
+    # reference board: single-entry queues, no memory latency, and the
+    # shortest interrupt path the model has.  An interrupt phase moves a
+    # cycle after it began at the earliest, so each 0-cycle phase lasts a
+    # cycle: the handler starts two cycles after the level rises, and its
+    # entry and exit take a cycle each
     _preset("ideal", 1000.0, core_type="cortex-a53", freq_mhz=1200,
             irq_latency_cycles=0, read_outstanding=1, write_buffer_depth=1,
             mem_latency_cycles=0, handler_entry_cycles=0,
@@ -97,6 +101,15 @@ def _check_positive(what, value):
     if not (isfinite(value) and value > 0):
         raise RangeError("%s %r is not a positive finite number"
                          % (what, value))
+
+
+def _check_cycles(what, value, cycles, board):
+    """Raise a RangeError that names `what` and `board`'s clock if `value`,
+    `cycles` cycles at that clock, is below 1 cycle."""
+    if cycles < 1:
+        raise RangeError("%s %r is %d cycles at the %s clock of %d MHz, "
+                         "below 1 cycle" % (what, value, cycles, board.name,
+                                            board.freq_mhz))
 
 
 def us_to_cycles(us, freq_mhz) -> int:
@@ -184,11 +197,10 @@ class ExperimentConfig:
             raise ValueError("no sweep targets")
         for t in self.targets_mbps:
             _check_positive("targets_mbps entry", t)
-        if b.period_cycles(self.period_us) < 1:
-            raise RangeError(
-                "period_us %r is %d cycles at the %s clock of %d MHz, below "
-                "1 cycle" % (self.period_us, b.period_cycles(self.period_us),
-                             self.board, b.freq_mhz))
+        _check_cycles("period_us", self.period_us,
+                      b.period_cycles(self.period_us), b)
+        _check_cycles("duration_ms", self.duration_ms,
+                      us_to_cycles(self.duration_ms * 1000, b.freq_mhz), b)
         if any(d in R.ETM_DESIGNS for d in self.designs) \
                 and b.period_cycles(self.period_us) > F.COUNTER_MAX:
             raise ValueError(
@@ -251,11 +263,14 @@ class SweepResult:
 def point_system(board: BoardPreset, reg, op_type,
                  duration_ms) -> M.SystemConfig:
     """One sweep point as a system: a single core of `board` running a
-    saturating `op_type` stream under `reg` (a regulator config or None)."""
+    saturating `op_type` stream under `reg` (a regulator config or None)
+    for `duration_ms`, a RangeError if that is not at least 1 cycle."""
+    cycles = us_to_cycles(duration_ms * 1000, board.freq_mhz)
+    _check_cycles("duration_ms", duration_ms, cycles, board)
     return M.SystemConfig(
         cores=(M.CoreSpec(board.model, M.Synthetic(op_type), reg),),
         shared_mem_bandwidth=board.cap_lines_per_cycle(),
-        duration_cycles=us_to_cycles(duration_ms * 1000, board.freq_mhz))
+        duration_cycles=cycles)
 
 
 def program_lines(stats: M.CoreStats, op_type):

@@ -40,77 +40,73 @@ level (the fabric and MemGuard raise an interrupt, MemGuard's handler
 sleeps instead of polling, MemPol halts issue from outside).
 
 Each core keeps its own time, and a cycle steps only the cores that act
-in it: a core is stepped at its own event cycles and at each grant
-outside a train (below).  The inert stretches between (throttle
+in it.  The loop skips the other cycles in hops of three kinds, and every
+hopped core lands in one way.
+
+A core span (`_core_span`) skips one core's inert cycles (throttle
 stalls, idle phases, compute-bound spans, a saturating core waiting on
-the bus) are skipped per core.  One rule, `_core_span`, says how far: to
-the first deadline the core or its regulator states.  A core's deadlines
-are its interrupt's entry, the cycle its handler returns to the workload
-with the level held, its trace record and idle end, and its next issue,
-which the exact credit gives in closed form, unless the issue falls
-inside a run (below).  A core whose queue is full cannot issue before a
-grant, so that is no deadline; nor are the handler's moves that only
-relabel it (its entry's end, its polls, and the poll or wake-up that
-finds the level low), which `_hold` applies in closed form.
-The regulator then bounds the span with its own answer: MemGuard its
-next timer refill, MemPol its next poll, and the fabric the stretch in
-which its counters only count down, found by probing one pulse-free
-cycle, which may clear a counter-zero latch that nothing reads.  Before
-a lagging core steps, `_catch_up` advances it across the cycles it
-skipped, its issue credit and handler included, and at the end every
-core is caught up to the duration.
+the bus) up to the first deadline that the core or its regulator states:
+its interrupt's entry, the cycle its handler returns to the workload with
+the level held, its trace record and idle end, and its next issue, which
+the exact credit gives in closed form.  A full queue, which only a grant
+frees, is no deadline, nor are the handler's moves that only relabel it
+(its entry's end, its polls, and the poll or wake-up that finds the
+level low).  The regulator bounds the span with its own answer: MemGuard
+its next timer refill, MemPol its next poll, and the fabric the stretch
+in which its counters only count down, found by probing one pulse-free
+cycle, which may clear a counter-zero latch that nothing reads.  Before a
+lagging core steps, `_catch_up` lands it and builds up its issue credit;
+at the end every core is caught up to the duration.
 
 The controller is the only thing that couples cores, and it reads only
-their queue heads, which change only at a cycle that core steps.  So the
-loop runs the controller at every cycle it visits and jumps to the
-earliest of: a core's next step, the controller's next possible grant
-(the earliest ready queue head, once the accumulator holds a whole
-line), the window edge and the duration.  Both queues hold the cycle each
-request becomes ready: a read's after the memory latency, a write-back's
-the cycle after it is buffered.  A window edge needs no core step, as a
-core's event count moves only at its stepped cycles.  The grants to the
-cores that request run as a train, in one hop (`_train`), while each is
-in a phase whose only events are grants.  A stalled core whose workload
-issues refills each freed slot from its issue credit; a core in its
-handler, halted, in an idle burst phase, or whose workload issues
-nothing drains its queues, a freed read slot taking only a pending
-kernel line in its handler.  An idle core's cycles count as idle ones,
-and under `wfi_idle` its frozen fabric sees none of its pulses.  A train
-serves one requester on any bus, as each core takes one line a cycle at
-most, and several on a bus of less than a line a cycle (`num < den`, as
-on every board preset), where the controller makes one grant a cycle at
-most: to the first core in round-robin order from its pointer whose
-head is ready, and the pointer moves on by one per grant.  So the cores
-whose heads are ready at a grant take the grants after it, at the
-controller's closed-form grant cycles, in a rotation: the first core
-from the pointer takes them until the pointer passes its place in the
-ring, then each next ready core until it passes that core's place.  A
-lone requester is a rotation of one, for which the controller waits.
-Each grant retires a ready read first, else the write-back head.  A read
-grant that then issues and pulses nothing is silent: a drainer's,
-unless its handler has kernel lines to issue, and a stalled core's while
-its write buffer is full.  The other grants come in runs alike, which a
-core sets up once and keeps from one turn to the next: each retires the
-head of one queue, then issues from the credit, a kernel line, or
-nothing, and pulses the core's one kind for the train (a refill, a
-write-back, or both, as when a `modify` core's write-back retires and it
-issues) or nothing, which the regulator sees as a quiet cycle.  The
-rotation ends at a turn whose core is not ready, before a grant at or
-after the head of a core that was not ready at its start, or when a core
-without requests is due: that core steps inside the train at its own
-deadline, after that cycle's grant.  The train ends before a grant that
-its core refuses (one of another kind, or when a credit falls short, or
-a regulator's `pulse_budget` or a burst phase would run out), when a
-requester, the window edge or the duration is due, or after a step that
-leaves a request.  On a bus of a line a cycle or more, the grants to
-several requesters step one by one.  The loop goes on from the last.
-A core that refills its free queue slots, after its handler exits or at
-a burst start, takes those issues as a run, in one hop (`_issue_run`), if
-it steps and is due again the next cycle, outside its handler and not
-halted: its own issues are then its only events.  The runs come after
-every core due in the cycle has stepped and before the train, and end
-before the controller's next possible grant, which counts their own
-first heads.
+their queue heads.  So the loop runs the controller at every cycle it
+visits and jumps to the earliest of: a core's next step, the
+controller's next possible grant (the earliest ready queue head, once
+the accumulator holds a whole line), the window edge and the duration.
+Both queues hold the cycle each request becomes ready: a read's after
+the memory latency, a write-back's the cycle after it is buffered.  A
+window edge needs no core step, as a core's event count moves only at
+its stepped cycles.
+
+The other two hops take each core in them as a share (`_Share`), which
+states once the bounds of a hop whose events are issues and grants.  Its
+workload issues outside its handler, not halted, not idle and at a rate
+above 0, into the queues that `CoreState.caps` names for its op, up to
+their free slots and short of its burst phase's last line, whose issue
+ends the phase, which only a step does; else it drains.  Its pulses are
+of one kind, as many as the regulator's `pulse_budget` allows.
+
+An issue run (`_issue_run`) is a share that takes no grant: a core that
+steps and is due again the next cycle, outside its handler and not
+halted, as it refills its free queue slots after its handler exits or at
+a burst start, takes the issues of its credit's closed form in one hop.
+The runs come after every core due in the cycle has stepped and before
+the train, and end before the controller's next possible grant, which
+counts their own first heads.
+
+A train (`_train`) takes the grants to the cores that request in one hop,
+while each is stalled on a full queue with a line left, a grant that
+frees it issuing from the credit, or drains (a freed read slot in its
+handler taking a pending kernel line; an idle core's fabric frozen under
+`wfi_idle`).  It serves one requester on any bus, as a core takes one
+line a cycle at most, and several on a bus of less than a line a cycle
+(`num < den`, as on every board preset), where the controller makes one
+grant a cycle at most, in round-robin order: the cores whose heads are
+ready take the grants in turns, at the controller's closed-form grant
+cycles, and the controller waits for a lone requester's head.  Each grant
+retires a ready read first, else the write-back head.  A read grant that
+issues and pulses nothing is silent; the others come in runs alike
+(`_Share.open`), each retiring the head of one queue, then issuing from
+the credit, a kernel line, or nothing.  A core without requests steps
+inside the train at its own deadline.  The train ends before a grant
+that its share refuses, when a requester, the window edge or the
+duration is due, or after a step that leaves a request; on a bus of a
+line a cycle or more, the grants to several requesters step one by one.
+The loop goes on from the last.
+
+Every hopped core lands in one way (`_hold`): its throttled, handler and
+idle cycles count, its handler's moves apply in closed form, and its
+regulator advances across the hop, by the pulses its share counted.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 
@@ -786,14 +782,6 @@ class CoreState:
 
     # -- memory controller interface --------------------------------------
 
-    def has_request(self, cycle):
-        """True when a request is ready at `cycle`."""
-        r = self.reads
-        if r and r[0] <= cycle:
-            return True
-        w = self.wb
-        return bool(w) and w[0] <= cycle
-
     def serve_one(self, cycle):
         """Retire the line of one grant; True for a write-back, which pulses
         now (a refill pulsed at issue)."""
@@ -804,6 +792,14 @@ class CoreState:
             return False
         del self.wb[0]
         return True
+
+
+def _head(st: CoreState):
+    """The cycle that the first of core `st`'s queue heads comes ready;
+    the controller grants it a line from then on."""
+    r, w = st.reads, st.wb
+    h = r[0] if r else _BIG
+    return w[0] if w and w[0] < h else h
 
 
 def snapshot(st: CoreState):
@@ -925,12 +921,12 @@ def _core_cycle(st: CoreState, cycle, grants):
                 st.ipc_acc = acc - st.ipc_den
                 st.issued_lines += 1
                 st.lines_left -= 1
-                op = st.op
-                if op != OP_WRITE:
+                rcap, wcap = st.caps[st.op]
+                if rcap < _BIG:
                     st.reads.append(cycle + m.mem_latency_cycles)
                     pm |= st.refill_mask
                     hits += st.refill_hits
-                if op == OP_WRITE or op == OP_MODIFY:
+                if wcap < _BIG:
                     st.wb.append(cycle + 1)     # ready once it is buffered
 
     # ---- the regulator observes the cycle ----
@@ -1024,20 +1020,28 @@ def _core_span(st: CoreState, cycle, limit):
     return span
 
 
-def _hold(st: CoreState, start, end):
-    """Count the cycles from `start` to `end` in which core `st` holds its
-    throttle level: its throttled and handler cycles.  In its handler,
-    apply the moves those cycles make: the end of its entry, its polls
-    that find the level high, on to the first at or after `end`, and the
-    poll or wake-up that finds it low, which starts its exit.  True if
-    its workload may issue in them."""
+def _hold(st: CoreState, start, end, pulses=0, hits=0):
+    """Land core `st` at `end` from a hop that began at `start`, in which
+    it held its throttle level: count its throttled, handler and idle
+    cycles, and advance its regulator across them, `pulses` of which
+    pulsed `hits` monitored events each.  In its handler, apply the moves
+    those cycles make: the end of its entry, its polls that find the level
+    high, on to the first at or after `end`, and the poll or wake-up that
+    finds it low, which starts its exit.  True if its workload may issue
+    in them: outside its handler, not halted and not idle."""
     span = end - start
+    st.reg.advance(span, pulses, hits)
     req = st.prev_throttle
     if req:
         st.throttled_cycles += span
     phase = st.irq_phase
     if phase < _IRQ_ENTRY:
-        return not (req and st.reg.halts)
+        if req and st.reg.halts:
+            return False
+        if st.idle_until > start:
+            st.idle_cycles += span
+            return False
+        return True
     st.handler_cycles += span
     t = st.irq_at
     if phase == _IRQ_ENTRY and t < end:
@@ -1058,18 +1062,13 @@ def _hold(st: CoreState, start, end):
 
 def _catch_up(st: CoreState, start, end):
     """Advance core `st` from `start` to `end` across cycles that
-    `_core_span` found quiet at `start`: its cycle counts, its issue
-    credit, its handler's moves and its regulator."""
-    span = end - start
-    if _hold(st, start, end):
-        if st.idle_until > start:
-            st.idle_cycles += span
-        elif st.lines_left > 0 and st.ipc:
-            # the credit builds up as in each stepped cycle; only a core
-            # stalled on a full queue reaches a line, and holds there
-            a = st.ipc_acc + span * st.ipc
-            st.ipc_acc = a if a < st.ipc_den else st.ipc_stall
-    st.reg.advance(span)
+    `_core_span` found quiet at `start`: its landing (`_hold`) and its
+    issue credit."""
+    if _hold(st, start, end) and st.lines_left > 0 and st.ipc:
+        # the credit builds up as in each stepped cycle; only a core
+        # stalled on a full queue reaches a line, and holds there
+        a = st.ipc_acc + (end - start) * st.ipc
+        st.ipc_acc = a if a < st.ipc_den else st.ipc_stall
 
 
 # what a grant of a train pulses: a write-back as it retires, a refill as
@@ -1081,31 +1080,25 @@ _REFILL = 2
 _CLOSED = (None, 0, 0, 0, 0, 0, 0)
 
 
-def _head(st: CoreState):
-    """The cycle that the first of core `st`'s queue heads comes ready."""
-    r, w = st.reads, st.wb
-    h = r[0] if r else _BIG
-    return w[0] if w and w[0] < h else h
-
-
 class _Share:
-    """One core's part of a train, from its state at `t` + 1: the cycle of
-    its last grant and its pulses.  These are of one kind, which the first
-    pulsing grant sets and asks the regulator's `pulse_budget` for.  The
-    grants count in the core as each run ends (`count`); `_train` holds
-    the cycles to the last grant, idle ones counted as `_catch_up` counts
-    them, and advances the regulator.
+    """One core's part of a hop from its state at `t` + 1: the grants of a
+    train (`_train`), or the issues of a run that takes no grant
+    (`_issue_run`).  `last` is the cycle of its last grant.  Its pulses
+    are of one kind, which its first pulsing run sets and asks the
+    regulator's `pulse_budget` for (`allow`).  Each run counts its issues
+    and pulses in the core (`count`), and after the hop the core lands
+    (`_hold`).
 
-    A core takes a train's grants only in a phase whose only events are
-    grants.  It drains (`issue` False) in its handler, halted, in an idle
-    burst phase, or when its workload does not issue: a grant only
-    retires a line, but a freed read slot in the handler takes a pending
-    kernel line.  Idle, its cycles count as idle ones, and under
-    `wfi_idle` its fabric stays frozen.  Or its workload issues (`issue`
-    True), stalled on a full queue with a line left at least: a grant
-    that frees the queue then issues a line from its credit.  Else
-    `issue` is None, as a grant could let the core issue later or end its
-    burst phase, which only a step does.
+    A core's workload issues (`issue`) outside its handler, not halted,
+    not in an idle burst phase and at a rate above 0.  It fills the
+    queues that `CoreState.caps` gives for its op, up to their free slots
+    and short of its burst phase's last line, whose issue ends the phase,
+    which only a step does (`room`).  A train takes its grants only while
+    it is stalled on a full queue with a line left: a grant that frees
+    the queue then issues a line from its credit.  Else the core drains:
+    a grant only retires a line, but a freed read slot in its handler
+    takes a pending kernel line.  Idle, its cycles count as idle ones,
+    and under `wfi_idle` its fabric stays frozen.
 
     A grant retires a ready read first, else the write-back head.  A read
     grant that then issues nothing and pulses nothing is silent: a
@@ -1114,7 +1107,7 @@ class _Share:
     The others come in runs alike (`open`), which `run` holds from one
     turn to the next: each grant retires the head of one queue and then
     issues from the credit, a pending kernel line, or nothing."""
-    __slots__ = ("st", "issue", "t", "last", "rcap", "wcap", "refill",
+    __slots__ = ("st", "issue", "t", "last", "rcap", "wcap", "radd", "wadd",
                  "kind", "hits", "budget", "run", "pulses")
 
     def __init__(self, st, t):
@@ -1122,18 +1115,30 @@ class _Share:
         self.t = self.last = t
         self.kind = self.hits = self.pulses = 0
         self.run = _CLOSED
-        if st.irq_phase >= _IRQ_ENTRY or st.prev_throttle and st.reg.halts \
-                or st.idle_until > t + 1 or not st.ipc:
-            self.issue = False
-            return
-        rcap, wcap = self.rcap, self.wcap = st.caps[st.op]
-        # a phase with lines left is not idle; it must not run out, as its
-        # end is a step
-        if st.lines_left < 1 or len(st.reads) < rcap and len(st.wb) < wcap:
-            self.issue = None
-        else:
-            self.issue = True
-            self.refill = 0 if st.op == OP_WRITE else _REFILL
+        self.issue = not (st.irq_phase >= _IRQ_ENTRY or st.prev_throttle
+                          and st.reg.halts or st.idle_until > t + 1
+                          or not st.ipc)
+        if self.issue:
+            rcap, wcap = self.rcap, self.wcap = st.caps[st.op]
+            # an issue that fills a read slot pulses a refill
+            self.radd = _REFILL if rcap < _BIG else 0
+            self.wadd = wcap < _BIG
+
+    def room(self, q):
+        """The issues that the core's free queue slots take, one after each
+        grant from queue `q`, or without grants for `q` = (): the lines
+        before its burst phase's last one, and the fill of the queues that
+        no grant drains.  None if the grant leaves no slot free."""
+        st = self.st
+        reads, wb = st.reads, st.wb
+        # the queue lengths after the grant
+        nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
+        if nr >= self.rcap or nw >= self.wcap:
+            return None
+        fill = self.rcap - nr if q is not reads else _BIG
+        if q is not wb and self.wcap - nw < fill:
+            fill = self.wcap - nw
+        return st.lines_left - 1, fill
 
     def open(self, q):
         """Set up the run whose grants retire the head of queue `q`.  The
@@ -1143,49 +1148,49 @@ class _Share:
         (when its queue runs dry or the other one fills up) and its pulse
         kind, or None if the share refuses its first grant."""
         st = self.st
-        reads, wb = st.reads, st.wb
-        kind = 0 if q is reads else _WBK
+        kind = _WBK if q is st.wb else 0
         run, fill = _BIG, len(q)
         radd = wadd = 0
-        if self.issue:
-            # the queue lengths after the grant
-            nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
-            if nr < self.rcap and nw < self.wcap:
-                radd = self.refill
-                wadd = self.wcap != _BIG
-                kind |= radd
-                run = st.lines_left - 1
-                fill = self.rcap - nr if q is wb else self.wcap - nw
-        elif q is reads and st.irq_phase >= _IRQ_ENTRY \
+        room = self.issue and self.room(q)
+        if room:
+            radd, wadd = self.radd, self.wadd
+            kind |= radd
+            run, fill = room
+        elif q is st.reads and st.irq_phase >= _IRQ_ENTRY \
                 and st.kernel_pending:
             # the reads after the last kernel line take none
             kind = radd = _REFILL
             fill = st.kernel_pending
-        if kind:
-            if kind != self.kind:
-                if self.kind:
-                    return None
-                # the share's pulse kind, and how many the regulator allows
-                pm = hits = 0
-                if kind & _WBK:
-                    pm, hits = st.wbk_mask, st.wbk_hits
-                if kind & _REFILL:
-                    pm |= st.refill_mask
-                    hits += st.refill_hits
-                self.kind, self.hits = kind, hits
-                self.budget = st.reg.pulse_budget(st, self.t + 1, pm, hits)
-            x = self.budget - self.pulses
-            if x < run:
-                run = x
+        run = self.allow(kind, run)
         if run < 1:
             return None
         return radd, wadd, run, fill, kind
 
+    def allow(self, kind, n):
+        """`n` cut to the pulses of `kind` that the regulator still allows
+        the share; none after a pulse of another kind."""
+        if not kind or n < 1:
+            return n
+        if kind != self.kind:
+            if self.kind:
+                return 0
+            # the share's pulse kind, and how many the regulator allows
+            st = self.st
+            pm = hits = 0
+            if kind & _WBK:
+                pm, hits = st.wbk_mask, st.wbk_hits
+            if kind & _REFILL:
+                pm |= st.refill_mask
+                hits += st.refill_hits
+            self.kind, self.hits = kind, hits
+            self.budget = st.reg.pulse_budget(st, self.t + 1, pm, hits)
+        x = self.budget - self.pulses
+        return x if x < n else n
+
     def count(self, n, issues, kind):
-        """Count in the core the `n` grants of a run that issue if `issues`
-        and pulse if `kind`, as its queues already hold them."""
+        """Count in the core the `n` issues of a run if `issues`, and its
+        pulses if `kind`, as its queues already hold them."""
         st = self.st
-        st.completed_lines += n
         if issues:
             st.issued_lines += n
             if self.issue:
@@ -1203,30 +1208,27 @@ class _Share:
 def _issue_run(st, t, end, grant_at, ready):
     """Apply in one hop the lines that core `st`, outside its handler and
     not halted, issues from `t` on from its credit into its free queue
-    slots, with their queue entries, counts and refill pulses, at the
-    cycles of the credit's closed form.
-    Returns the cycle the core's state then holds at, or 0 if it takes no
-    line.  The run leaves the burst phase's last line to a step, and ends
-    before `end` and the interrupt's entry, within the regulator's
-    `quiet_span` and `pulse_budget`, and before the controller's next
-    possible grant: the later of `grant_at`, when its accumulator holds a
-    line, and the first of the heads `ready` and the run's own.  A core
-    whose workload issues replays no trace records."""
-    if st.idle_until > t or not st.ipc:
+    slots, with their queue entries, counts and refill pulses: a share
+    that takes no grant, whose bounds (`_Share.room`, `_Share.allow`),
+    count and landing are a train's.  Its issues come at the cycles of the
+    credit's closed form, before `end`, the interrupt's entry, the
+    regulator's `quiet_span` and the controller's next possible grant:
+    the later of `grant_at`, when its accumulator holds a line, and the
+    first of the heads `ready` and the run's own.  Returns the cycle the
+    core's state then holds at, or 0 if it takes no line.  A core whose
+    workload issues replays no trace records."""
+    s = _Share(st, t - 1)
+    room = s.issue and s.room(())
+    if not room:
         return 0
-    reads, wb = st.reads, st.wb
-    rcap, wcap = st.caps[st.op]
-    n = min(rcap - len(reads), wcap - len(wb), st.lines_left - 1)
-    if n < 1:
-        return 0
+    n = min(room)
     ipc, den, acc = st.ipc, st.ipc_den, st.ipc_acc
-    op = st.op
     lat = st.model.mem_latency_cycles
     # the k-th issue comes at t - 1 - (acc - k * den) // ipc; the run's
     # first head is the first issue's write-back, ready the cycle after,
     # or its read, ready `lat` cycles after, whichever comes first
     head = t - 1 - (acc - den) // ipc
-    head += 1 if op == OP_WRITE or op == OP_MODIFY and lat else lat
+    head += 1 if s.wadd and (lat or not s.radd) else lat
     if ready < head:
         head = ready
     if head < grant_at:
@@ -1242,16 +1244,12 @@ def _issue_run(st, t, end, grant_at, ready):
         k = n
     if k < 1:
         return 0
-    reg = st.reg
-    q = t + reg.quiet_span(st, t)
+    q = t + st.reg.quiet_span(st, t)
     if q < end:
         end = q
         k = min(k, (acc + (end - t) * ipc) // den)
-    # a read, prefetch or modify issue pulses a refill; a write, nothing
-    refills = op != OP_WRITE
-    hits = st.refill_hits if refills else 0
-    if refills and k:
-        k = min(k, reg.pulse_budget(st, t, st.refill_mask, hits))
+    # its refills pulse as they issue
+    k = s.allow(s.radd, k)
     if k < 1:
         return 0
     # the issue cycles; at a line a cycle the credit stays 0
@@ -1259,20 +1257,13 @@ def _issue_run(st, t, end, grant_at, ready):
               [t - 1 - (acc - j * den) // ipc for j in range(1, k + 1)])
     if k < (acc + (end - t) * ipc) // den:
         end = issued[-1] + 1
-    if refills:
-        reads += [c + lat for c in issued]
-        if hits:
-            st.pmc_events += k * hits
-            st.tap_events += k
-    if op == OP_WRITE or op == OP_MODIFY:
-        wb += [c + 1 for c in issued]   # ready once it is buffered
-    span = end - t
-    st.ipc_acc = acc + span * ipc - k * den
-    st.issued_lines += k
-    st.lines_left -= k
-    if st.prev_throttle:                # the level held while pending
-        st.throttled_cycles += span
-    reg.advance(span, k if refills else 0, hits)
+    if s.radd:
+        st.reads += [c + lat for c in issued]
+    if s.wadd:
+        st.wb += [c + 1 for c in issued]        # ready once it is buffered
+    st.ipc_acc = acc + (end - t) * ipc - k * den
+    s.count(k, True, s.radd)
+    _hold(st, t, end, s.pulses, s.hits)
     return end
 
 
@@ -1302,8 +1293,9 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
     refuses, at a requester's own deadline, or after a step that leaves
     a request.  Each core it granted or stepped then holds its state at
     `at` and its next step at `due`.  Returns the number of grants, the
-    last cycle the train covered, the accumulator and `rr` after it, and
-    the first step and queue head of any core after it."""
+    last cycle the train covered, the accumulator and `rr` after it, the
+    first step and queue head of any core after it, and the controller's
+    next line."""
     n = len(cores)
     shares = [None] * n
     heads = [_BIG] * n                  # the first head of each core
@@ -1313,7 +1305,9 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
         st = cores[i]
         if st.reads or st.wb:
             s = shares[i] = _Share(st, at[i] - 1)
-            if s.issue is None:
+            # a grant could let a core that is not stalled issue later or
+            # end its burst phase, which only a step does
+            if s.issue and (st.lines_left < 1 or not _queue_full(st)):
                 return None
             if due[i] < end:
                 end = due[i]
@@ -1322,6 +1316,7 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             step_at = due[i]
     k = 0
     last = t
+    line = g                            # the controller's next line
     while True:
         first = min(heads)
         if first > g:                   # the controller waits for a head
@@ -1333,6 +1328,8 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             if acc > cap:
                 acc = cap
             last = step_at
+            if line <= last:            # the accumulator holds a line
+                line = last + 1
             step_at = _BIG
             requests = False
             for i in range(n):
@@ -1402,9 +1399,7 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             else:
                 if m > 1:
                     break               # not ready at its turn
-                h = reads[0] if reads else _BIG
-                if wb and wb[0] < h:
-                    h = wb[0]
+                h = _head(st)
                 if h >= stop:
                     break
                 g = h                   # the controller waits for the head
@@ -1470,7 +1465,8 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                 if acc > cap:
                     acc = cap
                 last = g
-                g = last - (acc - den) // num if acc < den else last + 1
+                g = line = (last - (acc - den) // num if acc < den
+                            else last + 1)
                 if done == top or g >= o or q[0] > g:
                     break
             done -= first
@@ -1479,14 +1475,13 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                 taken += done
                 left -= done
                 s.last = last
+                st.completed_lines += done
                 if credit:
                     st.ipc_acc = a
                 if not silent:
                     rn += done
-                else:
-                    st.completed_lines += done
-                    if rq is wb and radd:
-                        fill += done    # each frees a read slot
+                elif rq is wb and radd:
+                    fill += done        # each frees a read slot
             if g is None:
                 break
             if not left:
@@ -1499,22 +1494,14 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             s.run = rq, radd, wadd, run, fill, rn, kind
         if over > 0:                    # no grant since the wait
             acc += over
-        if m > 1:
-            for i in turns:
-                st = cores[i]
-                reads, wb = st.reads, st.wb
-                h = reads[0] if reads else _BIG
-                heads[i] = wb[0] if wb and wb[0] < h else h
-        else:                           # the sole share's queues
-            h = reads[0] if reads else _BIG
-            heads[turns[0]] = wb[0] if wb and wb[0] < h else h
+        for i in turns:
+            heads[i] = _head(cores[i])
         k += taken
         rr = (rr + taken) % n
         if g is None or g >= end and step_at >= end:
             break
-    # each core granted holds its state from its last grant on: the cycles
-    # to it held as `_catch_up` holds them, and its regulator advanced
-    # across them.  The loop goes on to the first step or head of any core
+    # each core granted lands at its last grant and holds its state from
+    # there on.  The loop goes on to the first step or head of any core
     nxt = edge if edge < step_at else step_at
     ready = _BIG
     for i in range(n if last > t else 0):
@@ -1524,17 +1511,14 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                 _q, radd, wadd, _run, _fill, rn, kind = s.run
                 if rn:                  # the run still open counts too
                     s.count(rn, radd or wadd, kind)
-                st = s.st
                 d = at[i] = s.last + 1
-                if _hold(st, s.t + 1, d) and st.idle_until > s.t + 1:
-                    st.idle_cycles += d - 1 - s.t
-                st.reg.advance(d - 1 - s.t, s.pulses, s.hits)
-                due[i] = d + _core_span(st, d, duration - d)
+                _hold(s.st, s.t + 1, d, s.pulses, s.hits)
+                due[i] = d + _core_span(s.st, d, duration - d)
             if due[i] < nxt:
                 nxt = due[i]
         if heads[i] < ready:
             ready = heads[i]
-    return k, last, acc, rr, nxt, ready
+    return k, last, acc, rr, nxt, ready, line
 
 
 # =========================================================================
@@ -1586,7 +1570,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 ci = rr + k
                 if ci >= n:
                     ci -= n
-                if cores[ci].has_request(cycle):
+                if _head(cores[ci]) <= cycle:
                     grants[ci] = 1
                     served += 1
                     if served == avail:
@@ -1667,20 +1651,17 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 run = _train(cores, at, due, rings, duration, cycle, g, edge,
                              acc, num, den, cap, rr)
                 if run is not None and run[1] > cycle:
-                    k, cycle, acc, rr, nxt, ready = run
+                    k, cycle, acc, rr, nxt, ready, g = run
                     total_granted += k
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready
-        # queue head, once the accumulator holds a whole line ----
+        # queue head, once the accumulator holds a whole line at g (set
+        # above, as the hops run whenever a head is ready before nxt) ----
         cycle += 1
         if nxt > cycle and ready < nxt:
-            line_at = cycle
-            need = den - num - acc
-            if need > 0:
-                line_at -= -need // num
-            if ready < line_at:
-                ready = line_at
+            if ready < g:
+                ready = g
             if ready < nxt:
                 nxt = ready
         if nxt > cycle:

@@ -127,8 +127,10 @@ def test_03_selector_budgets():
 # =========================================================================
 
 def test_04_ideal_platform_accuracy():
-    """With zero interrupt latency and empty buffers, every target below
-    the memory cap is hit to within one budget quantum per period."""
+    """With the shortest interrupt path the model has (each 0-cycle
+    interrupt phase lasts a cycle, so the handler starts two cycles after
+    the level rises) and single-entry queues, every target below the
+    memory cap is hit to within one budget quantum per period."""
     ideal = H.preset("ideal")
     period_us = 50.0
     quantum = H.budget_to_bandwidth(1, period_us)

@@ -213,6 +213,16 @@ def test_a_non_finite_number_is_named(capsys, argv, message):
     assert err.startswith("error: ") and message in err, err
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("duration", ["-1", "0", "1e-7"])
+def test_a_duration_below_one_cycle_is_named(capsys, command, duration):
+    # each exited with "duration_cycles must be positive"
+    assert C.main([command, "--duration-ms", duration]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration_ms ") \
+        and "cycles at the zcu102 clock of 1200 MHz, below 1 cycle" in err, err
+
+
 def test_simulate_unknown_board_is_parse_error():
     with pytest.raises(SystemExit) as e:
         C.main(["simulate", "--board", "breadboard"])

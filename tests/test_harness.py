@@ -224,6 +224,25 @@ def test_experiment_config_rejects_a_period_below_one_cycle(design):
                            period_us=0.0001, duration_ms=0.05)
 
 
+@pytest.mark.parametrize("duration_ms,cycles", [
+    (0, 0), (-1, -1_200_000), (1e-7, 0)])
+def test_a_duration_below_one_cycle_is_named(duration_ms, cycles):
+    # each raised "duration_cycles must be positive", which names a field
+    # of the machine's config, not the argument
+    message = ("duration_ms %r is %d cycles at the zcu102 clock of 1200 MHz, "
+               "below 1 cycle" % (duration_ms, cycles))
+    board = H.preset("zcu102")
+    with pytest.raises(RangeError, match=message):
+        H.run_point(board, R.PR, 350.0, "read", 5.0, duration_ms)
+    with pytest.raises(RangeError, match=message):
+        H.calibrate_safe_floor("zcu102", R.PR, 5, duration_ms=duration_ms)
+    # a sweep config names a duration that is not positive as such, and
+    # one below a cycle as above
+    with pytest.raises(RangeError, match="duration_ms" if duration_ms <= 0
+                       else message):
+        H.ExperimentConfig(targets_mbps=(200,), duration_ms=duration_ms)
+
+
 # =========================================================================
 # calibration
 # =========================================================================

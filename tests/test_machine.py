@@ -663,6 +663,11 @@ def _diff_scenarios():
     # a fractional credit issues at the cycles of its closed form
     out["ramp_ipc_0.6_modify"] = one_core(
         M.Synthetic(op="modify", issue_ipc_limit=0.6), pr5, dur=60_000)
+    # at a memory latency of 0, a modify run's first head is its first
+    # read, ready in the cycle it issues, not its write-back a cycle later
+    out["ramp_modify_latency_0"] = one_core(
+        M.Synthetic(op="modify", issue_ipc_limit=0.3),
+        model=dict(ZCU, mem_latency_cycles=0), dur=60_000, cap=0.9)
     # rotations: the stalled cores whose heads are ready take the grants in
     # round-robin turns, each keeping its run from one turn to the next.  A
     # saturating burst reader and a writer alternate
