@@ -135,6 +135,7 @@ def budget_to_bandwidth(budget_events, period_us) -> float:
 
 def regulator_for(design, board: BoardPreset, target_mbps, period_us):
     """Build the regulator runtime config for one sweep point."""
+    _check_positive("period_us", period_us)
     pc = board.period_cycles(period_us)
     if design in R.ETM_DESIGNS:
         return R.build_config(R.RegulatorSpec(
@@ -264,7 +265,10 @@ def point_system(board: BoardPreset, reg, op_type,
                  duration_ms) -> M.SystemConfig:
     """One sweep point as a system: a single core of `board` running a
     saturating `op_type` stream under `reg` (a regulator config or None)
-    for `duration_ms`, a RangeError if that is not at least 1 cycle."""
+    for `duration_ms`, a RangeError that names it if it is not finite or
+    not at least 1 cycle."""
+    if not isfinite(duration_ms):       # named, not as a time in us
+        _check_positive("duration_ms", duration_ms)
     cycles = us_to_cycles(duration_ms * 1000, board.freq_mhz)
     _check_cycles("duration_ms", duration_ms, cycles, board)
     return M.SystemConfig(

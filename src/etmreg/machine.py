@@ -40,7 +40,7 @@ level (the fabric and MemGuard raise an interrupt, MemGuard's handler
 sleeps instead of polling, MemPol halts issue from outside).
 
 Each core keeps its own time, and a cycle steps only the cores that act
-in it.  The loop skips the other cycles in hops of three kinds, and every
+in it.  The loop skips the other cycles in hops of two kinds, and every
 hopped core lands in one way.
 
 A core span (`_core_span`) skips one core's inert cycles (throttle
@@ -55,58 +55,61 @@ level low).  The regulator bounds the span with its own answer: MemGuard
 its next timer refill, MemPol its next poll, and the fabric the stretch
 in which its counters only count down, found by probing one pulse-free
 cycle, which may clear a counter-zero latch that nothing reads.  Before a
-lagging core steps, `_catch_up` lands it and builds up its issue credit;
-at the end every core is caught up to the duration.
+lagging core steps, it lands and its issue credit builds up; at the end
+every core is caught up to the duration.
 
 The controller is the only thing that couples cores, and it reads only
-their queue heads.  So the loop runs the controller at every cycle it
-visits and jumps to the earliest of: a core's next step, the
-controller's next possible grant (the earliest ready queue head, once
-the accumulator holds a whole line), the window edge and the duration.
-Both queues hold the cycle each request becomes ready: a read's after
-the memory latency, a write-back's the cycle after it is buffered.  A
-window edge needs no core step, as a core's event count moves only at
-its stepped cycles.
+their queue heads, which the loop keeps in one list.  So the loop runs
+the controller at every cycle it visits and jumps to the earliest of: a
+core's next step, the controller's next possible grant (the earliest
+ready queue head, once the accumulator holds a whole line), the window
+edge and the duration.  Both queues hold the cycle each request becomes
+ready: a read's after the memory latency, a write-back's the cycle after
+it is buffered.  A window edge needs no core step, as a core's event
+count moves only at its stepped cycles.
 
-The other two hops take each core in them as a share (`_Share`), which
-states once the bounds of a hop whose events are issues and grants.  Its
+The train (`_train`) is the one hop the loop plans at a cycle it
+visits.  It takes each core in it as a share (`_Share`), which states
+once the bounds of a hop whose events are issues and grants.  Its
 workload issues outside its handler, not halted, not idle and at a rate
 above 0, into the queues that `CoreState.caps` names for its op, up to
 their free slots and short of its burst phase's last line, whose issue
-ends the phase, which only a step does; else it drains.  Its pulses are
-of one kind, as many as the regulator's `pulse_budget` allows.
+ends the phase, which only a step does.  Its pulses are of one kind, as
+many as the regulator's `pulse_budget` allows.
 
-An issue run (`_issue_run`) is a share that takes no grant: a core that
-steps and is due again the next cycle, outside its handler and not
-halted, as it refills its free queue slots after its handler exits or at
-a burst start, takes the issues of its credit's closed form in one hop.
-The runs come after every core due in the cycle has stepped and before
-the train, and end before the controller's next possible grant, which
-counts their own first heads.
+A core that steps and is due again the next cycle, with a workload that
+issues, as it refills its free queue slots after its handler exits or
+at a burst start, opens its share (`_opening`): it takes the issues of
+its credit's closed form in one hop, up to the controller's next
+possible grant to it.
 
-A train (`_train`) takes the grants to the cores that request in one hop,
-while each is stalled on a full queue with a line left, a grant that
-frees it issuing from the credit, or drains (a freed read slot in its
-handler taking a pending kernel line; an idle core's fabric frozen under
-`wfi_idle`).  It serves one requester on any bus, as a core takes one
-line a cycle at most, and several on a bus of less than a line a cycle
-(`num < den`, as on every board preset), where the controller makes one
-grant a cycle at most, in round-robin order: the cores whose heads are
-ready take the grants in turns, at the controller's closed-form grant
-cycles, and the controller waits for a lone requester's head.  Each grant
-retires a ready read first, else the write-back head.  A read grant that
-issues and pulses nothing is silent; the others come in runs alike
-(`_Share.open`), each retiring the head of one queue, then issuing from
-the credit, a kernel line, or nothing.  A core without requests steps
-inside the train at its own deadline.  The train ends before a grant
-that its share refuses, when a requester, the window edge or the
-duration is due, or after a step that leaves a request; on a bus of a
-line a cycle or more, the grants to several requesters step one by one.
-The loop goes on from the last.
+Then the cores that request take their grants in one hop, each while it
+is stalled on a full queue with a line left, a grant that frees it
+issuing from the credit, or drains: a grant only retires a line, but a
+freed read slot in its handler takes a pending kernel line, an idle
+core's fabric stays frozen under `wfi_idle`, and a core whose workload
+issues but is not stalled drains up to its next issue, which bounds its
+share, its credit building up.  The train serves one requester on any
+bus, as a core takes one line a cycle at most, and several on a bus of
+less than a line a cycle (`num < den`, as on every board preset), where
+the controller makes one grant a cycle at most, in round-robin order:
+the cores whose heads are ready take the grants in turns, at the
+controller's closed-form grant cycles, and the controller waits for a
+lone requester's head.  Each grant retires a ready read first, else the
+write-back head.  A read grant that issues and pulses nothing is silent;
+the others come in runs alike (`_Share.open`), each retiring the head of
+one queue, then issuing from the credit, a kernel line, or nothing.  A
+core without requests steps inside the train at its own deadline, opens
+its share there if it is due again the next cycle, and joins the train
+if it then requests.  The train ends before a grant that its share
+refuses, or when a requester, the window edge or the duration is due; on
+a bus of a line a cycle or more, the grants to several requesters step
+one by one.  The loop goes on from the last cycle it covered.
 
 Every hopped core lands in one way (`_hold`): its throttled, handler and
-idle cycles count, its handler's moves apply in closed form, and its
-regulator advances across the hop, by the pulses its share counted.
+idle cycles count, its handler's moves apply in closed form, its
+regulator advances across the hop, by the pulses its share counted, and
+its issue credit builds up unless the grants issued from it.
 `run_system(cfg, use_hops=False)` steps every core at every cycle in the
 same loop; both must produce identical results.
 
@@ -966,11 +969,11 @@ def _core_span(st: CoreState, cycle, limit):
     returns to the workload with the level held, the trace record, the
     idle end, the workload's next issue and the regulator's own
     `quiet_span`.  A core whose queue is full cannot issue until a grant
-    frees the queue, and the handler's other moves only relabel it: the
-    catch-up in `_catch_up` advances both without a deadline.  A core
-    whose next issue is due within 2 cycles steps the next cycle, unless
-    `run_system` takes that cycle and the issues after it as a run
-    (`_issue_run`)."""
+    frees the queue, and the handler's other moves only relabel it: its
+    landing (`_hold`) advances both without a deadline.  A core whose
+    next issue is due within 2 cycles steps the next cycle, unless the
+    train opens its share with that cycle and the issues after it
+    (`_opening`)."""
     reg = st.reg
     phase = st.irq_phase
     req = st.prev_throttle
@@ -1020,15 +1023,18 @@ def _core_span(st: CoreState, cycle, limit):
     return span
 
 
-def _hold(st: CoreState, start, end, pulses=0, hits=0):
+def _hold(st: CoreState, start, end, pulses=0, hits=0, credit=True):
     """Land core `st` at `end` from a hop that began at `start`, in which
     it held its throttle level: count its throttled, handler and idle
     cycles, and advance its regulator across them, `pulses` of which
     pulsed `hits` monitored events each.  In its handler, apply the moves
     those cycles make: the end of its entry, its polls that find the level
     high, on to the first at or after `end`, and the poll or wake-up that
-    finds it low, which starts its exit.  True if its workload may issue
-    in them: outside its handler, not halted and not idle."""
+    finds it low, which starts its exit.  Outside its handler, not halted
+    and not idle, its workload's issue credit builds up across them as in
+    each stepped cycle, less the lines the hop already took from it,
+    unless `credit` is False because the hop's grants set it: only a core
+    stalled on a full queue reaches a line, and holds there."""
     span = end - start
     st.reg.advance(span, pulses, hits)
     req = st.prev_throttle
@@ -1037,11 +1043,13 @@ def _hold(st: CoreState, start, end, pulses=0, hits=0):
     phase = st.irq_phase
     if phase < _IRQ_ENTRY:
         if req and st.reg.halts:
-            return False
+            return
         if st.idle_until > start:
             st.idle_cycles += span
-            return False
-        return True
+        elif credit and st.lines_left > 0 and st.ipc:
+            a = st.ipc_acc + span * st.ipc
+            st.ipc_acc = a if a < st.ipc_den else st.ipc_stall
+        return
     st.handler_cycles += span
     t = st.irq_at
     if phase == _IRQ_ENTRY and t < end:
@@ -1057,18 +1065,6 @@ def _hold(st: CoreState, start, end, pulses=0, hits=0):
             p = st.model.handler_poll_cycles
             t += -(-(end - t) // p) * p
     st.irq_at = t
-    return False
-
-
-def _catch_up(st: CoreState, start, end):
-    """Advance core `st` from `start` to `end` across cycles that
-    `_core_span` found quiet at `start`: its landing (`_hold`) and its
-    issue credit."""
-    if _hold(st, start, end) and st.lines_left > 0 and st.ipc:
-        # the credit builds up as in each stepped cycle; only a core
-        # stalled on a full queue reaches a line, and holds there
-        a = st.ipc_acc + (end - start) * st.ipc
-        st.ipc_acc = a if a < st.ipc_den else st.ipc_stall
 
 
 # what a grant of a train pulses: a write-back as it retires, a refill as
@@ -1080,25 +1076,52 @@ _REFILL = 2
 _CLOSED = (None, 0, 0, 0, 0, 0, 0)
 
 
-class _Share:
-    """One core's part of a hop from its state at `t` + 1: the grants of a
-    train (`_train`), or the issues of a run that takes no grant
-    (`_issue_run`).  `last` is the cycle of its last grant.  Its pulses
-    are of one kind, which its first pulsing run sets and asks the
-    regulator's `pulse_budget` for (`allow`).  Each run counts its issues
-    and pulses in the core (`count`), and after the hop the core lands
-    (`_hold`).
+def _issues(st: CoreState, t):
+    """True when core `st`'s workload may issue at `t`: outside its
+    handler, not halted, not in an idle burst phase and at a rate above
+    0."""
+    return not (st.irq_phase >= _IRQ_ENTRY or st.prev_throttle
+                and st.reg.halts or st.idle_until > t or not st.ipc)
 
-    A core's workload issues (`issue`) outside its handler, not halted,
-    not in an idle burst phase and at a rate above 0.  It fills the
-    queues that `CoreState.caps` gives for its op, up to their free slots
-    and short of its burst phase's last line, whose issue ends the phase,
-    which only a step does (`room`).  A train takes its grants only while
-    it is stalled on a full queue with a line left: a grant that frees
-    the queue then issues a line from its credit.  Else the core drains:
-    a grant only retires a line, but a freed read slot in its handler
-    takes a pending kernel line.  Idle, its cycles count as idle ones,
-    and under `wfi_idle` its fabric stays frozen.
+
+def _room(st: CoreState, q):
+    """The issues that core `st`'s free queue slots take, one after each
+    grant from queue `q`, or without grants for `q` = (): the lines
+    before its burst phase's last one, whose issue ends the phase, which
+    only a step does, and the fill of the queues that its op fills
+    (`CoreState.caps`) and no grant drains.  None if the grant leaves no
+    slot free."""
+    rcap, wcap = st.caps[st.op]
+    reads, wb = st.reads, st.wb
+    # the queue lengths after the grant
+    nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
+    if nr >= rcap or nw >= wcap:
+        return None
+    fill = rcap - nr if q is not reads else _BIG
+    if q is not wb and wcap - nw < fill:
+        fill = wcap - nw
+    return st.lines_left - 1, fill
+
+
+class _Share:
+    """One core's part of a hop from its state at `t` + 1: the issues that
+    open it (`_opening`), or the grants of a train (`_train`).  `last` is
+    the cycle of its last grant.  Its pulses are of one kind, which its
+    first pulsing run sets and asks the regulator's `pulse_budget` for
+    (`allow`).  Each run counts its issues and pulses in the core
+    (`count`), and after the hop the core lands (`_hold`), its credit
+    building up unless its grants issued from it.
+
+    A train's grants issue from the credit (`issue`) only while the core
+    is stalled on a full queue with a line left and its workload issues
+    (`_issues`), as the train states when it builds the share: a grant
+    that frees the queue then issues a line, into the free slots that
+    `_room` gives.  Else the core drains: a grant only
+    retires a line, but a freed read slot in its handler takes a pending
+    kernel line.  A core whose workload issues drains up to its next
+    issue, which bounds its share, while its credit builds up.  Idle, its
+    cycles count as idle ones, and under `wfi_idle` its fabric stays
+    frozen.
 
     A grant retires a ready read first, else the write-back head.  A read
     grant that then issues nothing and pulses nothing is silent: a
@@ -1110,35 +1133,17 @@ class _Share:
     __slots__ = ("st", "issue", "t", "last", "rcap", "wcap", "radd", "wadd",
                  "kind", "hits", "budget", "run", "pulses")
 
-    def __init__(self, st, t):
+    def __init__(self, st, t, issue):
         self.st = st
         self.t = self.last = t
         self.kind = self.hits = self.pulses = 0
         self.run = _CLOSED
-        self.issue = not (st.irq_phase >= _IRQ_ENTRY or st.prev_throttle
-                          and st.reg.halts or st.idle_until > t + 1
-                          or not st.ipc)
-        if self.issue:
+        self.issue = issue
+        if issue:
             rcap, wcap = self.rcap, self.wcap = st.caps[st.op]
             # an issue that fills a read slot pulses a refill
             self.radd = _REFILL if rcap < _BIG else 0
             self.wadd = wcap < _BIG
-
-    def room(self, q):
-        """The issues that the core's free queue slots take, one after each
-        grant from queue `q`, or without grants for `q` = (): the lines
-        before its burst phase's last one, and the fill of the queues that
-        no grant drains.  None if the grant leaves no slot free."""
-        st = self.st
-        reads, wb = st.reads, st.wb
-        # the queue lengths after the grant
-        nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
-        if nr >= self.rcap or nw >= self.wcap:
-            return None
-        fill = self.rcap - nr if q is not reads else _BIG
-        if q is not wb and self.wcap - nw < fill:
-            fill = self.wcap - nw
-        return st.lines_left - 1, fill
 
     def open(self, q):
         """Set up the run whose grants retire the head of queue `q`.  The
@@ -1151,7 +1156,7 @@ class _Share:
         kind = _WBK if q is st.wb else 0
         run, fill = _BIG, len(q)
         radd = wadd = 0
-        room = self.issue and self.room(q)
+        room = self.issue and _room(st, q)
         if room:
             radd, wadd = self.radd, self.wadd
             kind |= radd
@@ -1188,12 +1193,13 @@ class _Share:
         return x if x < n else n
 
     def count(self, n, issues, kind):
-        """Count in the core the `n` issues of a run if `issues`, and its
-        pulses if `kind`, as its queues already hold them."""
+        """Count in the core the `n` issues of a run if `issues`, its
+        workload's lines or, in its handler, kernel lines, and its pulses
+        if `kind`, as its queues already hold them."""
         st = self.st
         if issues:
             st.issued_lines += n
-            if self.issue:
+            if st.irq_phase < _IRQ_ENTRY:
                 st.lines_left -= n
             else:
                 st.kernel_pending -= n
@@ -1205,75 +1211,78 @@ class _Share:
                 st.tap_events += n
 
 
-def _issue_run(st, t, end, grant_at, ready):
-    """Apply in one hop the lines that core `st`, outside its handler and
-    not halted, issues from `t` on from its credit into its free queue
-    slots, with their queue entries, counts and refill pulses: a share
-    that takes no grant, whose bounds (`_Share.room`, `_Share.allow`),
-    count and landing are a train's.  Its issues come at the cycles of the
-    credit's closed form, before `end`, the interrupt's entry, the
-    regulator's `quiet_span` and the controller's next possible grant:
-    the later of `grant_at`, when its accumulator holds a line, and the
-    first of the heads `ready` and the run's own.  Returns the cycle the
-    core's state then holds at, or 0 if it takes no line.  A core whose
-    workload issues replays no trace records."""
-    s = _Share(st, t - 1)
-    room = s.issue and s.room(())
+def _opening(st: CoreState, t, g, h, end):
+    """Open core `st`'s share at `t` + 1, the cycle it is due, if its
+    workload issues there: apply in one hop the lines it issues from its
+    credit into its free queue slots (`_room`), with their queue entries,
+    counts and refill pulses (`_Share.allow`, `_Share.count`).  They come
+    at the cycles of the credit's closed form, before `end`, the
+    interrupt's entry, the regulator's `quiet_span` and the controller's
+    next possible grant to the core: the later of its next line `g` and
+    the first of the core's heads, `h` or the run's own.  The checks that
+    need no probe of the regulator, whose answers cost a fabric step
+    each, come before the share is built.  Returns the cycle the core's
+    state then holds at, or 0 if it takes no line.  A core whose workload
+    issues replays no trace records."""
+    t1 = t + 1
+    room = _issues(st, t1) and _room(st, ())
     if not room:
         return 0
-    n = min(room)
     ipc, den, acc = st.ipc, st.ipc_den, st.ipc_acc
     lat = st.model.mem_latency_cycles
-    # the k-th issue comes at t - 1 - (acc - k * den) // ipc; the run's
-    # first head is the first issue's write-back, ready the cycle after,
-    # or its read, ready `lat` cycles after, whichever comes first
-    head = t - 1 - (acc - den) // ipc
-    head += 1 if s.wadd and (lat or not s.radd) else lat
-    if ready < head:
-        head = ready
-    if head < grant_at:
-        head = grant_at
+    rcap, wcap = st.caps[st.op]
+    # an issue that fills a read slot pulses a refill
+    radd = _REFILL if rcap < _BIG else 0
+    # the k-th issue comes at t - (acc - k * den) // ipc; the run's first
+    # head is the first issue's write-back, ready the cycle after, or its
+    # read, ready `lat` cycles after, whichever comes first
+    head = t - (acc - den) // ipc
+    head += 1 if wcap < _BIG and (lat or not radd) else lat
+    if h < head:
+        head = h
+    if head < g:
+        head = g
     if head < end:
         end = head
     if st.irq_at < end:
         end = st.irq_at
-    # these checks need no probe of the regulator, whose answers cost a
-    # fabric step each
-    k = (acc + (end - t) * ipc) // den
+    k = (acc + (end - t1) * ipc) // den
+    n = min(room)
     if k > n:
         k = n
     if k < 1:
         return 0
-    q = t + st.reg.quiet_span(st, t)
+    s = _Share(st, t, False)
+    q = t1 + st.reg.quiet_span(st, t1)
     if q < end:
         end = q
-        k = min(k, (acc + (end - t) * ipc) // den)
-    # its refills pulse as they issue
-    k = s.allow(s.radd, k)
+        k = min(k, (acc + (end - t1) * ipc) // den)
+    k = s.allow(radd, k)
     if k < 1:
         return 0
     # the issue cycles; at a line a cycle the credit stays 0
-    issued = (range(t, t + k) if ipc == den else
-              [t - 1 - (acc - j * den) // ipc for j in range(1, k + 1)])
-    if k < (acc + (end - t) * ipc) // den:
+    issued = (range(t1, t1 + k) if ipc == den else
+              [t - (acc - j * den) // ipc for j in range(1, k + 1)])
+    if k < (acc + (end - t1) * ipc) // den:
         end = issued[-1] + 1
-    if s.radd:
+    if radd:
         st.reads += [c + lat for c in issued]
-    if s.wadd:
+    if wcap < _BIG:
         st.wb += [c + 1 for c in issued]        # ready once it is buffered
-    st.ipc_acc = acc + (end - t) * ipc - k * den
-    s.count(k, True, s.radd)
-    _hold(st, t, end, s.pulses, s.hits)
+    st.ipc_acc = acc - k * den
+    s.count(k, True, radd)
+    _hold(st, t1, end, s.pulses, s.hits)
     return end
 
 
-def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
-           rr):
-    """Apply in one hop the grants that a controller of rate num/den makes
-    to `cores` from its next line at `g` to before `end`, if each core
-    that requests can take them (`_Share`), else return None.  The
-    controller visited `t` last, and its accumulator holds `acc`, capped
-    at `cap`.
+def _train(cores, heads, at, due, rings, duration, t, g, end, acc, num,
+           den, cap, rr):
+    """Plan the hop from `t`, the cycle the loop visited last: each core
+    due at `t` + 1 that its workload issues in opens its share there
+    (`_opening`), and the controller of rate num/den, whose accumulator
+    holds `acc`, capped at `cap`, makes its grants from its next line at
+    `g` to before `end` to the cores that request (`heads`), each as one
+    share.
 
     The controller makes one grant a cycle at most: to a sole requester on
     any bus, and to several only on a bus of less than a line a cycle
@@ -1282,47 +1291,67 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
     shares ready at a grant take the grants after it in a rotation: the
     first takes them up to its place in the ring, and each next one from
     the place after the one before it up to its own; a sole share takes
-    them all, and the controller waits for its head.  At its turn a
-    share takes silent read grants without a run, and the others as one
-    more of its run, or of a run it sets up (`_Share.open`) when the
-    grant is not.  The rotation ends at a turn whose share is not ready,
-    before a grant at or after the first head of a share that was not
-    ready at its start, or when a core without requests is due: it steps
-    at its own deadline `due`, after that cycle's grant, as the loop
-    would step it.  The train ends before a grant that its share
-    refuses, at a requester's own deadline, or after a step that leaves
-    a request.  Each core it granted or stepped then holds its state at
-    `at` and its next step at `due`.  Returns the number of grants, the
-    last cycle the train covered, the accumulator and `rr` after it, the
-    first step and queue head of any core after it, and the controller's
-    next line."""
+    them all, and the controller waits for its head.  A share is built at
+    its first turn.  At its turn it takes silent read grants without a
+    run, and the others as one more of its run, or of a run it sets up
+    (`_Share.open`) when the grant is not.  The rotation ends at a turn
+    whose share is not ready, before a grant at or after the first head
+    of a share that was not ready at its start, or when a core without
+    requests is due: it steps at its own deadline `due`, after that
+    cycle's grant, as the loop would step it, opens its share if it is
+    due again the next cycle, and joins the train if it then requests.
+    The train ends before a grant that its share refuses, or at a
+    requester's own deadline.  Each core it granted, stepped or opened
+    then holds its state at `at`, its next step at `due` and its first
+    queue head in `heads`.  Returns the number of grants, the last cycle
+    the train covered (`t` if none), the accumulator and `rr` after it,
+    the first step and queue head of any core after it, and the
+    controller's next line."""
     n = len(cores)
+    # each requester's share, False until its first turn, and None for a
+    # core without requests
     shares = [None] * n
-    heads = [_BIG] * n                  # the first head of each core
     edge = end
-    step_at = _BIG                      # the next step of a core without
-    for i in range(n):                  # requests
-        st = cores[i]
-        if st.reads or st.wb:
-            s = shares[i] = _Share(st, at[i] - 1)
-            # a grant could let a core that is not stalled issue later or
-            # end its burst phase, which only a step does
-            if s.issue and (st.lines_left < 1 or not _queue_full(st)):
-                return None
-            if due[i] < end:
-                end = due[i]
-            heads[i] = _head(st)
-        elif due[i] < step_at:
-            step_at = due[i]
-    k = 0
-    last = t
+    queued = k = 0
+    last = step_at = t
     line = g                            # the controller's next line
     while True:
+        if last == step_at:
+            # the cores without requests: each due at `last` steps, after
+            # that cycle's grant, as the loop would step it; each due next
+            # cycle opens its share, and each that requests joins
+            step_at = _BIG
+            for i in range(n):
+                if shares[i] is None:
+                    st = cores[i]
+                    d = due[i]
+                    if d == last:
+                        if at[i] < last:
+                            _hold(st, at[i], last)
+                        _core_cycle(st, last, 0)
+                        heads[i] = _head(st)
+                        d = at[i] = last + 1
+                        d = due[i] = d + _core_span(st, d, duration - d)
+                    if at[i] == d and d == last + 1:
+                        e = _opening(st, last, line, heads[i], edge)
+                        if e:
+                            heads[i] = _head(st)
+                            at[i] = e
+                            d = due[i] = e + _core_span(st, e, duration - e)
+                    if heads[i] < _BIG:
+                        shares[i] = False
+                        queued += 1
+                        if d < end:
+                            end = d
+                    elif d < step_at:
+                        step_at = d
+            if queued > 1 and num >= den:
+                break                   # a cycle may grant several lines
         first = min(heads)
         if first > g:                   # the controller waits for a head
             g = first
         if step_at < g and step_at < end:
-            # the cores without requests due now step, in the cycle that
+            # the cores without requests due then step, in the cycle that
             # the last grant came in or after it
             acc += (step_at - last) * num
             if acc > cap:
@@ -1330,26 +1359,7 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             last = step_at
             if line <= last:            # the accumulator holds a line
                 line = last + 1
-            step_at = _BIG
-            requests = False
-            for i in range(n):
-                if shares[i] is None:
-                    d = due[i]
-                    if d == last:
-                        st = cores[i]
-                        if at[i] < last:
-                            _catch_up(st, at[i], last)
-                        _core_cycle(st, last, 0)
-                        d = at[i] = last + 1
-                        d += _core_span(st, d, duration - d)
-                        due[i] = d
-                        if st.reads or st.wb:
-                            heads[i] = _head(st)
-                            requests = True
-                    if d < step_at:
-                        step_at = d
-            if requests:
-                break
+            g = line                    # a core that steps may request
             continue
         if g >= end:
             break
@@ -1378,7 +1388,14 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
         while g < stop:
             if s is None:
                 # the share whose turn it is, and its open run
-                s = shares[turns[j]]
+                i = turns[j]
+                s = shares[i]
+                if not s:
+                    st = cores[i]
+                    # its grants issue from the credit while it is stalled
+                    # on a full queue with a line left
+                    s = shares[i] = _Share(st, at[i] - 1, _issues(
+                        st, at[i]) and st.lines_left > 0 and _queue_full(st))
                 st = s.st
                 reads, wb = st.reads, st.wb
                 issue = s.issue
@@ -1414,7 +1431,7 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                 lim = run if run < fill else fill
                 if rq is not q or rn == lim:
                     if rq is q and rn == run < fill:
-                        g = None        # one more of the run, past its limit
+                        end = g         # one more of the run, past its limit
                         break
                     if rn:              # the run ends: count its grants
                         s.count(rn, radd or wadd, kind)
@@ -1422,7 +1439,7 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                     opened = s.open(q)
                     if opened is None:
                         rq = None
-                        g = None
+                        end = g
                         break
                     radd, wadd, run, fill, kind = opened
                     rq = q
@@ -1441,13 +1458,13 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             done = first
             while True:
                 if credit:
-                    # the credit as `_catch_up` and `_core_cycle` leave it: a
+                    # the credit as `_hold` and `_core_cycle` leave it: a
                     # core that held a whole line before g holds none after
                     c = a + (g - s_last) * ipc
                     if issues:
                         c -= ipc_den
                         if c < 0:
-                            g = None
+                            stop = end = g
                             break
                         if c >= ipc:
                             c = 0
@@ -1465,13 +1482,13 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                 if acc > cap:
                     acc = cap
                 last = g
-                g = line = (last - (acc - den) // num if acc < den
-                            else last + 1)
+                g = last - (acc - den) // num if acc < den else last + 1
                 if done == top or g >= o or q[0] > g:
                     break
             done -= first
             if done:
                 over = 0
+                line = g
                 taken += done
                 left -= done
                 s.last = last
@@ -1482,8 +1499,6 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
                     rn += done
                 elif rq is wb and radd:
                     fill += done        # each frees a read slot
-            if g is None:
-                break
             if not left:
                 # the turn passes on: the share keeps its run
                 s.run = rq, radd, wadd, run, fill, rn, kind
@@ -1498,27 +1513,21 @@ def _train(cores, at, due, rings, duration, t, g, end, acc, num, den, cap,
             heads[i] = _head(cores[i])
         k += taken
         rr = (rr + taken) % n
-        if g is None or g >= end and step_at >= end:
+        if g >= end and step_at >= end:
             break
     # each core granted lands at its last grant and holds its state from
-    # there on.  The loop goes on to the first step or head of any core
-    nxt = edge if edge < step_at else step_at
-    ready = _BIG
+    # there on, its credit built up if it drained.  The loop goes on to
+    # the first step or head of any core
     for i in range(n if last > t else 0):
         s = shares[i]
-        if s is not None:
-            if s.last > s.t:
-                _q, radd, wadd, _run, _fill, rn, kind = s.run
-                if rn:                  # the run still open counts too
-                    s.count(rn, radd or wadd, kind)
-                d = at[i] = s.last + 1
-                _hold(s.st, s.t + 1, d, s.pulses, s.hits)
-                due[i] = d + _core_span(s.st, d, duration - d)
-            if due[i] < nxt:
-                nxt = due[i]
-        if heads[i] < ready:
-            ready = heads[i]
-    return k, last, acc, rr, nxt, ready, line
+        if s and s.last > s.t:
+            _q, radd, wadd, _run, _fill, rn, kind = s.run
+            if rn:                      # the run still open counts too
+                s.count(rn, radd or wadd, kind)
+            d = at[i] = s.last + 1
+            _hold(s.st, s.t + 1, d, s.pulses, s.hits, not s.issue)
+            due[i] = d + _core_span(s.st, d, duration - d)
+    return k, last, acc, rr, min(min(due), edge), min(heads), line
 
 
 # =========================================================================
@@ -1545,6 +1554,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
     ev_snap = [0] * n
     win_end = window
     grants = [0] * n
+    heads = [_BIG] * n  # the first queue head of each core (`_head`)
     at = [0] * n        # the cycle each core's state is valid at
     # the controller's round-robin order from each core
     rings = [tuple(range(i, n)) + tuple(range(i)) for i in range(n)]
@@ -1570,7 +1580,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
                 ci = rr + k
                 if ci >= n:
                     ci -= n
-                if _head(cores[ci]) <= cycle:
+                if heads[ci] <= cycle:
                     grants[ci] = 1
                     served += 1
                     if served == avail:
@@ -1588,71 +1598,40 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
         # regulators; each core first catches up from its own time ----
         edge = win_end if win_end < duration else duration
         nxt = edge
-        ready = _BIG
-        queued = 0
-        ramps = ()
         for i in range(n):
-            st = cores[i]
             g = grants[i]
             d = due[i]
             if g or d <= cycle:
+                st = cores[i]
                 if g:
                     grants[i] = 0
                 if at[i] < cycle:
-                    _catch_up(st, at[i], cycle)
+                    _hold(st, at[i], cycle)
                 _core_cycle(st, cycle, g)
+                heads[i] = _head(st)
                 d = cycle + 1
                 at[i] = d
                 if use_hops:
                     d += _core_span(st, d, duration - d)
-                    # a core due next cycle may issue a run there: one
-                    # outside its handler and not halted
-                    if d == at[i] and st.irq_phase < _IRQ_ENTRY and not (
-                            st.prev_throttle and st.reg.halts):
-                        ramps += (i,)
                 due[i] = d
             if d < nxt:
                 nxt = d
-            r = st.reads
-            if r and r[0] < ready:
-                ready = r[0]
-            w = st.wb
-            if w and w[0] < ready:
-                ready = w[0]
-            if r or w:
-                queued += 1
+        ready = min(heads)
 
-        if use_hops and (ramps or ready < nxt):
+        if use_hops and (ready < nxt or nxt == cycle + 1):
             # the controller's next line
             g = cycle - (acc - den) // num if acc < den else cycle + 1
-            # ---- each core due next cycle takes the lines it issues into
-            # its free queue slots as one run, before that line or a queue
-            # head ----
-            if ramps:
-                for i in ramps:
-                    st = cores[i]
-                    empty = not (st.reads or st.wb)
-                    d = _issue_run(st, cycle + 1, edge, g, ready)
-                    if d:
-                        at[i] = d
-                        due[i] = d + _core_span(st, d, duration - d)
-                        h = _head(st)
-                        if h < ready:
-                            ready = h
-                        queued += empty
-                nxt = min(min(due), edge)
-            # ---- the requesters take their next grants as one train, if
-            # the controller's next line comes before nxt and each can take
-            # them without a step: one on any bus, several when the bus
-            # grants at most one line a cycle.  The loop goes on from the
-            # last cycle the train covered, with the next step and head
-            # that it leaves ----
-            if ready < nxt and g < nxt and (queued == 1 or num < den):
-                run = _train(cores, at, due, rings, duration, cycle, g, edge,
-                             acc, num, den, cap, rr)
-                if run is not None and run[1] > cycle:
-                    k, cycle, acc, rr, nxt, ready, g = run
-                    total_granted += k
+            # ---- one train: the cores due next cycle open their shares
+            # with the lines they issue into their free queue slots, and
+            # the requesters take their next grants, if the controller's
+            # next line comes before nxt and each can take them without a
+            # step.  The loop goes on from the last cycle the train
+            # covered, with the next step and head that it leaves ----
+            if g < nxt or nxt == cycle + 1:
+                k, cycle, acc, rr, nxt, ready, g = _train(
+                    cores, heads, at, due, rings, duration, cycle, g, edge,
+                    acc, num, den, cap, rr)
+                total_granted += k
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready
@@ -1672,7 +1651,7 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
 
     for i in range(n):
         if at[i] < duration:
-            _catch_up(cores[i], at[i], duration)
+            _hold(cores[i], at[i], duration)
 
     # close the final (full or partial) window
     for i in range(n):

@@ -199,9 +199,9 @@ def test_simulate_text_matches_json(capsys):
     # each of these exited with an OverflowError or a ValueError traceback
     (["simulate", "--target", "inf"], "target_mbps inf is not"),
     (["simulate", "--target", "nan"], "target_mbps nan is not"),
-    (["simulate", "--duration-ms", "inf"], "inf us is not a finite time"),
+    (["simulate", "--duration-ms", "inf"], "duration_ms inf is not"),
     (["simulate", "--design", "memguard", "--period-us", "inf"],
-     "inf us is not a finite time"),
+     "period_us inf is not"),
     (["calibrate", "--period-us", "inf"], "period_us inf is not"),
     # nan reported that `pr` misses every target up to the cap
     (["calibrate", "--tol", "nan"], "tol nan is not a number >= 0"),
