@@ -103,13 +103,30 @@ def _check_positive(what, value):
                          % (what, value))
 
 
-def _check_cycles(what, value, cycles, board):
+def _check_cycles(what, value, cycles, board, counted=False):
     """Raise a RangeError that names `what` and `board`'s clock if `value`,
-    `cycles` cycles at that clock, is below 1 cycle."""
+    `cycles` cycles at that clock, is below 1 cycle, or over the trace
+    unit's 16-bit counter if a counter counts them (`counted`)."""
     if cycles < 1:
-        raise RangeError("%s %r is %d cycles at the %s clock of %d MHz, "
-                         "below 1 cycle" % (what, value, cycles, board.name,
-                                            board.freq_mhz))
+        why = "below 1 cycle"
+    elif counted and cycles > F.COUNTER_MAX:
+        why = "over the 16-bit counter; max is %.1f us" % R.max_period(
+            board.freq_mhz)
+    else:
+        return
+    raise RangeError("%s %r is %d cycles at the %s clock of %d MHz, %s"
+                     % (what, value, cycles, board.name, board.freq_mhz, why))
+
+
+def _period_cycles(board, period_us, designs):
+    """`period_us` in cycles of `board`'s clock, or a RangeError that
+    names it if it is not a positive finite number, is below 1 cycle or,
+    for a trace-unit design among `designs`, over its 16-bit counter."""
+    _check_positive("period_us", period_us)
+    cycles = board.period_cycles(period_us)
+    _check_cycles("period_us", period_us, cycles, board,
+                  any(d in R.ETM_DESIGNS for d in designs))
+    return cycles
 
 
 def us_to_cycles(us, freq_mhz) -> int:
@@ -135,8 +152,7 @@ def budget_to_bandwidth(budget_events, period_us) -> float:
 
 def regulator_for(design, board: BoardPreset, target_mbps, period_us):
     """Build the regulator runtime config for one sweep point."""
-    _check_positive("period_us", period_us)
-    pc = board.period_cycles(period_us)
+    pc = _period_cycles(board, period_us, (design,))
     if design in R.ETM_DESIGNS:
         return R.build_config(R.RegulatorSpec(
             design, bandwidth_to_budget(target_mbps, period_us), pc,
@@ -189,26 +205,17 @@ class ExperimentConfig:
         object.__setattr__(self, "targets_mbps", tuple(
             float(config_value("targets_mbps", t))
             for t in self.targets_mbps))
-        _check_positive("period_us", config_value("period_us",
-                                                  self.period_us))
+        b = preset(self.board)
+        _period_cycles(b, config_value("period_us", self.period_us),
+                       self.designs)
         _check_positive("duration_ms", config_value("duration_ms",
                                                     self.duration_ms))
-        b = preset(self.board)
         if not self.targets_mbps:
             raise ValueError("no sweep targets")
         for t in self.targets_mbps:
             _check_positive("targets_mbps entry", t)
-        _check_cycles("period_us", self.period_us,
-                      b.period_cycles(self.period_us), b)
         _check_cycles("duration_ms", self.duration_ms,
                       us_to_cycles(self.duration_ms * 1000, b.freq_mhz), b)
-        if any(d in R.ETM_DESIGNS for d in self.designs) \
-                and b.period_cycles(self.period_us) > F.COUNTER_MAX:
-            raise ValueError(
-                "period %.1f us is %d cycles at %d MHz, over the 16-bit "
-                "counter; max is %.1f us"
-                % (self.period_us, b.period_cycles(self.period_us),
-                   b.freq_mhz, R.max_period(b.freq_mhz)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -40,8 +40,8 @@ level (the fabric and MemGuard raise an interrupt, MemGuard's handler
 sleeps instead of polling, MemPol halts issue from outside).
 
 Each core keeps its own time, and a cycle steps only the cores that act
-in it.  The loop skips the other cycles in hops of two kinds, and every
-hopped core lands in one way.
+in it.  The loop skips the other cycles in hops of two kinds, core spans
+and shares, and every hopped core lands in one way.
 
 A core span (`_core_span`) skips one core's inert cycles (throttle
 stalls, idle phases, compute-bound spans, a saturating core waiting on
@@ -68,43 +68,44 @@ ready: a read's after the memory latency, a write-back's the cycle after
 it is buffered.  A window edge needs no core step, as a core's event
 count moves only at its stepped cycles.
 
-The train (`_train`) is the one hop the loop plans at a cycle it
-visits.  It takes each core in it as a share (`_Share`), which states
-once the bounds of a hop whose events are issues and grants.  Its
-workload issues outside its handler, not halted, not idle and at a rate
-above 0, into the queues that `CoreState.caps` names for its op, up to
-their free slots and short of its burst phase's last line, whose issue
-ends the phase, which only a step does.  Its pulses are of one kind, as
-many as the regulator's `pulse_budget` allows.
+A share (`_Share`) states once the bounds of a core's hop whose events
+are issues and grants.  Its workload issues outside its handler, not
+halted, not idle and at a rate above 0, into the queues that
+`CoreState.caps` names for its op, up to their free slots and short of
+its burst phase's last line, whose issue ends the phase, which only a
+step does.  Its pulses are of one kind, as many as the regulator's
+`pulse_budget` allows.
 
-A core that steps and is due again the next cycle, with a workload that
-issues, as it refills its free queue slots after its handler exits or
-at a burst start, opens its share (`_opening`): it takes the issues of
-its credit's closed form in one hop, up to the controller's next
-possible grant to it.
+A core's step (`_step`) lands it, steps it and finds its span; one due
+again the next cycle, with a workload that issues, as it refills its
+free queue slots after its handler exits or at a burst start, ends it by
+opening its share (`_opening`): the issues of its credit's closed form
+in one hop, up to the controller's next possible grant to it.
 
-Then the cores that request take their grants in one hop, each while it
-is stalled on a full queue with a line left, a grant that frees it
-issuing from the credit, or drains: a grant only retires a line, but a
-freed read slot in its handler takes a pending kernel line, an idle
-core's fabric stays frozen under `wfi_idle`, and a core whose workload
-issues but is not stalled drains up to its next issue, which bounds its
-share, its credit building up.  The train serves one requester on any
-bus, as a core takes one line a cycle at most, and several on a bus of
-less than a line a cycle (`num < den`, as on every board preset), where
-the controller makes one grant a cycle at most, in round-robin order:
-the cores whose heads are ready take the grants in turns, at the
+The train (`_train`) is the one hop the loop plans, at a visit where a
+queue head and the controller's next line both come before the next
+step.  The cores that request take their grants in it, each while it is
+stalled on a full queue with a line left, a grant that frees it issuing
+from the credit, or drains: a grant only retires a line, but a freed
+read slot in its handler takes a pending kernel line, an idle core's
+fabric stays frozen under `wfi_idle`, and a core whose workload issues
+but is not stalled drains up to its next issue, which bounds its share,
+its credit building up.  The train serves one requester on any bus, as
+a core takes one line a cycle at most, and several on a bus of less
+than a line a cycle (`num < den`, as on every board preset), where the
+controller makes one grant a cycle at most, in round-robin order: the
+cores whose heads are ready take the grants in turns, at the
 controller's closed-form grant cycles, and the controller waits for a
 lone requester's head.  Each grant retires a ready read first, else the
 write-back head.  A read grant that issues and pulses nothing is silent;
 the others come in runs alike (`_Share.open`), each retiring the head of
 one queue, then issuing from the credit, a kernel line, or nothing.  A
-core without requests steps inside the train at its own deadline, opens
-its share there if it is due again the next cycle, and joins the train
-if it then requests.  The train ends before a grant that its share
-refuses, or when a requester, the window edge or the duration is due; on
-a bus of a line a cycle or more, the grants to several requesters step
-one by one.  The loop goes on from the last cycle it covered.
+core without requests steps inside the train at its own deadline, and
+joins the train if it then requests.  The train ends before a grant
+that its share refuses, or when a requester, the window edge or the
+duration is due; on a bus of a line a cycle or more, the grants to
+several requesters step one by one.  The loop goes on from the last
+cycle it covered.
 
 Every hopped core lands in one way (`_hold`): its throttled, handler and
 idle cycles count, its handler's moves apply in closed form, its
@@ -665,6 +666,11 @@ class _MemPol(_Unregulated):
 # per-core mutable state
 # =========================================================================
 
+# what a line's move pulses: a write-back as it retires, a refill as it
+# issues into a read slot, both in a train's grant, or neither
+_WBK = 1
+_REFILL = 2
+
 # what a core fixes when the run starts
 _CONSTANTS = (
     "model", "workload", "reg",
@@ -672,7 +678,7 @@ _CONSTANTS = (
     "ipc", "ipc_den", "ipc_stall", "wfi_idle", "trace_recs",
     # pulse masks, and the monitored events of one line's pulse
     "refill_mask", "wbk_mask", "tap_mask", "refill_hits", "wbk_hits",
-    # each op's queue limits
+    # each op's queue limits and adds
     "caps",
 )
 
@@ -707,11 +713,14 @@ class CoreState:
         self.wb = []
         self.refill_mask = F._signal_mask(m.refill_signals)
         self.wbk_mask = F._signal_mask(m.wb_signals)
-        # the read-slot and write-buffer limits of the queues that each op
-        # fills, `_BIG` for a queue it does not fill
+        # each op's issue: the read-slot and write-buffer limits of the
+        # queues it fills, `_BIG` for a queue it does not fill, and what it
+        # adds to them, a read that pulses a refill and a write-back
         r, w = m.read_outstanding, m.write_buffer_depth
-        self.caps = {OP_READ: (r, _BIG), OP_PREFETCH: (r, _BIG),
-                     OP_WRITE: (_BIG, w), OP_MODIFY: (r, w)}
+        read = (r, _BIG, _REFILL, False)
+        self.caps = {OP_READ: read, OP_PREFETCH: read,
+                     OP_WRITE: (_BIG, w, 0, True),
+                     OP_MODIFY: (r, w, _REFILL, True)}
 
         w = spec.workload
         self.phase = 0
@@ -823,7 +832,6 @@ def snapshot(st: CoreState):
 def _advance_burst(st: CoreState, cycle):
     """Move to the next burst phase once lines and idle are both spent."""
     w = st.workload
-    hops = 0
     while st.lines_left == 0:
         _op, _nbytes, idle = w.pattern[st.phase]
         if idle:
@@ -837,9 +845,6 @@ def _advance_burst(st: CoreState, cycle):
         st.op = op
         st.lines_left = nbytes // CACHELINE
         st.idle_until = 0
-        hops += 1
-        if hops > len(w.pattern):
-            return
 
 
 def _core_cycle(st: CoreState, cycle, grants):
@@ -924,12 +929,12 @@ def _core_cycle(st: CoreState, cycle, grants):
                 st.ipc_acc = acc - st.ipc_den
                 st.issued_lines += 1
                 st.lines_left -= 1
-                rcap, wcap = st.caps[st.op]
-                if rcap < _BIG:
+                _rcap, _wcap, radd, wadd = st.caps[st.op]
+                if radd:
                     st.reads.append(cycle + m.mem_latency_cycles)
                     pm |= st.refill_mask
                     hits += st.refill_hits
-                if wcap < _BIG:
+                if wadd:
                     st.wb.append(cycle + 1)     # ready once it is buffered
 
     # ---- the regulator observes the cycle ----
@@ -955,7 +960,7 @@ def _core_cycle(st: CoreState, cycle, grants):
 def _queue_full(st: CoreState):
     """True when a queue that core `st`'s workload op fills is full, so
     its issue stage stalls."""
-    rcap, wcap = st.caps[st.op]
+    rcap, wcap, _radd, _wadd = st.caps[st.op]
     return len(st.reads) >= rcap or len(st.wb) >= wcap
 
 
@@ -971,8 +976,8 @@ def _core_span(st: CoreState, cycle, limit):
     `quiet_span`.  A core whose queue is full cannot issue until a grant
     frees the queue, and the handler's other moves only relabel it: its
     landing (`_hold`) advances both without a deadline.  A core whose
-    next issue is due within 2 cycles steps the next cycle, unless the
-    train opens its share with that cycle and the issues after it
+    next issue is due within 2 cycles steps the next cycle, unless its
+    step opens its share with that cycle and the issues after it
     (`_opening`)."""
     reg = st.reg
     phase = st.irq_phase
@@ -1066,11 +1071,6 @@ def _hold(st: CoreState, start, end, pulses=0, hits=0, credit=True):
             t += -(-(end - t) // p) * p
     st.irq_at = t
 
-
-# what a grant of a train pulses: a write-back as it retires, a refill as
-# the freed slot takes a line, both, or neither
-_WBK = 1
-_REFILL = 2
 # a share's `run` while none is open: its queue, adds, limit, fill, grants
 # and pulse kind
 _CLOSED = (None, 0, 0, 0, 0, 0, 0)
@@ -1091,7 +1091,7 @@ def _room(st: CoreState, q):
     only a step does, and the fill of the queues that its op fills
     (`CoreState.caps`) and no grant drains.  None if the grant leaves no
     slot free."""
-    rcap, wcap = st.caps[st.op]
+    rcap, wcap, _radd, _wadd = st.caps[st.op]
     reads, wb = st.reads, st.wb
     # the queue lengths after the grant
     nr, nw = len(reads) - (q is reads), len(wb) - (q is wb)
@@ -1130,8 +1130,8 @@ class _Share:
     The others come in runs alike (`open`), which `run` holds from one
     turn to the next: each grant retires the head of one queue and then
     issues from the credit, a pending kernel line, or nothing."""
-    __slots__ = ("st", "issue", "t", "last", "rcap", "wcap", "radd", "wadd",
-                 "kind", "hits", "budget", "run", "pulses")
+    __slots__ = ("st", "issue", "t", "last", "wcap", "radd", "wadd", "kind",
+                 "hits", "budget", "run", "pulses")
 
     def __init__(self, st, t, issue):
         self.st = st
@@ -1140,10 +1140,7 @@ class _Share:
         self.run = _CLOSED
         self.issue = issue
         if issue:
-            rcap, wcap = self.rcap, self.wcap = st.caps[st.op]
-            # an issue that fills a read slot pulses a refill
-            self.radd = _REFILL if rcap < _BIG else 0
-            self.wadd = wcap < _BIG
+            _rcap, self.wcap, self.radd, self.wadd = st.caps[st.op]
 
     def open(self, q):
         """Set up the run whose grants retire the head of queue `q`.  The
@@ -1211,33 +1208,32 @@ class _Share:
                 st.tap_events += n
 
 
-def _opening(st: CoreState, t, g, h, end):
-    """Open core `st`'s share at `t` + 1, the cycle it is due, if its
-    workload issues there: apply in one hop the lines it issues from its
-    credit into its free queue slots (`_room`), with their queue entries,
-    counts and refill pulses (`_Share.allow`, `_Share.count`).  They come
-    at the cycles of the credit's closed form, before `end`, the
-    interrupt's entry, the regulator's `quiet_span` and the controller's
-    next possible grant to the core: the later of its next line `g` and
-    the first of the core's heads, `h` or the run's own.  The checks that
-    need no probe of the regulator, whose answers cost a fabric step
-    each, come before the share is built.  Returns the cycle the core's
-    state then holds at, or 0 if it takes no line.  A core whose workload
-    issues replays no trace records."""
+def _opening(st: CoreState, t, g, end):
+    """Open core `st`'s share at `t` + 1, the cycle it is due after its
+    step at `t`, if its workload issues there: apply in one hop the lines
+    it issues from its credit into its free queue slots (`_room`), with
+    their queue entries, counts and refill pulses (`_Share.allow`,
+    `_Share.count`).  They come at the cycles of the credit's closed form,
+    before `end`, the interrupt's entry, the regulator's `quiet_span` and
+    the controller's next possible grant to the core: the later of its
+    next line `g` and the first of the core's own heads (`_head`) or the
+    run's.  The checks that need no probe of the regulator, whose answers
+    cost a fabric step each, come before the share is built.  Returns the
+    cycle the core's state then holds at, or 0 if it takes no line.  A
+    core whose workload issues replays no trace records."""
     t1 = t + 1
     room = _issues(st, t1) and _room(st, ())
     if not room:
         return 0
     ipc, den, acc = st.ipc, st.ipc_den, st.ipc_acc
     lat = st.model.mem_latency_cycles
-    rcap, wcap = st.caps[st.op]
-    # an issue that fills a read slot pulses a refill
-    radd = _REFILL if rcap < _BIG else 0
+    _rcap, _wcap, radd, wadd = st.caps[st.op]
     # the k-th issue comes at t - (acc - k * den) // ipc; the run's first
     # head is the first issue's write-back, ready the cycle after, or its
     # read, ready `lat` cycles after, whichever comes first
     head = t - (acc - den) // ipc
-    head += 1 if wcap < _BIG and (lat or not radd) else lat
+    head += 1 if wadd and (lat or not radd) else lat
+    h = _head(st)
     if h < head:
         head = h
     if head < g:
@@ -1267,7 +1263,7 @@ def _opening(st: CoreState, t, g, h, end):
         end = issued[-1] + 1
     if radd:
         st.reads += [c + lat for c in issued]
-    if wcap < _BIG:
+    if wadd:
         st.wb += [c + 1 for c in issued]        # ready once it is buffered
     st.ipc_acc = acc - k * den
     s.count(k, True, radd)
@@ -1275,14 +1271,30 @@ def _opening(st: CoreState, t, g, h, end):
     return end
 
 
+def _step(st: CoreState, start, cycle, grant, g, end, duration):
+    """Land core `st` at `cycle` from `start` (`_hold`), step it there
+    with the cycle's grant if `grant` and find its next step
+    (`_core_span`); if that is the next cycle, open its share there
+    (`_opening`) before `end`, the controller's next line being `g`.
+    Returns the cycle its state then holds at and its next step."""
+    if start < cycle:
+        _hold(st, start, cycle)
+    _core_cycle(st, cycle, grant)
+    t = cycle + 1
+    span = _core_span(st, t, duration - t)
+    if not span:
+        e = _opening(st, cycle, g, end)
+        if e:
+            return e, e + _core_span(st, e, duration - e)
+    return t, t + span
+
+
 def _train(cores, heads, at, due, rings, duration, t, g, end, acc, num,
            den, cap, rr):
-    """Plan the hop from `t`, the cycle the loop visited last: each core
-    due at `t` + 1 that its workload issues in opens its share there
-    (`_opening`), and the controller of rate num/den, whose accumulator
-    holds `acc`, capped at `cap`, makes its grants from its next line at
-    `g` to before `end` to the cores that request (`heads`), each as one
-    share.
+    """Plan the hop from `t`, the cycle the loop visited last: the
+    controller of rate num/den, whose accumulator holds `acc`, capped at
+    `cap`, makes its grants from its next line at `g` to before `end` to
+    the cores that request (`heads`), each as one share.
 
     The controller makes one grant a cycle at most: to a sole requester on
     any bus, and to several only on a bus of less than a line a cycle
@@ -1297,15 +1309,14 @@ def _train(cores, heads, at, due, rings, duration, t, g, end, acc, num,
     (`_Share.open`) when the grant is not.  The rotation ends at a turn
     whose share is not ready, before a grant at or after the first head
     of a share that was not ready at its start, or when a core without
-    requests is due: it steps at its own deadline `due`, after that
-    cycle's grant, as the loop would step it, opens its share if it is
-    due again the next cycle, and joins the train if it then requests.
-    The train ends before a grant that its share refuses, or at a
-    requester's own deadline.  Each core it granted, stepped or opened
-    then holds its state at `at`, its next step at `due` and its first
-    queue head in `heads`.  Returns the number of grants, the last cycle
-    the train covered (`t` if none), the accumulator and `rr` after it,
-    the first step and queue head of any core after it, and the
+    requests is due: it steps at its own deadline `due` (`_step`), after
+    that cycle's grant, as the loop would step it, and joins the train if
+    it then requests.  The train ends before a grant that its share
+    refuses, or at a requester's own deadline.  Each core it granted or
+    stepped then holds its state at `at`, its next step at `due` and its
+    first queue head in `heads`.  Returns the number of grants, the last
+    cycle the train covered (`t` if none), the accumulator and `rr` after
+    it, the first step and queue head of any core after it, and the
     controller's next line."""
     n = len(cores)
     # each requester's share, False until its first turn, and None for a
@@ -1318,26 +1329,18 @@ def _train(cores, heads, at, due, rings, duration, t, g, end, acc, num,
     while True:
         if last == step_at:
             # the cores without requests: each due at `last` steps, after
-            # that cycle's grant, as the loop would step it; each due next
-            # cycle opens its share, and each that requests joins
+            # that cycle's grant, as the loop would step it, and each that
+            # then requests joins
             step_at = _BIG
             for i in range(n):
                 if shares[i] is None:
-                    st = cores[i]
                     d = due[i]
                     if d == last:
-                        if at[i] < last:
-                            _hold(st, at[i], last)
-                        _core_cycle(st, last, 0)
+                        st = cores[i]
+                        at[i], d = _step(st, at[i], last, 0, line, edge,
+                                         duration)
+                        due[i] = d
                         heads[i] = _head(st)
-                        d = at[i] = last + 1
-                        d = due[i] = d + _core_span(st, d, duration - d)
-                    if at[i] == d and d == last + 1:
-                        e = _opening(st, last, line, heads[i], edge)
-                        if e:
-                            heads[i] = _head(st)
-                            at[i] = e
-                            d = due[i] = e + _core_span(st, e, duration - e)
                     if heads[i] < _BIG:
                         shares[i] = False
                         queued += 1
@@ -1595,48 +1598,45 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
             acc = cap
 
         # ---- 2+3. the cores due now or given a grant, and their
-        # regulators; each core first catches up from its own time ----
+        # regulators.  With hops, each core first catches up from its own
+        # time, and one due again the next cycle opens its share there, up
+        # to the controller's next line g, which no step moves ----
         edge = win_end if win_end < duration else duration
+        g = cycle - (acc - den) // num if acc < den else cycle + 1
         nxt = edge
         for i in range(n):
-            g = grants[i]
+            grant = grants[i]
             d = due[i]
-            if g or d <= cycle:
+            if grant or d <= cycle:
                 st = cores[i]
-                if g:
+                if grant:
                     grants[i] = 0
-                if at[i] < cycle:
-                    _hold(st, at[i], cycle)
-                _core_cycle(st, cycle, g)
-                heads[i] = _head(st)
-                d = cycle + 1
-                at[i] = d
                 if use_hops:
-                    d += _core_span(st, d, duration - d)
+                    at[i], d = _step(st, at[i], cycle, grant, g, edge,
+                                     duration)
+                else:
+                    _core_cycle(st, cycle, grant)
+                    d = at[i] = cycle + 1
                 due[i] = d
+                heads[i] = _head(st)
             if d < nxt:
                 nxt = d
         ready = min(heads)
 
-        if use_hops and (ready < nxt or nxt == cycle + 1):
-            # the controller's next line
-            g = cycle - (acc - den) // num if acc < den else cycle + 1
-            # ---- one train: the cores due next cycle open their shares
-            # with the lines they issue into their free queue slots, and
-            # the requesters take their next grants, if the controller's
-            # next line comes before nxt and each can take them without a
-            # step.  The loop goes on from the last cycle the train
-            # covered, with the next step and head that it leaves ----
-            if g < nxt or nxt == cycle + 1:
-                k, cycle, acc, rr, nxt, ready, g = _train(
-                    cores, heads, at, due, rings, duration, cycle, g, edge,
-                    acc, num, den, cap, rr)
-                total_granted += k
+        # ---- one train: the requesters take their next grants, if a head
+        # and the controller's next line both come before nxt, which they
+        # never do without hops, as every core is due the next cycle.  The
+        # loop goes on from the last cycle the train covered, with the next
+        # step and head that it leaves ----
+        if ready < nxt and g < nxt:
+            k, cycle, acc, rr, nxt, ready, g = _train(
+                cores, heads, at, due, rings, duration, cycle, g, edge, acc,
+                num, den, cap, rr)
+            total_granted += k
 
         # ---- 4. on to the next cycle that a core or the controller acts
         # in: the controller's next possible grant is the earliest ready
-        # queue head, once the accumulator holds a whole line at g (set
-        # above, as the hops run whenever a head is ready before nxt) ----
+        # queue head, once the accumulator holds a whole line at g ----
         cycle += 1
         if nxt > cycle and ready < nxt:
             if ready < g:

@@ -223,6 +223,23 @@ def test_a_duration_below_one_cycle_is_named(capsys, command, duration):
         and "cycles at the zcu102 clock of 1200 MHz, below 1 cycle" in err, err
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("period,design,why", [
+    ("0.0001", "memguard", "0 cycles at the zcu102 clock of 1200 MHz, "
+     "below 1 cycle"),
+    ("100", "pr", "120000 cycles at the zcu102 clock of 1200 MHz, over the "
+     "16-bit counter; max is 54.6 us"),
+], ids=["below-a-cycle", "over-the-counter"])
+def test_a_period_out_of_range_is_named(capsys, command, period, design,
+                                        why):
+    # each named the design's config field: "period 0 cycles is below 1
+    # cycle" and "period 120000 cycles exceeds 16-bit counter range"
+    assert C.main([command, "--design", design, "--period-us", period]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: period_us %r is %s"
+                          % (float(period), why)), err
+
+
 def test_simulate_unknown_board_is_parse_error():
     with pytest.raises(SystemExit) as e:
         C.main(["simulate", "--board", "breadboard"])

@@ -93,9 +93,11 @@ def test_regulator_for_each_kind():
 
 @pytest.mark.parametrize("design", R.ALL_DESIGNS)
 def test_regulator_for_rejects_a_zero_cycle_period(design):
-    # 0.0001 us rounds to 0 cycles at 1200 MHz
+    # 0.0001 us rounds to 0 cycles at 1200 MHz; each design's config
+    # said "period 0 cycles is below 1 cycle", which names no argument
     b = H.preset("zcu102")
-    with pytest.raises(RangeError, match="0 cycles is below 1 cycle"):
+    with pytest.raises(RangeError, match="period_us 0.0001 is 0 cycles at "
+                       "the zcu102 clock of 1200 MHz, below 1 cycle"):
         H.regulator_for(design, b, 350, 0.0001)
 
 

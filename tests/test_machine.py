@@ -395,6 +395,11 @@ def _diff_scenarios():
                                       (M.OP_READ, 448, 3000))), None),
     }
     out = {k: one_core(w, r, dur=120_000) for k, (w, r) in single.items()}
+    # empty phases around an idle-only phase and a read phase: each phase
+    # move passes them, the last one wrapping around to the first
+    out["burst_empty_phases_wrap"] = one_core(M.Burst((
+        (M.OP_WRITE, 0, 0), (M.OP_READ, 0, 400), (M.OP_MODIFY, 0, 0),
+        (M.OP_READ, 64 * 12, 0), (M.OP_WRITE, 0, 0))), pr, dur=60_000)
     # at 1 line/cycle the controller holds a whole line while a single
     # read slot waits out the memory latency
     out["over_grant"] = one_core(M.Synthetic(op="read"),
@@ -476,6 +481,18 @@ def _diff_scenarios():
         outputs=(F.ExternalOutputConfig(1, 3),))
     out["pulse_reloaded_counter"] = one_core(M.Synthetic(op="read"), reloaded,
                                              dur=20_000, cap=0.05)
+    # counter 1 counts the event tap and each quiet cycle reloads it: at
+    # its reload value a quiet cycle seems to leave it alone.  At a grant
+    # every other cycle it never fires
+    zero1 = F.ResourceSelectorConfig(F.COUNTER_ZERO, frozenset({1}))
+    quiet_reloaded = F.EtmConfig(
+        inputs=(F.ExternalInputSelector(frozenset({21})),),
+        selectors=F.HARDWIRED + (ext, zero1),
+        counters=(F.CounterConfig(1, 50, F.EventSpec(2), reload_event=(
+            F.EventSpec(2, invert_a=True))),),
+        outputs=(F.ExternalOutputConfig(1, 3),))
+    out["quiet_reloaded_counter_1"] = one_core(
+        M.Synthetic(op="read"), quiet_reloaded, dur=20_000, cap=0.5)
     # a chained counter 0 whose value crosses 16 bits: a cycle counter
     # that fires 5 interrupts, and a pulse counter that never fires
     for name, reload_value, inp in (("cycles", 70_000, F.TRUE_SEL),
@@ -993,7 +1010,8 @@ def test_the_per_cycle_run_steps_every_core_every_cycle(monkeypatch):
     def planner(*args):
         raise AssertionError("the run without hops planned a hop")
 
-    monkeypatch.setattr(M, "_train", planner)
+    for name in ("_train", "_step", "_opening"):
+        monkeypatch.setattr(M, name, planner)
     M.run_system(sc, use_hops=False)
     assert rec.steps == len(sc.cores) * sc.duration_cycles
 
@@ -1265,6 +1283,33 @@ def test_hops_build_few_futile_shares(monkeypatch, name):
     most_futile, most_probes = _FUTILE[name]
     assert futile <= most_futile
     assert probes[0] <= most_probes
+
+
+# `_train` calls that take no grant per scenario, since the loop calls it
+# only when a queue head and the controller's next line both come before
+# the next step, and a core that steps opens its share itself.  While the
+# loop also called it at each visit where a core was due the next cycle,
+# to open that core's share, they read 160, 249, 3,415 and 343
+_FUTILE_TRAINS = {"drain_pr_stop_write_poll_20": 0,
+                  "idle_drain_50_wfi_False": 3,
+                  "random_config_reads_latch": 0,
+                  "sole_share_waits_then_bunched_head": 19}
+
+
+@pytest.mark.parametrize("name", sorted(_FUTILE_TRAINS))
+def test_trains_take_grants(monkeypatch, name):
+    # the counts repeat exactly
+    futile = [0]
+    train = M._train
+
+    def counting(*args):
+        out = train(*args)
+        futile[0] += not out[0]
+        return out
+
+    monkeypatch.setattr(M, "_train", counting)
+    M.run_system(_DIFF[name])
+    assert futile[0] <= _FUTILE_TRAINS[name]
 
 
 # core-steps, since the handler's moves that only relabel its core (its
