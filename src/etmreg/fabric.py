@@ -28,8 +28,9 @@ levels reflect the frozen sequencer with all pulses low.
 `compile_fabric` turns a config into generated functions over a plain
 state tuple: `step`, the one way to step the fabric; `probe` and the
 pulse-free `quiet_probe`, one step that answers only how far each
-counter drops if nothing else changes, and which counter-zero latches it
-leaves, which the machine's hops ask; and `idle_out`.  The code is
+counter drops, and which counter-zero latches it leaves, in a cycle that
+changes nothing else (`_generate_kernel` states what a probe refuses),
+which the machine's hops ask; and `idle_out`.  The code is
 generated per config shape: the config's constants (reload values, tap and
 comparator masks) are names bound per config, so the configs of one
 shape share one compile.  The generator folds constants as it builds the
@@ -313,7 +314,7 @@ def validate_config(config: EtmConfig) -> ResourceReport:
         v.append("CounterBudget: duplicate counter index")
     chained = False
     for c in config.counters:
-        if c.index not in (0, 1):
+        if c.index not in range(NUM_COUNTERS):
             v.append("CounterBudget: counter index %d invalid" % c.index)
         if c.chained:
             if c.index != 0:
@@ -583,9 +584,8 @@ class _Kernel:
 
     def counters_of(self, p, probe):
         """Emit the counters' decrement phase and reload triggers.  In a
-        probe, a fire returns None.  Returns each counter's next value,
-        fire, zero signal and, in a probe, drop, and the probe's checks
-        that a counter a trigger may reload drops by 0 or 1."""
+        probe, a fire or a reload trigger returns None.  Returns each
+        counter's next value, fire, zero signal and drop."""
         prev = ("z0p", "z1p")
         nv, f, pz, dec = ["cv0", "cv1"], ["False"] * 2, ["False"] * 2, \
             ["False"] * 2
@@ -608,22 +608,20 @@ class _Kernel:
                 nv[n] = self.let("nv%d" % n, down)
                 pz[n] = self.let("pz%d" % n, "(%s == 0)" % nv[n])
         nz = list(pz)
-        d = [_pick(dec[n], "1", "0") for n in (0, 1)]
-        checks = []
         for n, (_, self_reload, trigger) in sorted(self.counters.items()):
             e = "False"
             if trigger is not None:
                 e = self.event(trigger, (tuple(pz), "seq", p, "cm"))
-            if e != "False":
+            if probe:
+                if e != "False":
+                    self.lines.append("if %s: return None" % e)
+            elif e != "False":
                 nv[n] = self.let("nv%d" % n, _pick(e, "R%d" % n, nv[n]))
-                if probe:
-                    d[n] = self.let("d%d" % n, "cv%d - %s" % (n, nv[n]))
-                    checks.append("%s not in (0, 1)" % d[n])
                 if not self_reload:
                     nz[n] = self.let("nz%d" % n, "(%s == 0)" % nv[n])
-            elif not probe:
+            else:
                 nv[n] = self.let("nv%d" % n, nv[n])
-        return nv, f, tuple(nz), d, checks
+        return nv, f, tuple(nz), [_pick(e, "1", "0") for e in dec]
 
     def transitions(self, nz, p, k):
         """The sequencer's selectors at latched state k: reset, forward
@@ -681,7 +679,7 @@ class _Kernel:
 
     def step(self):
         self.lines = []
-        nv, f, nz, _, _ = self.counters_of("p", False)
+        nv, f, nz, _ = self.counters_of("p", False)
         cases = [(k, self.next_state(nz, "p", k)) for k in range(SEQ_STATES)]
         cases = [(k, e) for k, e in cases if e != str(k)]
         ns = "seq"
@@ -713,7 +711,7 @@ class _Kernel:
 
     def probe(self, p, latched):
         self.lines = []
-        _, _, nz, d, checks = self.counters_of(p, True)
+        _, _, nz, d = self.counters_of(p, True)
         moved = "False"
         for k in range(SEQ_STATES):
             moved = _join(moved, "or", _join("(seq == %d)" % k, "and",
@@ -722,7 +720,7 @@ class _Kernel:
         if latched:
             tests += [_differs(nz[0], "z0p"), _differs(nz[1], "z1p")]
         tests.append("%s != out" % self.outputs_of(nz, "seq", p, "cm"))
-        for e in tests + checks:
+        for e in tests:
             if e != "False":
                 self.lines.append("if %s: return None" % e)
         self.lines.append("return (cv0, cv1, %s, %s, %s, %s)"
@@ -752,12 +750,15 @@ def _generate_kernel(shape):
 
     where p is the pulsing-signal bitmask and cm the comparator-pair
     bitmask.  A probe steps the state once and returns how far each
-    counter drops and the counter-zero latches the step leaves, or None
-    if a counter fires or drops by other than 0 or 1, or the sequencer or
-    the output mask (`out` before the cycle) changes.  It refuses a latch
-    change only where a counter input or the idle output reads the
-    latches (`_Kernel.reads_latch`): elsewhere, as in every paper design,
-    the steps after one that clears a latch behave as it does.
+    counter drops, 0 or 1, and the counter-zero latches the step leaves.
+    It returns None if, in that cycle, a counter fires, a reload trigger
+    fires, the sequencer moves or the output mask (`out` before the
+    cycle) changes.  It refuses a latch change only where a counter input
+    or the idle output reads the latches (`_Kernel.reads_latch`):
+    elsewhere, as in every paper design, the steps after one that clears
+    a latch behave as it does.  So the cycles of a hop that repeat a
+    probed kind of cycle, quiet or pulsing, each drop the counters as the
+    probe found and reload none.
     """
     g = _Kernel(shape)
     latched = g.reads_latch()
@@ -796,9 +797,8 @@ class CompiledFabric:
     by (fired0, fired1, out_mask).  probe(cv0, cv1, seq, z0, z1, p, cm,
     out) is one step from a cycle whose output mask was `out`: it returns
     (cv0, cv1, d0, d1, z0', z1'), how far each counter drops and the
-    counter-zero latches the step leaves, or None if a counter fires or
-    drops by other than 0 or 1, or a level changes, or a latch changes
-    where a counter input or the idle output reads it.
+    counter-zero latches the step leaves, or None in a cycle that
+    `_generate_kernel` says a probe refuses.
     quiet_probe(cv0, cv1, seq, z0, z1, cm, out) is probe with p = 0.
     idle_out(seq, z0, z1) is the output mask of an idle cycle, which
     leaves the state as it is."""

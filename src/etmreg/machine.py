@@ -468,12 +468,14 @@ class _Fabric(_Unregulated):
     (`fabric.CompiledFabric`): `step` steps a cycle, `idle_out` gives an
     idle cycle's outputs, and the one-step probes answer the hops:
     `quiet_span` asks `quiet_probe`, `pulse_budget` asks `probe`.  A
-    probe may accept a cycle that clears a counter-zero latch, the cycle
-    after a counter fires, where no counter input or idle output reads
-    it; `advance` writes the latches the probe found."""
+    probe refuses a cycle that fires a counter or a reload trigger, moves
+    the sequencer or changes a level (`fabric._generate_kernel`).  It may
+    accept a cycle that clears a counter-zero latch, the cycle after a
+    counter fires, where no counter input or idle output reads it;
+    `advance` writes the latches the probe found."""
     # `periods` is the list that each closed period's record joins
     _CONSTANTS = ("step", "probe", "quiet_probe", "idle_out", "cm_user",
-                  "cm_kernel", "reload", "periods")
+                  "cm_kernel", "periods")
     _STATE = ("state", "out", "pmc_mark", "tap_mark", "period_throttled")
     # the fetch, counter slopes and latches that `quiet_span` and
     # `pulse_budget` find are a cache, not state: they rewrite them before
@@ -493,7 +495,6 @@ class _Fabric(_Unregulated):
         self.cm_kernel = cf.cmp_mask(_KERNEL_FETCH_ADDR, False)
         self.cm = self.cm_user          # the fetch that quiet_span probed
         self.state = cf.reset_tuple()
-        self.reload = self.state[:2]
         self.out = 0
         self.d0 = self.d1 = 0           # counter slopes found by quiet_span
         self.e0 = self.e1 = 0           # and under pulses, by pulse_budget
@@ -553,33 +554,20 @@ class _Fabric(_Unregulated):
 
     def pulse_budget(self, st, cycle, pm, hits):
         """A one-cycle probe with the pulses `pm` from the state that
-        `quiet_span` probed gives the counters' slopes under pulses.  A
-        counter that only pulses move fires at its value-th pulse.  At its
-        reload value, the kind of cycle that seems to hold a counter the
-        other kind moves may instead reload it, which no slope describes:
-        a second probe one count lower tells a reload from a held value.
-        A sleeping core's pulses do not reach the frozen fabric."""
+        `quiet_span` probed gives the counters' slopes under pulses; it
+        refuses a cycle that fires a reload trigger, as `quiet_span`'s
+        does, so each kind of cycle keeps its slope.  A counter that only pulses
+        move fires at its value-th pulse.  A sleeping core's pulses do not
+        reach the frozen fabric."""
         if st.wfi_idle and st.idle_until > cycle \
                 and st.irq_phase < _IRQ_ENTRY:
             self.e0 = self.e1 = 0
             return _BIG
         s = self.state
-        cm = self.cm
-        out = self.out
-        probe = self.probe
-        p = probe(s[0], s[1], s[2], s[3], s[4], pm, cm, out)
+        p = self.probe(s[0], s[1], s[2], s[3], s[4], pm, self.cm, self.out)
         if p is None:
             return 0
         a, b, e0, e1, _z0, _z1 = p
-        r0, r1 = self.reload
-        if a == r0 and e0 != self.d0:
-            q = probe(a - 1, b, s[2], s[3], s[4], 0 if e0 else pm, cm, out)
-            if q is None or q[2]:
-                return 0
-        if b == r1 and e1 != self.d1:
-            q = probe(a, b - 1, s[2], s[3], s[4], 0 if e1 else pm, cm, out)
-            if q is None or q[3]:
-                return 0
         self.e0 = e0
         self.e1 = e1
         return min(a - 1 if e0 > self.d0 else _BIG,
@@ -1625,10 +1613,13 @@ def run_system(sys_cfg: SystemConfig, use_hops: bool = True) -> SystemTrace:
 
         # ---- one train: the requesters take their next grants, if a head
         # and the controller's next line both come before nxt, which they
-        # never do without hops, as every core is due the next cycle.  The
-        # loop goes on from the last cycle the train covered, with the next
-        # step and head that it leaves ----
-        if ready < nxt and g < nxt:
+        # never do without hops, as every core is due the next cycle, and
+        # if the controller grants one line a cycle at most: on a bus of
+        # less than a line a cycle, or to a sole requester.  The loop goes
+        # on from the last cycle the train covered, with the next step and
+        # head that it leaves ----
+        if ready < nxt and g < nxt and (
+                num < den or heads.count(_BIG) >= n - 1):
             k, cycle, acc, rr, nxt, ready, g = _train(
                 cores, heads, at, due, rings, duration, cycle, g, edge, acc,
                 num, den, cap, rr)

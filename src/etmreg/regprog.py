@@ -153,13 +153,12 @@ _SOURCE_OF_GROUP = {g: s for s, g in _GROUP_OF_SOURCE.items()}
 
 
 def _split_register(name):
-    """'TRCRSCTLR4' -> ('TRCRSCTLR', 4); 'PMCR' -> ('PMCR', None)."""
+    """'TRCRSCTLR4' -> ('TRCRSCTLR', 4); a name that ends in a letter is
+    a whole base: 'TRCEVENTCTL0R' -> ('TRCEVENTCTL0R', None)."""
     m = _REG_RE.match(name)
     if not m:
         raise MalformedProgram("unknown register %r" % (name,))
     base, idx = m.group(1), m.group(2)
-    if base not in _CATALOG and base + idx in _CATALOG:
-        return base + idx, None          # e.g. TRCEVENTCTL0R
     return base, (int(idx) if idx else None)
 
 

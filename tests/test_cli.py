@@ -195,6 +195,15 @@ def test_simulate_text_matches_json(capsys):
         data["achieved_mbps"], data["bus_lines"] // 2) in out
 
 
+def test_calibrate_prints_the_safe_floor(capsys):
+    # on the ideal board, tb13 holds the search's first budget, a line a
+    # period
+    assert C.main(["calibrate", "--board", "ideal", "--design", "tb13",
+                   "--period-us", "5", "--duration-ms", "0.1"]) == 0
+    assert capsys.readouterr().out == \
+        "tb13 on ideal, 5.0 us period: safe floor 12.8 MB/s\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     # each of these exited with an OverflowError or a ValueError traceback
     (["simulate", "--target", "inf"], "target_mbps inf is not"),

@@ -6,6 +6,7 @@ reference interpreter on both config families.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import etmreg.fabric as F
 import etmreg.harness as H
 import etmreg.regulators as R
 from reference_fabric import (
+    eval_event,
     eval_slot,
     random_config,
     random_config_small,
@@ -514,9 +516,9 @@ def _reads_latch(cfg):
 def _step_probe(cf, s, pm, cm, out, latched):
     """A probe from one step: the counter values as the state holds them,
     how far each drops and the counter-zero latches that the step leaves,
-    or None if a counter fires or drops by other than 0 or 1, or the
-    sequencer or the output mask `out` changes, or a latch changes in a
-    shape that reads them (`latched`)."""
+    or None if a counter fires or drops by other than 0 or 1, or a reload
+    trigger fires, or the sequencer or the output mask `out` changes, or a
+    latch changes in a shape that reads them (`latched`)."""
     cur = cf.step(s[0], s[1], s[2], s[3], s[4], pm, cm)
     if (cur[2] != s[2] or cur[5] or cur[6] or cur[7] != out
             or latched and (cur[3] != s[3] or cur[4] != s[4])):
@@ -524,7 +526,22 @@ def _step_probe(cf, s, pm, cm, out, latched):
     d0, d1 = s[0] - cur[0], s[1] - cur[1]
     if d0 not in (0, 1) or d1 not in (0, 1):
         return None
+    pulses = frozenset(i for i in range(pm.bit_length()) if pm >> i & 1)
+    hits = frozenset(i for i in range(F.NUM_COMPARATOR_PAIRS) if cm >> i & 1)
+    if _reloads(cf.config, s, pulses, hits):
+        return None
     return s[0], s[1], d0, d1, cur[3], cur[4]
+
+
+def _reloads(cfg, s, pulses, hits):
+    """Whether a reload trigger fires in the step from state `s`: the
+    triggers read the zero signals of the step without them."""
+    bare = dataclasses.replace(cfg, counters=tuple(
+        dataclasses.replace(c, reload_event=None) for c in cfg.counters))
+    z = reference_step(bare, s, pulses, hits, False)[3:5]
+    return any(c.reload_event is not None and eval_event(
+        cfg.selectors, cfg.inputs, c.reload_event, pulses, hits, z[0], z[1],
+        s[2]) for c in cfg.counters)
 
 
 @pytest.mark.parametrize("family", [random_config_small, random_config])
@@ -596,6 +613,37 @@ def test_a_shape_that_reads_no_latch_steps_alike_under_any(family):
                     for z0 in (False, True) for z1 in (False, True)}
             assert len(runs) == 1, (cfg, cv, seq, pm, cm)
     assert free
+
+
+@pytest.mark.parametrize("board", ["zcu102", "rk3588-a76"])
+def test_the_designs_reload_only_where_a_counter_fires(board):
+    # what lets a probe refuse every reload: in each paper design a reload
+    # trigger fires only in a cycle where a counter fires, which a probe
+    # refuses already.  Counter values 0, 1, 2, R - 1 and R, in every state of the
+    # sequencer and the latches, under each flavour of the palette
+    rng = random.Random(35)
+    b = H.preset(board)
+    for design in R.ETM_DESIGNS:
+        cfg = H.regulator_for(design, b, 350.0, 5.0)
+        values = []
+        for n in (0, 1):
+            c = cfg.counter(n)
+            r = c.reload_value if c is not None else 1
+            values.append(sorted({0, 1, 2, r - 1, r}))
+        reloads = 0
+        for pulses, hits, idle, _, _ in stream_palette(rng, cfg):
+            if idle:
+                continue
+            for s in itertools.product(values[0], values[1],
+                                       range(F.SEQ_STATES), (False, True),
+                                       (False, True)):
+                if _reloads(cfg, s, pulses, hits):
+                    reloads += 1
+                    cur = reference_step(cfg, s, pulses, hits, False)
+                    assert cur[5] or cur[6], (design, s, pulses, hits)
+        # the token-bucket designs have no trigger
+        assert bool(reloads) == any(c.reload_event for c in cfg.counters), \
+            design
 
 
 def test_the_designs_accept_a_latch_clear():

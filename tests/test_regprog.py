@@ -345,6 +345,14 @@ def test_cti_routing_must_match_outputs():
         P.lift(bad)
 
 
+def test_a_skipped_selector_slot_is_named():
+    # `pr` reads slots past 3, so a program without slot 3 has a hole
+    prog = P.compile(spec_for(R.PR))
+    bad = drop_writes(prog, lambda w: w.register == "TRCRSCTLR3")
+    with pytest.raises(P.MalformedProgram, match="selector slot 3 skipped"):
+        P.lift(bad)
+
+
 def test_sequencer_must_start_at_zero():
     prog = P.compile(spec_for(R.PR))
     writes = tuple(
