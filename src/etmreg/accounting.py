@@ -21,7 +21,7 @@ measured numbers, it does not explain their microarchitectural causes.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .fabric import NUM_INPUTS
@@ -166,7 +166,7 @@ class BandwidthModel:
     variant: str
     terms: tuple
 
-    @property
+    @cached_property
     def signals(self) -> frozenset:
         out = frozenset()
         for t in self.terms:
@@ -195,11 +195,14 @@ class BandwidthModel:
         return self.rejection_reason is None
 
 
+@lru_cache(maxsize=64)
 def model_for(core_type, variant="default", etm=True) -> BandwidthModel:
     """Look up the accounting model for a core; resolves variant
     "default" to the core's preferred one.  With etm=True (the default)
     raises NotEtmRealizable for models the trace unit cannot count;
     etm=False returns them anyway, flagged, for adder-based regulators.
+    Memoized: a model is a pure function of the arguments, and every
+    fabric config and core model asks for one.
     """
     core = core_type.lower()
     var = variant.lower()

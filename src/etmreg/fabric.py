@@ -219,10 +219,14 @@ class EtmConfig:
 
     def __hash__(self):
         # memoized: each fabric core of every run_system looks its config
-        # up in compile_fabric's cache, and sweeps and benchmarks re-run
-        # the same config objects; walking the nested tuples costs 2-4 us
-        # for a pr, tb13 or pr-user config, a memoized cache hit 0.2 us
-        # (2-vCPU Xeon, Python 3.11)
+        # up in compile_fabric's cache.  A config built once and run many
+        # times (several cores sharing it, a SystemConfig run again) pays
+        # the walk over the nested tuples, 2-4 us for a pr, tb13 or
+        # pr-user config, once and a memoized hit 0.2 us after (2-vCPU
+        # Xeon, Python 3.11).  A probe's config is fresh, built by
+        # `with_reload_values`, so it hashes once; on a cache hit the
+        # equality test then mostly short-cuts on the parts it shares
+        # with its template
         try:
             return self._hash
         except AttributeError:
@@ -230,6 +234,27 @@ class EtmConfig:
                       self.sequencer, self.comparators, self.outputs))
             object.__setattr__(self, "_hash", h)
             return h
+
+
+def with_reload_values(config: EtmConfig, values) -> EtmConfig:
+    """`config` with its i-th counter reloading to `values[i]`; every
+    other part is `config`'s own object.  A reload value moves no wiring,
+    so if `config` passed `check_config` and each value is an int in
+    1..COUNTER_MAX, the copy keeps its report and is not checked again."""
+    if len(values) != len(config.counters):
+        raise ValueError("%d reload values for %d counters"
+                         % (len(values), len(config.counters)))
+    counters = tuple(
+        CounterConfig(c.index, v, c.input, c.self_reload, c.reload_event,
+                      c.chained)
+        for c, v in zip(config.counters, values))
+    out = EtmConfig(config.inputs, config.selectors, counters,
+                    config.sequencer, config.comparators, config.outputs)
+    report = config.__dict__.get("_report")
+    if report is not None and all(type(v) is int and 1 <= v <= COUNTER_MAX
+                                  for v in values):
+        object.__setattr__(out, "_report", report)
+    return out
 
 
 @dataclass(frozen=True)
@@ -383,6 +408,16 @@ def validate_config(config: EtmConfig) -> ResourceReport:
         inputs_used=len(all_signals),
         comparator_pairs_used=len(config.comparators),
     )
+
+
+def check_config(config: EtmConfig) -> ResourceReport:
+    """`validate_config(config)`, run once per config: the report is kept
+    on the config, and `with_reload_values` hands it on to its copies."""
+    report = config.__dict__.get("_report")
+    if report is None:
+        report = validate_config(config)
+        object.__setattr__(config, "_report", report)
+    return report
 
 
 # =========================================================================
@@ -807,7 +842,7 @@ class CompiledFabric:
                  "_cmp_table")
 
     def __init__(self, config: EtmConfig):
-        validate_config(config)
+        check_config(config)
         self.config = config
         source, names = _generate_kernel(_shape_of(config))
         self.step, self.probe, self.quiet_probe, self.idle_out = \

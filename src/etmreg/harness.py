@@ -5,10 +5,20 @@ target + one access type, simulated for a fixed stretch of time on a
 single regulated core running a saturating synthetic workload.  Points
 are independent and merged in sorted configuration order, so repeated
 runs of the same config produce byte-identical outputs.
+
+Sweeps and the floor search run many points that differ only in budget
+or target.  What does not depend on those is worked out once per
+process: a board's memory ceiling in lines per cycle, a core type's
+accounting model (`accounting.model_for`), and a design's fabric
+template for each event tap, built and checked once
+(`regulators.build_config`).  A point builds only what its target,
+period and duration set: the template stamped with its budget and
+period, and its one-core system.
 """
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from math import isfinite
 
 from . import fabric as F
@@ -45,10 +55,17 @@ class BoardPreset:
         return self.model.freq_mhz
 
     def cap_lines_per_cycle(self):
-        return Fraction(self.mem_cap_mbps) / (M.CACHELINE * self.freq_mhz)
+        return _cap_lines_per_cycle(self.mem_cap_mbps, self.freq_mhz)
 
     def period_cycles(self, period_us):
         return us_to_cycles(period_us, self.freq_mhz)
+
+
+@lru_cache(maxsize=64)
+def _cap_lines_per_cycle(mem_cap_mbps, freq_mhz):
+    """The exact memory ceiling in cachelines per cycle; memoized, as
+    every point's system asks for its board's."""
+    return Fraction(mem_cap_mbps) / (M.CACHELINE * freq_mhz)
 
 
 def _preset(name, cap, **kw):

@@ -20,6 +20,7 @@ still enforced so emitted values would fit their hardware homes.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fabric as F
 from . import regulators as R
@@ -52,7 +53,7 @@ class ResourceBudgetExceeded(ValueError):
 # program types
 # =========================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterWrite:
     """One symbolic register write: device, register, named fields."""
     device: str
@@ -162,21 +163,32 @@ def _split_register(name):
     return base, (int(idx) if idx else None)
 
 
+@lru_cache(maxsize=256)
+def _register(name):
+    """(base, index, device, field spec, whether the index names an
+    instance of the base) of register `name`, from the catalog;
+    MalformedProgram if the catalog has no such register.  Memoized: a
+    program names each register of the catalog again and again."""
+    base, idx = _split_register(name)
+    entry = _CATALOG.get(base)
+    if entry is None:
+        raise MalformedProgram("unknown register %r" % (name,))
+    device, max_idx, fieldspec = entry
+    exists = (idx is None) == (max_idx is None) and \
+        (idx is None or 0 <= idx <= max_idx)
+    return base, idx, device, fieldspec, exists
+
+
 def check_write(w: RegisterWrite):
     """Validate one write against the catalog: register exists, device
     matches, index in range, fields known and within width."""
-    base, idx = _split_register(w.register)
-    entry = _CATALOG.get(base)
-    if entry is None:
-        raise MalformedProgram("unknown register %r" % (w.register,))
-    device, max_idx, fieldspec = entry
+    base, idx, device, fieldspec, exists = _register(w.register)
     if device is not None and w.device != device:
         raise MalformedProgram("%s is a %s register, written via %s"
                                % (w.register, device, w.device))
     if w.device not in DEVICES:
         raise MalformedProgram("unknown device %r" % (w.device,))
-    if (idx is None) != (max_idx is None) or \
-            (idx is not None and not 0 <= idx <= max_idx):
+    if not exists:
         raise MalformedProgram("no register instance %r" % (w.register,))
     for name, value in w.fields:
         spec = fieldspec.get(name)
@@ -196,6 +208,7 @@ def check_write(w: RegisterWrite):
 # compile: EtmConfig -> program
 # =========================================================================
 
+@lru_cache(maxsize=256)
 def _unmask(mask):
     return frozenset(i for i in range(16) if mask & (1 << i))
 
@@ -224,7 +237,9 @@ def _event_fields(prefix, ev: F.EventSpec):
     return fields
 
 
-_DISABLED_COUNTER = F.CounterConfig(0, 0, F.EventSpec(F.FALSE_SEL))
+# what a counter that the config leaves out is programmed with:
+# (input, self_reload, reload_event, chained)
+_DISABLED_COUNTER = (F.EventSpec(F.FALSE_SEL), True, None, False)
 
 
 def _routed(outputs):
@@ -241,14 +256,53 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
     Every resource slot is written: unused selectors get the FALSE group,
     unused counters a FALSE input, unused comparators an empty range, and
     unused outputs the FALSE selector, so stale hardware state cannot
-    leak through.
+    leak through.  Only the counters' value registers hold their reload
+    values; every other write is built once per wiring
+    (`_wiring_writes`), and every write is checked.
     """
     try:
-        F.validate_config(config)
+        F.check_config(config)
     except F.InvalidConfig as e:
         raise ResourceBudgetExceeded(str(e)) from None
 
-    w = []
+    head, counters, tail = _wiring_writes(
+        config.inputs, config.selectors,
+        tuple((c.index, c.input, c.self_reload, c.reload_event, c.chained)
+              for c in config.counters),
+        config.sequencer, config.comparators, config.outputs)
+    # a chained counter 0's 32-bit value (cv0 in the fabric state) keeps
+    # its high half in counter 1's value registers; `lift` joins them
+    values = F.reset_fabric(config)[:2]
+    if any(c.chained for c in config.counters):
+        values = (values[0] & F.COUNTER_MAX, values[0] >> 16)
+    w = list(head)
+    for n, (reload_note, start_note, control) in enumerate(counters):
+        value = (("value", values[n]),)
+        w.append(RegisterWrite("ETM", "TRCCNTRLDVR%d" % n, value,
+                               reload_note, "ProgramETM"))
+        w.append(RegisterWrite("ETM", "TRCCNTVR%d" % n, value, start_note,
+                               "ProgramETM"))
+        w.append(control)
+    w.extend(tail)
+
+    prog = RegisterProgram(tuple(w), tuple(warnings))
+    for wr in prog.writes:
+        check_write(wr)
+    return prog
+
+
+@lru_cache(maxsize=64)
+def _wiring_writes(inputs, selectors, counters, sequencer, comparators,
+                   outputs):
+    """The writes of a config's program that its wiring fixes: those
+    before the counters' registers, for each counter the comments of its
+    two value writes and its control write, and those after.  `counters`
+    holds each configured counter's (index, input, self_reload,
+    reload_event, chained).  Memoized: a wiring is a design's template,
+    and every budget and period of the design shares it."""
+    head = []
+    tail = []
+    w = head
 
     def emit(device, register, fields, comment=""):
         w.append(RegisterWrite(device, register, tuple(fields), comment,
@@ -264,7 +318,7 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
     emit("CTI", "CTIGATE", [("en", 0)], "disconnect cross-trigger channels")
 
     phase = "ProgramCTI"
-    for k in _routed((o.output_index, o.selector) for o in config.outputs):
+    for k in _routed((o.output_index, o.selector) for o in outputs):
         emit("CTI", "CTIINEN%d" % k, [("chan", 0), ("en", 1)],
              "trace-unit output %d raises the throttle interrupt" % k)
     emit("CTI", "CTIGATE", [("en", 1)], "reconnect the gated channels")
@@ -272,7 +326,7 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
     phase = "ProgramETM"
     tap_fields = []
     all_sigs = []
-    for t, tap in enumerate(config.inputs):
+    for t, tap in enumerate(inputs):
         for sig in sorted(tap.monitored):
             tap_fields.append(("tap%d" % t, sig))
             all_sigs.append(sig)
@@ -280,47 +334,43 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
          "monitor PMU events %s" % ", ".join(map(str, all_sigs)))
 
     for n in range(2, F.NUM_SELECTORS):
-        if n < len(config.selectors):
-            emit("ETM", "TRCRSCTLR%d" % n,
-                 _selector_fields(config.selectors[n]),
+        if n < len(selectors):
+            emit("ETM", "TRCRSCTLR%d" % n, _selector_fields(selectors[n]),
                  "resource selector %d" % n)
         else:
             emit("ETM", "TRCRSCTLR%d" % n, [("group", "FALSE"),
                                             ("select", 0)], "unused")
 
-    # a chained counter 0's 32-bit value (cv0 in the fabric state) keeps
-    # its high half in counter 1's value registers; `lift` joins them
-    values = F.reset_fabric(config)[:2]
-    chained = any(c.chained for c in config.counters)
-    if chained:
-        values = (values[0] & F.COUNTER_MAX, values[0] >> 16)
+    chained = any(c[4] for c in counters)
+    by_index = {c[0]: c[1:] for c in counters}
+    parts = []
     for n in range(F.NUM_COUNTERS):
-        c = config.counter(n) or _DISABLED_COUNTER
-        used = c is not _DISABLED_COUNTER
+        used = n in by_index
+        inp, self_reload, reload_event, chain = by_index.get(
+            n, _DISABLED_COUNTER)
         high = "high half of chained counter 0" if n == 1 and chained else ""
-        emit("ETM", "TRCCNTRLDVR%d" % n, [("value", values[n])],
-             high or ("reload value" if used else "unused"))
-        emit("ETM", "TRCCNTVR%d" % n, [("value", values[n])],
-             high or ("start full" if used else "unused"))
-        fields = _event_fields("in", c.input)
-        fields.append(("self_reload", int(c.self_reload)))
-        if c.reload_event is not None:
-            fields.extend(_event_fields("rld", c.reload_event))
-        if c.chained:
+        fields = _event_fields("in", inp)
+        fields.append(("self_reload", int(self_reload)))
+        if reload_event is not None:
+            fields.extend(_event_fields("rld", reload_event))
+        if chain:
             fields.append(("chain", 1))
-        emit("ETM", "TRCCNTCTLR%d" % n, fields,
-             "count/reload events" if used else "unused")
+        control = RegisterWrite("ETM", "TRCCNTCTLR%d" % n, tuple(fields),
+                                "count/reload events" if used else "unused",
+                                phase)
+        parts.append((high or ("reload value" if used else "unused"),
+                      high or ("start full" if used else "unused"), control))
 
+    w = tail
     for i in range(F.SEQ_STATES - 1):
         emit("ETM", "TRCSEQEVR%d" % i,
-             [("f", config.sequencer.forward[i]),
-              ("b", config.sequencer.backward[i])],
+             [("f", sequencer.forward[i]), ("b", sequencer.backward[i])],
              "state %d <-> %d moves" % (i, i + 1))
-    emit("ETM", "TRCSEQRSTEVR", [("sel", config.sequencer.reset)],
+    emit("ETM", "TRCSEQRSTEVR", [("sel", sequencer.reset)],
          "jump to state 0")
     emit("ETM", "TRCSEQSTR", [("state", 0)], "start in state 0")
 
-    by_pair = {c.pair_index: c for c in config.comparators}
+    by_pair = {c.pair_index: c for c in comparators}
     for k in range(F.NUM_COMPARATOR_PAIRS):
         c = by_pair.get(k)
         if c is None:
@@ -338,7 +388,7 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
                   ("match_kernel", int(c.match_kernel))],
                  "range %d fetch-mode filter, covers the pair" % k)
 
-    by_out = {o.output_index: o.selector for o in config.outputs}
+    by_out = {o.output_index: o.selector for o in outputs}
     emit("ETM", "TRCEVENTCTL0R",
          [("out%d" % k, by_out.get(k, F.FALSE_SEL))
           for k in range(F.NUM_OUTPUTS)],
@@ -350,11 +400,7 @@ def program_for_config(config: F.EtmConfig, warnings=()) -> RegisterProgram:
 
     phase = "EnableETM"
     emit("ETM", "TRCPRGCTLR", [("en", 1)], "go")
-
-    prog = RegisterProgram(tuple(w), tuple(warnings))
-    for wr in prog.writes:
-        check_write(wr)
-    return prog
+    return tuple(head), tuple(parts), tuple(tail)
 
 
 def compile(spec: R.RegulatorSpec, core_model=None,
@@ -461,7 +507,7 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
     outs = {}
 
     for w in prog.phase("ProgramETM"):
-        base, idx = _split_register(w.register)
+        base, idx = _register(w.register)[:2]
         fields = dict(w.fields)
         if base == "TRCEXTINSELR":
             for t in range(F.NUM_INPUTS):
@@ -562,7 +608,7 @@ def lift(prog: RegisterProgram) -> F.EtmConfig:
     routed = _routed(outs.items())
     inen = set()
     for w in prog.phase("ProgramCTI"):
-        base, idx = _split_register(w.register)
+        base, idx = _register(w.register)[:2]
         if base == "CTIINEN" and w.get("en") == 1:
             inen.add(idx)
     if sorted(inen) != routed:
@@ -608,6 +654,25 @@ def emit_text(prog: RegisterProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every ASCII token that int(token, 0) reads: a sign, then a prefixed
+# hex, octal or binary numeral, or a decimal one without leading zeros;
+# an underscore may stand before any digit but the first decimal one
+_NUMERAL = re.compile(r"[+-]?(?:0[xX](?:_?[0-9a-fA-F])+|0[oO](?:_?[0-7])+"
+                      r"|0[bB](?:_?[01])+|0(?:_?0)*|[1-9](?:_?[0-9])*)")
+
+
+def _field_value(val):
+    """`val` as `int(val, 0)` reads it, or the text itself where that
+    raises.  An ASCII word is told from a numeral by its form, so text
+    such as TRUE, 1e3 or 08 costs no exception."""
+    if val.isascii() and not _NUMERAL.fullmatch(val):
+        return val
+    try:
+        return int(val, 0)
+    except ValueError:          # other digits, or beyond int's digit limit
+        return val
+
+
 def parse_text(text: str) -> RegisterProgram:
     """Inverse of emit_text; tolerant of blank lines and extra comments."""
     writes = []
@@ -636,10 +701,7 @@ def parse_text(text: str) -> RegisterProgram:
             if not eq:
                 raise MalformedProgram("line %d: bad field %r"
                                        % (lineno, tok))
-            try:
-                fields.append((name, int(val, 0)))
-            except ValueError:
-                fields.append((name, val))
+            fields.append((name, _field_value(val)))
         writes.append(RegisterWrite(device, register, tuple(fields),
                                     comment.strip(), phase))
     return RegisterProgram(tuple(writes), tuple(warnings))

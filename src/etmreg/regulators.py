@@ -19,6 +19,7 @@ Software baselines (plain step functions, no fabric):
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fabric as F
 from .accounting import model_for
@@ -163,7 +164,7 @@ def build_pr_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
         sequencer=F.SequencerConfig(forward=(3, 3, 3), backward=(4, 4, 4)),
         outputs=(F.ExternalOutputConfig(1, 5),),
     )
-    F.validate_config(cfg)
+    F.check_config(cfg)
     return cfg
 
 
@@ -214,7 +215,7 @@ def build_tb_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
         sequencer=F.SequencerConfig(forward=(7, 8, 9), backward=(10, 11, 12)),
         outputs=outputs,
     )
-    F.validate_config(cfg)
+    F.check_config(cfg)
     return cfg
 
 
@@ -271,20 +272,36 @@ def build_pr_user_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
             match_kernel=False),),
         outputs=(F.ExternalOutputConfig(1, 8),),
     )
-    F.validate_config(cfg)
+    F.check_config(cfg)
     return cfg
 
 
+_BUILDERS = {PR: build_pr_config, PR_STOP: build_pr_config,
+             TB31: build_tb_config, TB22: build_tb_config,
+             TB13: build_tb_config, PR_USER: build_pr_user_config}
+
+
+@lru_cache(maxsize=64)
+def _template(design, signals):
+    """The config of `design` tapping `signals`, built by the design's
+    builder and checked once.  Budget and period are placeholders that
+    `build_config` replaces; nothing else in a config depends on them."""
+    return _BUILDERS[design](RegulatorSpec(design, 1, 1), signals)
+
+
 def build_config(spec: RegulatorSpec, signals=None) -> F.EtmConfig:
-    """Dispatch to the design's builder.  The event tap monitors the PMU
-    events of the spec's core model unless `signals` overrides them."""
-    if spec.design in (PR, PR_STOP):
-        return build_pr_config(spec, signals)
-    if spec.design in (TB31, TB22, TB13):
-        return build_tb_config(spec, signals)
-    if spec.design == PR_USER:
-        return build_pr_user_config(spec, signals)
-    raise RangeError("no fabric config for design %r" % (spec.design,))
+    """The config the design's builder makes for `spec`: its budget and
+    period stamped into the design's template for this event tap.  The
+    tap monitors the PMU events of the spec's core model unless `signals`
+    overrides them."""
+    if spec.design not in ETM_DESIGNS:
+        raise RangeError("no fabric config for design %r" % (spec.design,))
+    _check_ranges(spec)
+    if signals is None:
+        signals = model_for(spec.core_type, spec.model_variant).signals
+    return F.with_reload_values(
+        _template(spec.design, frozenset(signals)),
+        (spec.budget_events, spec.period_cycles))
 
 
 # =========================================================================

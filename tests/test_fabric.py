@@ -162,6 +162,23 @@ def test_reload_above_width_rejected():
     F.validate_config(counting_config(F.COUNTER_MAX + 1, chained=True))
 
 
+def test_new_reload_values_keep_a_checked_config_checked():
+    base = counting_config(5)
+    F.check_config(base)
+    copy = F.with_reload_values(base, (9,))
+    assert copy == counting_config(9)
+    assert copy.selectors is base.selectors
+    assert copy.sequencer is base.sequencer
+    assert F.compile_fabric(copy).reset_tuple()[0] == 9
+    # a value out of the counter's range hands no report on, so the
+    # compile checks the copy and names the value
+    for bad in (0, F.COUNTER_MAX + 1):
+        with pytest.raises(ValueError, match="reload"):
+            F.compile_fabric(F.with_reload_values(base, (bad,)))
+    with pytest.raises(ValueError, match="2 reload values for 1 counters"):
+        F.with_reload_values(base, (5, 6))
+
+
 def test_chained_counter_crosses_16_bits():
     n = 70000  # > 0xFFFF
     cfg = counting_config(n, chained=True)

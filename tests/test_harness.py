@@ -1,7 +1,11 @@
 """Tests for the sweep harness: budgets, presets, points, CSV/SVG."""
 
+import sys
+
 import pytest
 
+import etmreg.accounting as A
+import etmreg.fabric as F
 import etmreg.harness as H
 import etmreg.machine as M
 import etmreg.regulators as R
@@ -262,6 +266,39 @@ def test_ideal_board_floor_is_two_quanta():
     # budget 2 absorbs it via carry, so the floor is the second quantum
     floor = H.calibrate_safe_floor("ideal", R.PR, 5, duration_ms=0.5)
     assert floor == pytest.approx(H.budget_to_bandwidth(2, 5))
+
+
+def _calls(codes, fn, *args, **kw):
+    """Run fn(*args, **kw); return how often each code object in `codes`
+    was entered, however the caller reached its function."""
+    counts = dict.fromkeys(codes, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kw)
+    finally:
+        sys.setprofile(old)
+    return [counts[c] for c in codes]
+
+
+def test_floor_search_checks_and_models_once_per_design():
+    # what depends only on the design and its event tap is worked out
+    # once, not per probe: the fabric check of the design's wiring and
+    # the core's accounting model (the body under any memo)
+    model_for = getattr(A.model_for, "__wrapped__", A.model_for)
+    codes = (H.run_point.__code__, F.validate_config.__code__,
+             model_for.__code__)
+    first, again = (_calls(codes, H.calibrate_safe_floor, "zcu102", R.PR,
+                           2.5, duration_ms=0.015) for _ in range(2))
+    assert first[0] == again[0] == 7
+    # at most once for a design and tap not seen before, then never
+    assert first[1] <= 1 and first[2] <= 1
+    assert again[1:] == [0, 0]
 
 
 @pytest.mark.parametrize("tol", [NAN, -0.01])

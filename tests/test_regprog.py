@@ -1,6 +1,7 @@
 """Tests for the register-write program compiler and its lifting inverse."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -74,6 +75,82 @@ def test_text_parser_rejects_junk():
         P.parse_text("ETM\n")
     with pytest.raises(P.MalformedProgram):
         P.parse_text("ETM TRCPRGCTLR en\n")
+
+
+# what `ETM TRCCNTRLDVR0 value=<v>` parses to, and check_write's answer:
+# the parsed value, then the register check returns, or its message
+_NUMERALS = [
+    ("0xC5ACCE55", 0xC5ACCE55,
+     "TRCCNTRLDVR0.value=3316436565 does not fit 16 bits"),
+    ("0b101", 5, None),
+    ("-1", -1, "TRCCNTRLDVR0.value=-1 does not fit 16 bits"),
+    ("+3", 3, None),
+    ("1_0", 10, None),
+    ("1e3", "1e3", "TRCCNTRLDVR0.value='1e3' does not fit 16 bits"),
+    ("08", "08", "TRCCNTRLDVR0.value='08' does not fit 16 bits"),
+    ("TRUE", "TRUE", "TRCCNTRLDVR0.value='TRUE' does not fit 16 bits"),
+]
+
+
+@pytest.mark.parametrize("text,value,error", _NUMERALS)
+def test_parse_text_reads_numerals_as_int_reads_them(text, value, error):
+    prog = P.parse_text("ETM TRCCNTRLDVR0 value=%s\n" % text)
+    (w,) = prog.writes
+    assert w.fields == (("value", value),)
+    assert type(w.get("value")) is type(value)
+    if error is None:
+        assert P.check_write(w) == ("TRCCNTRLDVR", 0)
+    else:
+        with pytest.raises(P.MalformedProgram) as e:
+            P.check_write(w)
+        assert str(e.value) == error
+
+
+def test_parse_text_field_values_match_int_base_0():
+    # every token int(tok, 0) reads is an int, and every other one text:
+    # all tokens of up to 3 characters, and longer random ones, of signs,
+    # prefixes, underscores, letters and non-ASCII digits (an
+    # Arabic-Indic 3 is a digit, a superscript 2 not)
+    alphabet = "0178abefxoXOB_+-\u0663\u00b2"
+    rng = random.Random(29)
+    tokens = [tok for n in (1, 2, 3)
+              for tok in map("".join, itertools.product(alphabet, repeat=n))]
+    tokens += ["".join(rng.choice(alphabet) for _ in range(rng.randint(4, 8)))
+               for _ in range(3000)]
+    tokens.append("1" * 5000)       # past int's digit limit: text
+    for tok in tokens:
+        try:
+            want = int(tok, 0)
+        except ValueError:
+            want = tok
+        (w,) = P.parse_text("ETM TRCCNTRLDVR0 value=%s\n" % tok).writes
+        assert w.fields == (("value", want),), tok
+
+
+def test_memoized_register_names_still_fail_by_name():
+    for _ in range(2):
+        for name, message in (
+                ("trcrsctlr4", "unknown register 'trcrsctlr4'"),
+                ("TRCBOGUS", "unknown register 'TRCBOGUS'"),
+                ("TRCRSCTLR16", "no register instance 'TRCRSCTLR16'")):
+            with pytest.raises(P.MalformedProgram) as e:
+                P.check_write(P.RegisterWrite("ETM", name, ()))
+            assert str(e.value) == message
+        assert P.check_write(P.RegisterWrite(
+            "ETM", "TRCRSCTLR4", ())) == ("TRCRSCTLR", 4)
+
+
+def test_programs_of_one_wiring_differ_only_in_counter_values():
+    # the writes a design's wiring fixes are built once and shared; only
+    # the counters' value registers hold the budget and period
+    a = P.compile(spec_for(R.TB13, budget=5, period=100))
+    b = P.compile(spec_for(R.TB13, budget=7, period=300))
+    assert len(a.writes) == len(b.writes)
+    changed = [x.register for x, y in zip(a.writes, b.writes) if x != y]
+    assert changed == ["TRCCNTRLDVR0", "TRCCNTVR0", "TRCCNTRLDVR1",
+                       "TRCCNTVR1"]
+    assert all(x is y for x, y in zip(a.writes, b.writes)
+               if x.register not in changed)
 
 
 def text_round_trip(prog):

@@ -112,6 +112,62 @@ def test_custom_signal_set():
         R.build_pr_config(spec(R.PR), signals=(1, 2, 3, 4, 5))
 
 
+# each design's builder, which builds a whole config anew
+_BUILDER = {R.PR: R.build_pr_config, R.PR_STOP: R.build_pr_config,
+            R.TB31: R.build_tb_config, R.TB22: R.build_tb_config,
+            R.TB13: R.build_tb_config, R.PR_USER: R.build_pr_user_config}
+
+
+def _core_types():
+    import etmreg.harness as H
+    return sorted({b.model.core_type for b in H.PRESETS.values()})
+
+
+@pytest.mark.parametrize("design", R.ETM_DESIGNS)
+def test_template_stamp_equals_the_builder(design):
+    # build_config stamps budget and period into a per-design template;
+    # the result must be the builder's config, hash as it does and share
+    # its compiled fabric, on every preset's core type and a custom tap
+    taps = [(dict(core_type=c), None) for c in _core_types()]
+    taps.append(({}, (33,)))
+    for kw, signals in taps:
+        for budget in (1, 2, F.COUNTER_MAX - 1, F.COUNTER_MAX):
+            for period in (1, 3000, F.COUNTER_MAX):
+                s = R.RegulatorSpec(design, budget, period, **kw)
+                built = _BUILDER[design](s, signals)
+                stamped = R.build_config(s, signals)
+                assert stamped == built
+                assert hash(stamped) == hash(built)
+                assert F.compile_fabric(built) is F.compile_fabric(stamped)
+                # every part but the counters is the template's own
+                assert stamped.selectors is R.build_config(
+                    R.RegulatorSpec(design, 3, 7, **kw), signals).selectors
+
+
+@pytest.mark.parametrize("design", R.ETM_DESIGNS)
+def test_template_stamp_keeps_range_errors(design):
+    for budget, period, message in (
+            (0, 5, "budget 0 events is below 1 event"),
+            (-3, 5, "budget -3 events is below 1 event"),
+            (F.COUNTER_MAX + 1, 5, "budget 65536 exceeds 16-bit counter "
+                                   "range"),
+            (5, 0, "period 0 cycles is below 1 cycle"),
+            (5, F.COUNTER_MAX + 1, "period 65536 cycles exceeds 16-bit "
+                                   "counter range")):
+        for signals in (None, (33,)):
+            with pytest.raises(R.RangeError) as e:
+                R.build_config(spec(design, budget, period), signals)
+            assert str(e.value) == message
+
+
+def test_build_config_refuses_a_software_design_by_name():
+    for design in (R.MEMGUARD, R.MEMPOL, "none"):
+        for budget in (0, 5):
+            with pytest.raises(R.RangeError) as e:
+                R.build_config(spec(design, budget, 5))
+            assert str(e.value) == "no fabric config for design %r" % design
+
+
 # ---------------------------------------------------------------------------
 # PR dynamics
 # ---------------------------------------------------------------------------
